@@ -490,6 +490,11 @@ void InferenceServer::prefill_stream(Stream& stream) {
   // request root instead of whatever the worker was doing.
   HPCGPT_TRACE_ADOPT(stream.request.trace);
   HPCGPT_TRACE("serve.prefill");
+  // Prefill parallelism is across lanes (the scheduler's parallel_for),
+  // never inside one lane's GEMMs: this model's prefill GEMMs are too
+  // small to pay for row blocks on the pool, and a lone lane runs here on
+  // the scheduler thread, where they would otherwise fan out.
+  ParallelInlineGuard inline_guard;
   try {
     // Prompt ingestion: one batched GEMM pass writes the K/V rows of the
     // non-cached suffix (state.length() positions were adopted from the
@@ -726,9 +731,9 @@ void InferenceServer::scheduler_loop() {
 
     // One scheduler round: fresh lanes get their prompt ingested through
     // the GEMM prefill (independent sessions over read-only weights, so
-    // they can run in parallel; GEMMs inside nest safely thanks to the
-    // pool's run-inline-on-worker guard), then every live lane advances
-    // one token through a single cross-request batched decode step.
+    // they run in parallel, each lane's GEMMs inline on its own thread),
+    // then every live lane advances one token through a single
+    // cross-request batched decode step.
     HPCGPT_TRACE("serve.round");
     Timer round_timer;
     parallel_for(

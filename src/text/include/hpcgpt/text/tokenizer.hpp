@@ -36,6 +36,13 @@ class BpeTokenizer {
              std::size_t min_pair_count = 2);
 
   /// Encodes UTF-8/byte text into token ids (no BOS/EOS added).
+  ///
+  /// Canonical BPE segmentation: starting from the bytes, repeatedly apply
+  /// the earliest-learned merge among all adjacent pairs, at its leftmost
+  /// occurrence when several pairs share it. Costs O(n log n) for n bytes:
+  /// candidate pairs wait in a min-heap keyed (merge id, byte position)
+  /// over a linked list of symbols, and each merge looks up only the two
+  /// pairs it creates.
   std::vector<TokenId> encode(std::string_view text) const;
 
   /// Decodes ids back to bytes; special tokens decode to empty.
@@ -52,6 +59,9 @@ class BpeTokenizer {
 
   /// Serialization for checkpointing (merge list as text, one per line).
   std::string save() const;
+  /// Inverse of save(). Throws ParseError on a bad header, a truncated
+  /// list, or a merge whose parts are not byte ids or earlier merge ids
+  /// (the only tables train() produces).
   static BpeTokenizer load(std::string_view serialized);
 
  private:

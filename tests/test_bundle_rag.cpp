@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/core/rag.hpp"
@@ -64,6 +66,28 @@ TEST(Bundle, RejectsCorruptBlobs) {
   std::string blob = model.save_bundle();
   EXPECT_THROW(HpcGpt::load_bundle(blob.substr(0, blob.size() / 3)),
                ParseError);
+  // An intact bundle whose tokenizer chunk holds a self-referencing merge:
+  // the chunks are the magic, then name, tokenizer and checkpoint, each
+  // behind an 8-byte little-endian length.
+  const auto chunk_length = [&blob](std::size_t pos) {
+    std::uint64_t n = 0;
+    for (int i = 0; i < 8; ++i) {
+      n |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(blob[pos + i]))
+           << (8 * i);
+    }
+    return static_cast<std::size_t>(n);
+  };
+  const std::size_t name_at = std::string("hpcgpt-bundle-v1").size();
+  const std::size_t tokenizer_at = name_at + 8 + chunk_length(name_at);
+  const std::string hostile = "bpe-v1 1\n260 97\n";
+  std::string crafted = blob.substr(0, tokenizer_at);
+  for (int i = 0; i < 8; ++i) {
+    crafted += static_cast<char>((hostile.size() >> (8 * i)) & 0xFF);
+  }
+  crafted += hostile;
+  crafted += blob.substr(tokenizer_at + 8 + chunk_length(tokenizer_at));
+  EXPECT_THROW(HpcGpt::load_bundle(crafted), ParseError);
 }
 
 // --------------------------------------------------------------- rag
