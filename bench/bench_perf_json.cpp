@@ -2,9 +2,8 @@
 //
 // Runs the headline measurements of the batched-engine work — the
 // blocked GEMM kernel, single-stream decode, GEMM prefill, 8- and
-// 64-stream continuous-batching serving over the paged KV cache, the
-// prefix-cache cold/hit TTFT pair, and a speculative-decoding run — and
-// writes them as BENCH_perf.json so
+// 64-stream continuous-batching serving over the paged KV cache and the
+// prefix-cache cold/hit TTFT pair — and writes them as BENCH_perf.json so
 // every future perf PR has an apples-to-apples anchor on the same
 // machine. Each metric is best-of-N wall time (the standard way to
 // de-noise a shared CFS box: the minimum is the least-perturbed run).
@@ -137,7 +136,6 @@ struct ServerRun {
   double mean_occupancy = 0.0;
   double mean_latency_seconds = 0.0;
   double prefix_hit_rate = 0.0;
-  double spec_accept_rate = 0.0;
   /// metrics_json() snapshot of the best rep — the obs view of the same
   /// run, embedded into BENCH_perf.json for cross-PR comparison.
   std::string metrics_json;
@@ -150,12 +148,12 @@ const char* const kServerQuestion =
 
 /// One server scenario: `streams` identical requests fired as a burst at
 /// a fresh server built from `config` (max_batch forced to `streams`).
-/// Every stream-count and feature variant — 1/8/64 streams, int8,
-/// speculation — flows through this single code path so the numbers
-/// differ only in the knob under test. With `warm_prefix` one untimed
-/// request runs first, so the timed burst maps the shared prompt's pages
-/// out of the prefix cache instead of re-prefilling them; its tokens are
-/// subtracted from the throughput numerator.
+/// Every stream-count and feature variant — 1/8/64 streams, int8 — flows
+/// through this single code path so the numbers differ only in the knob
+/// under test. With `warm_prefix` one untimed request runs first, so the
+/// timed burst maps the shared prompt's pages out of the prefix cache
+/// instead of re-prefilling them; its tokens are subtracted from the
+/// throughput numerator.
 ServerRun server_throughput(core::HpcGpt& model, std::size_t streams,
                             serve::ServeConfig config,
                             bool warm_prefix = false) {
@@ -196,7 +194,6 @@ ServerRun server_throughput(core::HpcGpt& model, std::size_t streams,
       best.mean_occupancy = st.mean_batch_occupancy();
       best.mean_latency_seconds = st.mean_latency_seconds();
       best.prefix_hit_rate = st.prefix_cache_hit_rate();
-      best.spec_accept_rate = st.speculative_accept_rate();
       best.metrics_json = std::move(metrics);
     }
   }
@@ -385,16 +382,6 @@ int main(int argc, char** argv) {
       server_throughput(model, 64, {}, /*warm_prefix=*/true);
   std::printf("bench_perf: prefix cold/hit TTFT ...\n");
   const PrefixTtft ttft = prefix_ttft(model);
-  std::printf("bench_perf: server 8-stream speculative ...\n");
-  serve::ServeConfig spec_config;
-  spec_config.speculation.enabled = true;
-  spec_config.speculation.draft_tokens = 4;
-  // Draft = the target's own preset (untrained, same init seed), so the
-  // draft proposes exactly what the target would pick: accept rate 1.0
-  // and the run exercises the full verify/rollback machinery.
-  spec_config.speculation.draft = core::spec_for(core::BaseModel::Llama);
-  spec_config.speculation.draft.pretrain_steps = 0;
-  const ServerRun spec = server_throughput(model, 8, spec_config);
 
   const nn::TransformerConfig train_cfg =
       core::spec_for(core::BaseModel::Llama).config;
@@ -443,8 +430,7 @@ int main(int argc, char** argv) {
           .as_number();
   // Wide (64-stream) continuous batching over the paged KV cache, with
   // the shared prompt warm in the prefix cache. Gated like the 8-stream
-  // family; prefix_cache_hit_rate and speculative.accept_rate are gated
-  // higher-is-better by benchdiff.
+  // family; prefix_cache_hit_rate is gated higher-is-better by benchdiff.
   measured["server_64stream_tokens_per_second"] = wide.tokens_per_second;
   measured["server_64stream_mean_batch_occupancy"] = wide.mean_occupancy;
   measured["server_64stream_mean_latency_seconds"] =
@@ -459,8 +445,6 @@ int main(int argc, char** argv) {
   measured["prefix_cache_hit_rate"] = wide.prefix_hit_rate;
   measured["prefix_cold_ttft_seconds"] = ttft.cold_seconds;
   measured["prefix_hit_ttft_seconds"] = ttft.hit_seconds;
-  measured["server_8stream_spec_tokens_per_second"] = spec.tokens_per_second;
-  measured["speculative.accept_rate"] = spec.spec_accept_rate;
   measured["train_tokens_per_second_sequential"] = train_seq_tps;
   measured["train_tokens_per_second_workers1"] = train_w1_tps;
   measured["train_tokens_per_second_workers4"] = train_w4_tps;
@@ -516,8 +500,7 @@ int main(int argc, char** argv) {
                    "(untrained), prompt 64 tokens, 48 new tokens per "
                    "request for server metrics; 64-stream run has the "
                    "shared prompt pre-published to the prefix cache; "
-                   "speculative run drafts 4 tokens with a same-preset "
-                   "draft model; training over 16x64-token sequences, "
+                   "training over 16x64-token sequences, "
                    "engine micro_batch 4 (sequential baseline is the "
                    "classic per-sequence loop)";
   // Data-parallel speedup is bounded by the core count of the bench host;

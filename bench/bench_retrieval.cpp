@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -188,13 +187,6 @@ int main(int argc, char** argv) {
               static_cast<double>(stats.compressed_bytes) / (1024.0 * 1024.0),
               static_cast<double>(stats.compressed_bytes) /
                   static_cast<double>(std::max<std::size_t>(stats.postings, 1)));
-  std::printf("distinct terms: exact=%zu hll=%.0f (err %.2f%%)\n",
-              stats.distinct_terms, stats.distinct_terms_estimate,
-              100.0 *
-                  std::abs(stats.distinct_terms_estimate -
-                           static_cast<double>(stats.distinct_terms)) /
-                  static_cast<double>(std::max<std::size_t>(
-                      stats.distinct_terms, 1)));
 
   // Query mix, shaped like RAG questions rather than pasted records:
   // 3/4 name a specific system by its unique id ("tell me about sysN" —

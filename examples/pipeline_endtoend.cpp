@@ -80,7 +80,7 @@ int main() {
 
   // ---------------- stage 4: deployment ---------------------------------
   std::printf("[stage 4] deployment (inference server, 3 workers)\n");
-  serve::InferenceServer server(model, 3);
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 3});
   std::vector<std::future<core::GenerationResult>> pending;
   const std::vector<std::string> questions{
       "Which dataset fits defect detection tasks written in C?",

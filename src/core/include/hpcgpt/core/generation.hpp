@@ -34,14 +34,6 @@ struct CacheOptions {
   bool share_prefix = true;
 };
 
-/// Per-request speculative-decoding control.
-struct SpeculativeOptions {
-  /// Draft-token count per verify round: -1 uses the server default
-  /// (ServeConfig::speculation), 0 disables speculation for this request,
-  /// k > 0 forces k drafted tokens per round.
-  int draft_tokens = -1;
-};
-
 /// One generation request — the single request surface shared by
 /// HpcGpt::generate / HpcGpt::classify_race, the evaluation harness and
 /// serve::InferenceServer::submit, replacing the previous three ad-hoc
@@ -62,8 +54,6 @@ struct GenerationRequest {
   std::uint64_t id = 0;
   /// Prefix-cache participation (paged serving only).
   CacheOptions cache;
-  /// Speculative-decoding override (paged serving only).
-  SpeculativeOptions speculative;
 };
 
 /// The typed outcome every generation surface returns: text plus the

@@ -82,10 +82,10 @@ struct PrefillScratch {
 /// shared by all blocks of the session.
 ///
 /// Pages are acquired lazily as positions are appended (prepare_append),
-/// released on truncate()/destruction, and may be *shared* with other
-/// sessions through adopt_prefix() — shared pages (refcount > 1) are
-/// immutable; the first append into a shared tail page forks a private
-/// copy (copy-on-write). Sessions are move-only.
+/// released on destruction, and may be *shared* with other sessions
+/// through adopt_prefix() — shared pages (refcount > 1) are immutable;
+/// the first append into a shared tail page forks a private copy
+/// (copy-on-write). Sessions are move-only.
 class DecodeState {
  public:
   DecodeState(const TransformerConfig& config,
@@ -106,13 +106,6 @@ class DecodeState {
     return tables_[layer];
   }
   std::size_t pages_held() const;
-
-  /// Rolls the session back to `len` positions (speculative decoding
-  /// rejects drafted tokens; the prefix cache trims to a prompt
-  /// boundary). Pages wholly beyond the new length are released; the
-  /// partial tail page keeps its stale slots, which are never read
-  /// (attention horizons stop at length()).
-  void truncate(std::size_t len);
 
   /// Adopts an already-computed prefix: retains pages[l][c] as chunk c of
   /// layer l and sets length() to `tokens`. Only valid on an empty
@@ -311,15 +304,6 @@ class Transformer {
   std::span<const float> prefill(DecodeState& state,
                                  std::span<const text::TokenId> ids) const;
 
-  /// Prefill variant returning the logits of *every* position of `ids`
-  /// (ids.size() × vocab, written into `logits_out`) — the speculative-
-  /// decoding verify step: the target model scores the candidate token
-  /// plus all drafted tokens in one batched forward, and row r decides
-  /// whether draft r+1 is accepted. Cache side effects are identical to
-  /// prefill().
-  void prefill_logits(DecodeState& state, std::span<const text::TokenId> ids,
-                      tensor::Matrix& logits_out) const;
-
   /// One decode step for a batch of independent sessions (the continuous-
   /// batching inner loop): feeds ids[b] through states[b] for all b in one
   /// pass, with every Linear running as a row-batched GEMM across lanes,
@@ -346,8 +330,8 @@ class Transformer {
  private:
   tensor::Matrix embed(const std::vector<text::TokenId>& ids) const;
   tensor::Matrix forward_hidden(const std::vector<text::TokenId>& ids);
-  /// Common prefill body: runs the block stack over `ids`, populating the
-  /// paged caches, and leaves the pre-final-norm hidden rows in `x`.
+  /// Prefill body: runs the block stack over `ids`, populating the paged
+  /// caches, and leaves the pre-final-norm hidden rows in `x`.
   void prefill_hidden(DecodeState& state, std::span<const text::TokenId> ids,
                       tensor::Matrix& x) const;
   /// out = tok_emb[id] + pos_emb[pos], reading fp32 or fp16 storage

@@ -369,22 +369,34 @@ void rmsnorm_row(const hpcgpt::nn::Parameter& gain,
                                         x.size(), kNormEps, out.data());
 }
 
-/// In-place softmax over probs[0..len), returning 1/sum so callers can
-/// fold the normalisation into the value pass. The max / exp / sum loops
-/// are deliberately separate: a fused exp+sum loop carries a float
-/// reduction that blocks vectorization, and the elementwise fast_expf
-/// pass is where the cycles go (it vectorizes 8-wide on its own).
-inline float softmax_inplace(float* __restrict probs, std::size_t len) {
-  float max_score = probs[0];
-  for (std::size_t s = 1; s < len; ++s) {
-    max_score = std::max(max_score, probs[s]);
+/// Causal attention of `rows` consecutive query positions, the first at
+/// `pos0`, over one layer's paged K/V cache (feature-major within a page,
+/// stride kPageSize; V slab at d·kPageSize): row r attends over positions
+/// [0, pos0 + r + 1). q and out are row-major with d_model columns; probs
+/// holds at least pos0 + rows floats. Heads run outer and rows inner.
+/// Every inference path (single-lane step, batched step, prefill) goes
+/// through these same dispatched kernels in this order, so they stay
+/// bit-identical to each other. Both passes run unit-stride over
+/// positions within each page.
+void paged_attention(const TransformerConfig& config, const float* q,
+                     std::size_t rows, std::size_t pos0, float* const* pages,
+                     float* __restrict probs, float* out) {
+  constexpr std::size_t kPage = KvPagePool::kPageSize;
+  const std::size_t d = config.d_model;
+  const std::size_t hd = config.head_dim();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  for (std::size_t h = 0; h < config.n_heads; ++h) {
+    const std::size_t off = h * hd;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t len = pos0 + r + 1;
+      kt.attn_scores_paged(q + r * d + off, scale, pages, off * kPage, hd,
+                           len, probs);
+      const float inv = kt.softmax_row(probs, len);
+      kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
+                           len, out + r * d + off);
+    }
   }
-  for (std::size_t s = 0; s < len; ++s) {
-    probs[s] = fast_expf(probs[s] - max_score);
-  }
-  float denom = 0.0f;
-  for (std::size_t s = 0; s < len; ++s) denom += probs[s];
-  return 1.0f / denom;
 }
 
 }  // namespace
@@ -394,8 +406,6 @@ void TransformerBlock::forward_step(std::span<float> x, std::size_t pos,
                                     DecodeScratch& scratch) const {
   constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t d = config_.d_model;
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // --- attention sub-layer ---
   std::span<float> normed(scratch.normed.data(), d);
@@ -427,27 +437,18 @@ void TransformerBlock::forward_step(std::span<float> x, std::size_t pos,
     vc[i * kPage] = v_row[i];
   }
 
-  // Both attention passes run unit-stride over positions within each
-  // page: scores, softmax and the value reduction go through the
-  // ISA-dispatched fp32 kernels (tensor::kernels) — the decode loop's
-  // hottest non-GEMV work, SIMD-tiered alongside the quantized GEMVs.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  // Scores, softmax and the value reduction go through the ISA-dispatched
+  // fp32 kernels (tensor::kernels) — the decode loop's hottest non-GEMV
+  // work, SIMD-tiered alongside the quantized GEMVs.
   std::span<float> attn(scratch.attn.data(), d);
-  const std::size_t len = pos + 1;
-  float* __restrict probs = scratch.probs.data();
-  for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    kt.attn_scores_paged(q.data() + off, scale, pages, off * kPage, hd, len,
-                         probs);
-    const float inv = kt.softmax_row(probs, len);
-    kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd, len,
-                         attn.data() + off);
-  }
+  paged_attention(config_, q.data(), 1, pos, pages, scratch.probs.data(),
+                  attn.data());
   std::span<float> proj(scratch.proj.data(), d);
   wo_.apply(attn, proj);
   for (std::size_t i = 0; i < d; ++i) x[i] += proj[i];
 
   // --- MLP sub-layer ---
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
   rmsnorm_row(norm2_gain_, x, normed);
   std::span<float> gate(scratch.gate.data(), config_.d_ff);
   std::span<float> up(scratch.up.data(), config_.d_ff);
@@ -472,8 +473,6 @@ void TransformerBlock::forward_prefill(Matrix& x, std::size_t pos0,
   constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t seq = x.rows();
   const std::size_t d = config_.d_model;
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // --- attention sub-layer ---
   Matrix& normed = scratch.normed;
@@ -507,32 +506,19 @@ void TransformerBlock::forward_prefill(Matrix& x, std::size_t pos0,
     t0 += run;
   }
 
-  // Per-head causal attention over the feature-major cache: scores as
-  // unit-stride axpys per query feature, values as unit-stride dots per
-  // output feature, softmax via the vectorizable fast_expf. (Measured
+  // Per-head causal attention over the feature-major cache. (Measured
   // alternatives — per-head GEMM via matmul/matmul_nt, and 4-wide
   // feature unrolling — both lose at these shapes: the causal horizons
   // average seq/2, so dispatch and packing overheads dominate.)
   Matrix& attn_concat = scratch.attn_concat;
-  std::vector<float>& probs = scratch.probs;
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    for (std::size_t t = 0; t < seq; ++t) {
-      const std::size_t len = pos0 + t + 1;  // causal horizon of this row
-      float* __restrict pr = probs.data();
-      kt.attn_scores_paged(q.row(t).data() + off, scale, pages, off * kPage,
-                           hd, len, pr);
-      const float inv = kt.softmax_row(pr, len);
-      kt.attn_values_paged(pr, inv, pages, d * kPage + off * kPage, hd, len,
-                           attn_concat.row(t).data() + off);
-    }
-  }
+  paged_attention(config_, q.data(), seq, pos0, pages, scratch.probs.data(),
+                  attn_concat.data());
   Matrix& attn_out = scratch.attn_out;
   wo_.apply_rows(attn_concat, attn_out);
   tensor::add_inplace(x, attn_out);
 
   // --- MLP sub-layer (SwiGLU) ---
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
   for (std::size_t t = 0; t < seq; ++t) {
     rmsnorm_row(norm2_gain_, x.row(t), normed.row(t));
   }
@@ -553,8 +539,6 @@ void TransformerBlock::forward_step_batch(Matrix& x,
                                           std::size_t layer,
                                           BatchScratch& scratch) const {
   const std::size_t batch = x.rows();
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // --- attention sub-layer ---
   // The projections run once for the whole batch: one (batch × d) GEMM
@@ -568,8 +552,9 @@ void TransformerBlock::forward_step_batch(Matrix& x,
   wv_.apply_rows(scratch.normed, scratch.v_new);
 
   // Attention is inherently per-lane: every lane attends over its own
-  // page table at its own position. Same unit-stride loops as
-  // forward_step.
+  // page table at its own position, through the same helper as
+  // forward_step, so batched decode stays bit-identical to lane-at-a-time
+  // decode.
   constexpr std::size_t kPage = KvPagePool::kPageSize;
   for (std::size_t b = 0; b < batch; ++b) {
     float* const* pages = states[b]->page_ptrs_[layer].data();
@@ -585,21 +570,8 @@ void TransformerBlock::forward_step_batch(Matrix& x,
       vc[i * kPage] = v_new[i];
     }
 
-    const auto q = scratch.q.row(b);
-    auto attn = scratch.attn.row(b);
-    const std::size_t len = pos + 1;
-    float* __restrict probs = scratch.probs.data();
-    // Same dispatched kernels as the single-lane step, so batched decode
-    // stays bit-identical to lane-at-a-time decode.
-    const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-    for (std::size_t h = 0; h < config_.n_heads; ++h) {
-      const std::size_t off = h * hd;
-      kt.attn_scores_paged(q.data() + off, scale, pages, off * kPage, hd,
-                           len, probs);
-      const float inv = kt.softmax_row(probs, len);
-      kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
-                           len, attn.data() + off);
-    }
+    paged_attention(config_, scratch.q.row(b).data(), 1, pos, pages,
+                    scratch.probs.data(), scratch.attn.row(b).data());
   }
   wo_.apply_rows(scratch.attn, scratch.proj);
   tensor::add_inplace(x, scratch.proj);
@@ -736,26 +708,6 @@ std::uint32_t DecodeState::acquire_page() {
 void DecodeState::set_reserved_pages(std::size_t n) {
   require(reserved_ == 0, "DecodeState: reservation already set");
   reserved_ = n;
-}
-
-void DecodeState::truncate(std::size_t len) {
-  require(len <= length_, "DecodeState::truncate: cannot extend");
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t keep = (len + kPage - 1) / kPage;
-  for (std::size_t l = 0; l < n_layers_; ++l) {
-    while (tables_[l].size() > keep) {
-      const std::uint32_t page = tables_[l].back();
-      // A private page freed by the rollback returns its budget to this
-      // session's reservation credit, so speculative verify/rollback
-      // cycles re-use the same credit instead of exhausting it.
-      const bool refundable = pool_->ref_count(page) == 1;
-      pool_->release(page);
-      if (refundable && pool_->try_reserve(1)) ++reserved_;
-      tables_[l].pop_back();
-      page_ptrs_[l].pop_back();
-    }
-  }
-  length_ = len;
 }
 
 void DecodeState::adopt_prefix(
@@ -1046,11 +998,10 @@ const Matrix& Transformer::decode_step_batch(
   return scratch.logits;
 }
 
-/// Shared prefill body: embeds `ids` at the session's current length,
-/// runs the block stack (populating the paged caches), and leaves the
-/// final pre-norm hidden rows in `x`. Advances state.length_ and records
-/// the prefill metrics; the callers differ only in which rows they push
-/// through the head.
+/// Prefill body: embeds `ids` at the session's current length, runs the
+/// block stack (populating the paged caches), and leaves the final
+/// pre-norm hidden rows in `x`. Advances state.length_ and records the
+/// prefill metrics, which leave out the head.
 void Transformer::prefill_hidden(DecodeState& state,
                                  std::span<const text::TokenId> ids,
                                  Matrix& x) const {
@@ -1099,20 +1050,6 @@ std::span<const float> Transformer::prefill(
   rmsnorm_row(final_gain_, x.row(ids.size() - 1), normed);
   head_.apply(normed, scratch.logits);
   return scratch.logits;
-}
-
-void Transformer::prefill_logits(DecodeState& state,
-                                 std::span<const text::TokenId> ids,
-                                 Matrix& logits_out) const {
-  Matrix x;
-  prefill_hidden(state, ids, x);
-  // Speculative verify needs every position's distribution: norm each row
-  // and push the whole batch through the head as one GEMM.
-  Matrix normed(ids.size(), config_.d_model);
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    rmsnorm_row(final_gain_, x.row(t), normed.row(t));
-  }
-  head_.apply_rows(normed, logits_out);
 }
 
 LossResult Transformer::train_step(

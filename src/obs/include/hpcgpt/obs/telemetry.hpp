@@ -90,8 +90,7 @@ struct TelemetryConfig {
 /// MetricsRegistry. Each tick samples the registry into the collector's
 /// rings and re-evaluates the rule set; the resulting HealthReport is
 /// readable at any time (health()), pushed to an optional listener, and
-/// condensed into shed_hint() — the hook an SLO-aware admission layer
-/// polls before accepting work.
+/// condensed into shed_hint(), which /healthz turns into a 503.
 ///
 /// HTTP routes: /metrics (Prometheus text), /healthz (200 Ok/Degraded,
 /// 503 Breached), /snapshot (registry JSON), /history (collector series

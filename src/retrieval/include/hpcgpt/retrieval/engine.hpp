@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "hpcgpt/retrieval/hll.hpp"
 #include "hpcgpt/retrieval/index.hpp"
 #include "hpcgpt/retrieval/ivf.hpp"
 #include "hpcgpt/retrieval/vector_store.hpp"
@@ -59,8 +58,7 @@ struct IndexStats {
   std::size_t sealed_segments = 0;
   std::size_t tail_documents = 0;
   std::size_t compressed_bytes = 0;
-  std::size_t distinct_terms = 0;        ///< exact
-  double distinct_terms_estimate = 0.0;  ///< HyperLogLog sketch
+  std::size_t distinct_terms = 0;
 };
 
 /// The indexed hybrid retrieval engine: a compressed inverted index with
@@ -118,7 +116,6 @@ class SearchEngine {
   double impact_scale_ = 1.0 / 255.0;
   InvertedIndex index_;
   IvfFlatIndex ivf_;
-  HyperLogLog terms_hll_;
   std::vector<bool> term_seen_;
   std::size_t distinct_terms_ = 0;
   std::vector<std::string> texts_;

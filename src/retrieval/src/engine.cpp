@@ -73,7 +73,6 @@ SearchEngine::SearchEngine(TfidfEmbedder embedder, RetrievalConfig config)
       config_(config),
       index_(config.index),
       ivf_(config.ivf),
-      terms_hll_(12),
       term_seen_(embedder_.vocabulary_size(), false) {
   config_.validate();
   if (config_.weighting == RetrievalConfig::Weighting::Bm25) {
@@ -139,7 +138,6 @@ void SearchEngine::add(std::string chunk) {
   if (term_seen_.size() < embedder_.vocabulary_size())
     term_seen_.resize(embedder_.vocabulary_size(), false);
   for (const auto& [term, impact] : weights) {
-    terms_hll_.add(term);
     if (!term_seen_[term]) {
       term_seen_[term] = true;
       ++distinct_terms_;
@@ -152,13 +150,10 @@ void SearchEngine::add(std::string chunk) {
   static obs::Gauge& docs_gauge = registry.gauge("retrieval.index.docs");
   static obs::Gauge& postings_gauge = registry.gauge("retrieval.index.postings");
   static obs::Gauge& segments_gauge = registry.gauge("retrieval.index.segments");
-  static obs::Gauge& distinct_gauge =
-      registry.gauge("retrieval.index.distinct_terms_estimate");
   const InvertedIndex::Stats s = index_.stats();
   docs_gauge.set(static_cast<std::int64_t>(s.docs));
   postings_gauge.set(static_cast<std::int64_t>(s.postings));
   segments_gauge.set(static_cast<std::int64_t>(s.sealed_segments));
-  distinct_gauge.set(static_cast<std::int64_t>(terms_hll_.estimate()));
 }
 
 void SearchEngine::add_all(const std::vector<std::string>& chunks) {
@@ -382,7 +377,6 @@ IndexStats SearchEngine::stats() const {
   out.tail_documents = s.tail_docs;
   out.compressed_bytes = s.compressed_bytes;
   out.distinct_terms = distinct_terms_;
-  out.distinct_terms_estimate = terms_hll_.estimate();
   return out;
 }
 

@@ -40,19 +40,6 @@ struct KvCacheConfig {
   std::size_t prefix_cache_max_nodes = 1024;
 };
 
-/// Speculative-decoding knobs (one section of ServeConfig).
-struct SpeculationConfig {
-  /// Master switch: when true the server builds a draft model from
-  /// `draft` and verifies its proposals with the target model.
-  bool enabled = false;
-  /// Tokens drafted per verify round (requests can override per-request
-  /// via core::SpeculativeOptions).
-  std::size_t draft_tokens = 4;
-  /// Draft model spec. Must share the target's vocabulary (it reuses the
-  /// target's tokenizer); typically core::spec_for(BaseModel::Llama).
-  core::ModelOptions draft;
-};
-
 /// Serve-path retrieval augmentation (one section of ServeConfig): when
 /// enabled, every generation request's prompt is augmented at submit time
 /// with the top-k chunks the attached SearchEngine retrieves for it
@@ -71,8 +58,8 @@ struct RagConfig {
 };
 
 /// The one typed configuration surface of the inference server — serving
-/// knobs, inference weight mode, paged-KV sizing, speculation and the
-/// co-hosted verification service, consolidated from what used to be
+/// knobs, inference weight mode, paged-KV sizing and the co-hosted
+/// verification service, consolidated from what used to be
 /// ServerOptions plus ad-hoc CLI-side quantization. CLI `serve` flags map
 /// 1:1 onto these fields (see README, "Server throughput knobs").
 struct ServeConfig {
@@ -97,14 +84,12 @@ struct ServeConfig {
   /// loaded). One-way, like HpcGpt::set_quant_mode.
   tensor::QuantMode quant = tensor::QuantMode::Fp32;
   /// Paged KV cache + prefix sharing.
-  KvCacheConfig kv;
-  /// Speculative decoding.
-  SpeculationConfig speculation;
+  KvCacheConfig kv{};
   /// Knobs of the co-hosted analysis service (cache capacity, verifier
   /// options, grounding) behind the typed verification request kind.
-  analysis::ServiceOptions verification;
+  analysis::ServiceOptions verification{};
   /// Retrieval-augmented generation pre-stage.
-  RagConfig rag;
+  RagConfig rag{};
   /// Live telemetry (one section of ServeConfig): when telemetry.enabled
   /// the server runs an obs::TelemetryPipeline over its private registry —
   /// collector ticks at telemetry.sample_interval_seconds, the SLO rules
@@ -112,11 +97,11 @@ struct ServeConfig {
   /// /metrics, /healthz, /snapshot and /history over HTTP (port 0 picks
   /// an ephemeral one; see InferenceServer::telemetry()->http_port()).
   /// default_telemetry() fills in the stock serving rule set.
-  obs::TelemetryConfig telemetry;
+  obs::TelemetryConfig telemetry{};
 
-  /// Throws InvalidArgument on inconsistent settings (zero lanes,
-  /// speculation without draft tokens, a page budget too small for one
-  /// stream — checked against the model at server construction).
+  /// Throws InvalidArgument on inconsistent settings (zero lanes, a page
+  /// budget too small for one stream — checked against the model at
+  /// server construction).
   void validate() const;
 };
 
@@ -147,16 +132,14 @@ struct ServerStats {
   std::size_t prefix_hits = 0;         ///< admissions that reused a prefix
   std::size_t prefix_misses = 0;       ///< admissions that prefilled cold
   std::size_t prefix_tokens_reused = 0;  ///< prompt tokens not re-prefilled
-  std::size_t speculative_drafted = 0;   ///< draft tokens proposed
-  std::size_t speculative_accepted = 0;  ///< draft tokens verified + kept
   std::size_t rag_augmented = 0;  ///< requests whose prompt gained context
   std::size_t rag_skipped = 0;    ///< RAG-enabled requests left unaugmented
   std::size_t kv_pages_in_use = 0;     ///< pool pages live at snapshot
   double busy_seconds = 0.0;           ///< wall time in prefill/decode work
   double latency_seconds_sum = 0.0;    ///< Σ submit→completion per request
   /// Last SLO evaluation of the telemetry pipeline (overall Ok with no
-  /// rules when telemetry is disabled). health.shed_hint is the signal an
-  /// SLO-aware admission layer consumes.
+  /// rules when telemetry is disabled). health.shed_hint is what /healthz
+  /// turns into a 503; admission does not read it.
   obs::HealthReport health;
 
   /// Aggregate decode throughput while the scheduler was busy.
@@ -186,13 +169,6 @@ struct ServerStats {
                      static_cast<double>(lookups)
                : 0.0;
   }
-  /// Fraction of drafted tokens the target model accepted.
-  double speculative_accept_rate() const {
-    return speculative_drafted > 0
-               ? static_cast<double>(speculative_accepted) /
-                     static_cast<double>(speculative_drafted)
-               : 0.0;
-  }
 };
 
 /// The deployment stage of Figure 1: a continuous-batching in-process
@@ -210,9 +186,7 @@ struct ServerStats {
 /// prompt pages published back into the trie; then every round advances
 /// all live lanes by one token through a single decode_step_batch call,
 /// so the weight matrices are streamed once per round instead of once
-/// per lane. With speculation enabled, a small draft model proposes k
-/// tokens per round and the target verifies them in one batched prefill,
-/// emitting every accepted token at once (serve.spec.* metrics).
+/// per lane.
 ///
 /// submit() takes a core::GenerationRequest and returns a future
 /// core::GenerationResult carrying text, token counts, finish reason and
@@ -224,7 +198,6 @@ struct ServerStats {
 /// view over it.
 class InferenceServer {
  public:
-  InferenceServer(core::HpcGpt& model, std::size_t max_batch = 2);
   InferenceServer(core::HpcGpt& model, ServeConfig config);
   ~InferenceServer();
 
@@ -276,13 +249,6 @@ class InferenceServer {
   /// server (before the registry it samples).
   const obs::TelemetryPipeline* telemetry() const { return telemetry_.get(); }
 
-  /// True while any SLO rule is Breached — the load-shedding hint an
-  /// admission layer polls before accepting new work. Always false when
-  /// telemetry is disabled.
-  bool shed_hint() const {
-    return telemetry_ != nullptr && telemetry_->shed_hint();
-  }
-
   /// JSON snapshot: {"server": <this server's registry>, "process":
   /// <obs::MetricsRegistry::global()>} — the substrate layers (tensor,
   /// nn) record into the process registry.
@@ -309,7 +275,6 @@ class InferenceServer {
     std::vector<text::TokenId> prompt;
     std::vector<text::TokenId> out;
     std::size_t budget = 0;      ///< resolved per-request token budget
-    std::size_t spec_tokens = 0; ///< resolved draft tokens per round
     std::size_t prefix_tokens = 0;  ///< prompt positions adopted from cache
     text::TokenId next = -1;     ///< candidate token (greedy argmax)
     core::FinishReason finish = core::FinishReason::Eos;
@@ -318,8 +283,6 @@ class InferenceServer {
     bool published = false;      ///< prompt pages inserted into the trie
     bool done = false;
     std::exception_ptr error;
-    /// Draft-model session (speculation only, created lazily).
-    std::unique_ptr<nn::DecodeState> draft;
 
     explicit Stream(Request req, nn::DecodeState s)
         : request(std::move(req)), state(std::move(s)) {}
@@ -340,8 +303,6 @@ class InferenceServer {
     obs::Counter& prefix_hits;      ///< serve.prefix.hits
     obs::Counter& prefix_misses;    ///< serve.prefix.misses
     obs::Counter& prefix_reused;    ///< serve.prefix.tokens_reused
-    obs::Counter& spec_drafted;     ///< serve.spec.drafted
-    obs::Counter& spec_accepted;    ///< serve.spec.accepted
     obs::Counter& rag_augmented;    ///< serve.rag.augmented
     obs::Counter& rag_skipped;      ///< serve.rag.skipped
     obs::Gauge& queue_depth;        ///< serve.queue.depth (max = peak)
@@ -368,10 +329,10 @@ class InferenceServer {
   /// so the scheduler can park it at the queue front.
   std::unique_ptr<Stream> admit(Request& entry, bool can_wait,
                                 bool& requeue);
-  /// Worst-case page reservation for a prompt of `prompt_tokens` with
-  /// `spec_tokens` drafted per speculative round.
-  std::size_t pages_needed(std::size_t prompt_tokens, std::size_t budget,
-                           std::size_t spec_tokens) const;
+  /// Worst-case page reservation for a prompt of `prompt_tokens` that may
+  /// generate up to `budget` tokens.
+  std::size_t pages_needed(std::size_t prompt_tokens,
+                           std::size_t budget) const;
   /// Runs the GEMM prefill for a freshly admitted stream over the
   /// non-cached suffix of its prompt, producing its first candidate
   /// token.
@@ -381,11 +342,6 @@ class InferenceServer {
   /// (recording which, as the stream's finish reason). Returns true when
   /// the stream still needs a decode step this round.
   bool emit_pending_token(Stream& stream);
-  /// One draft-propose / target-verify round for a speculation-enabled
-  /// stream: the draft model proposes up to stream.spec_tokens tokens,
-  /// the target scores candidate + drafts in a single batched prefill,
-  /// and every accepted token is emitted at once.
-  void speculative_round(Stream& stream);
   void finish_stream(Stream& stream);
   /// Resolves a request inline (rejected / shed / context-limit) without
   /// occupying a lane.
@@ -400,8 +356,6 @@ class InferenceServer {
   /// from (shared_ptr: sessions keep it alive through teardown).
   std::shared_ptr<nn::KvPagePool> pool_;
   std::unique_ptr<PrefixCache> prefix_;  ///< scheduler-thread only
-  /// Draft model for speculative decoding (speculation.enabled only).
-  std::unique_ptr<core::HpcGpt> draft_;
   /// Live telemetry over registry_ (telemetry.enabled only). Declared
   /// after registry_ so it is destroyed first — the collector and HTTP
   /// threads never outlive the registry they sample.
@@ -424,11 +378,6 @@ class InferenceServer {
   std::vector<Stream*> round_lanes_;
   std::vector<nn::DecodeState*> round_states_;
   std::vector<text::TokenId> round_tokens_;
-  // Speculation scratch (scheduler thread): verify-round logits, draft
-  // proposals and the token buffer used to sync the draft session.
-  tensor::Matrix spec_logits_;
-  std::vector<text::TokenId> spec_draft_;
-  std::vector<text::TokenId> spec_sync_;
 };
 
 }  // namespace hpcgpt::serve

@@ -56,10 +56,6 @@ void ServeConfig::validate() const {
   require(max_new_tokens >= 1, "ServeConfig: max_new_tokens must be >= 1");
   require(admission_window_seconds >= 0.0,
           "ServeConfig: admission_window_seconds must be >= 0");
-  if (speculation.enabled) {
-    require(speculation.draft_tokens >= 1,
-            "ServeConfig: speculation enabled with zero draft_tokens");
-  }
   if (kv.prefix_cache) {
     require(kv.prefix_cache_max_nodes >= 1,
             "ServeConfig: prefix cache enabled with zero node budget");
@@ -131,8 +127,6 @@ InferenceServer::Metrics::Metrics(obs::MetricsRegistry& r)
       prefix_hits(r.counter("serve.prefix.hits")),
       prefix_misses(r.counter("serve.prefix.misses")),
       prefix_reused(r.counter("serve.prefix.tokens_reused")),
-      spec_drafted(r.counter("serve.spec.drafted")),
-      spec_accepted(r.counter("serve.spec.accepted")),
       rag_augmented(r.counter("serve.rag.augmented")),
       rag_skipped(r.counter("serve.rag.skipped")),
       queue_depth(r.gauge("serve.queue.depth")),
@@ -145,13 +139,6 @@ InferenceServer::Metrics::Metrics(obs::MetricsRegistry& r)
       round_seconds(r.histogram("serve.round.seconds")),
       round_occupancy(r.histogram("serve.round.occupancy", kOccupancyBounds)),
       request_latency_seconds(r.histogram("serve.request.latency_seconds")) {}
-
-InferenceServer::InferenceServer(core::HpcGpt& model, std::size_t max_batch)
-    : InferenceServer(model, [max_batch] {
-        ServeConfig config;
-        config.max_batch = std::max<std::size_t>(1, max_batch);
-        return config;
-      }()) {}
 
 InferenceServer::InferenceServer(core::HpcGpt& model, ServeConfig config)
     : model_(model),
@@ -191,12 +178,6 @@ InferenceServer::InferenceServer(core::HpcGpt& model, ServeConfig config)
   if (config_.kv.prefix_cache) {
     prefix_ = std::make_unique<PrefixCache>(pool_, arch.n_layers,
                                             config_.kv.prefix_cache_max_nodes);
-  }
-  if (config_.speculation.enabled) {
-    require(config_.speculation.draft.config.vocab_size == arch.vocab_size,
-            "ServeConfig: draft model vocabulary must match the target");
-    draft_ = std::make_unique<core::HpcGpt>(config_.speculation.draft,
-                                            model_.tokenizer());
   }
 
   // Resident weight footprint of the served model (fp32 vs --quant'ed
@@ -355,8 +336,6 @@ ServerStats InferenceServer::stats() const {
   s.prefix_hits = metrics_.prefix_hits.value();
   s.prefix_misses = metrics_.prefix_misses.value();
   s.prefix_tokens_reused = metrics_.prefix_reused.value();
-  s.speculative_drafted = metrics_.spec_drafted.value();
-  s.speculative_accepted = metrics_.spec_accepted.value();
   s.rag_augmented = metrics_.rag_augmented.value();
   s.rag_skipped = metrics_.rag_skipped.value();
   s.kv_pages_in_use = pool_->pages_in_use();
@@ -377,16 +356,13 @@ std::string InferenceServer::metrics_json() const {
 }
 
 std::size_t InferenceServer::pages_needed(std::size_t prompt_tokens,
-                                          std::size_t budget,
-                                          std::size_t spec_tokens) const {
+                                          std::size_t budget) const {
   const nn::TransformerConfig& arch = model_.model().config();
   constexpr std::size_t kPage = nn::KvPagePool::kPageSize;
   // Longest sequence this stream can ever hold: prompt + generation
-  // budget + one speculative verify window (candidate + drafts), clamped
-  // by the context. One extra page per layer of copy-on-write headroom.
-  std::size_t worst = prompt_tokens + budget;
-  if (spec_tokens > 0) worst += spec_tokens + 1;
-  worst = std::min(worst, arch.max_seq);
+  // budget, clamped by the context. One extra page per layer of
+  // copy-on-write headroom.
+  const std::size_t worst = std::min(prompt_tokens + budget, arch.max_seq);
   const std::size_t per_layer = (worst + kPage - 1) / kPage + 1;
   return arch.n_layers * per_layer;
 }
@@ -427,14 +403,8 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
     return nullptr;
   }
   const std::size_t budget = req.max_new_tokens;
-  std::size_t spec_tokens = 0;
-  if (draft_) {
-    spec_tokens = req.speculative.draft_tokens < 0
-                      ? config_.speculation.draft_tokens
-                      : static_cast<std::size_t>(req.speculative.draft_tokens);
-  }
   std::vector<text::TokenId> prompt = model_.prompt_ids(req.prompt, budget);
-  const std::size_t need = pages_needed(prompt.size(), budget, spec_tokens);
+  const std::size_t need = pages_needed(prompt.size(), budget);
   if (need > pool_->capacity()) {
     // Can never fit the page budget: shed with the typed rejection
     // instead of admitting a stream doomed to exhaust the pool.
@@ -463,7 +433,6 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
       std::move(entry), model_.model().new_decode_state(pool_));
   stream->state.set_reserved_pages(need);
   stream->budget = budget;
-  stream->spec_tokens = spec_tokens;
   stream->prompt = std::move(prompt);
   if (prefix_ && stream->request.request.cache.reuse_prefix) {
     HPCGPT_TRACE_ADOPT(stream->request.trace);
@@ -548,92 +517,6 @@ bool InferenceServer::emit_pending_token(Stream& stream) {
   return true;
 }
 
-void InferenceServer::speculative_round(Stream& stream) {
-  HPCGPT_TRACE_ADOPT(stream.request.trace);
-  HPCGPT_TRACE("serve.spec.round");
-  try {
-    const nn::TransformerConfig& arch = model_.model().config();
-    const nn::TransformerConfig& darch = draft_->model().config();
-    const std::size_t prompt_len = stream.prompt.size();
-    const std::size_t out_pre = stream.out.size();
-    // Invariant at this point: the target has ingested prompt + out[:-1]
-    // and out.back() is the next token to feed.
-    const std::size_t target_len = stream.state.length();
-    // Tokens the draft session must contain before proposing.
-    const std::size_t draft_base = prompt_len + out_pre - 1;
-
-    std::size_t k = stream.spec_tokens;
-    // Clamp: the verify prefill ingests candidate + k drafts into the
-    // target, the proposer ingests candidate + k-1 drafts into the draft,
-    // and at most budget - out_pre more tokens can be emitted.
-    k = std::min(k, arch.max_seq - std::min(arch.max_seq, target_len + 1));
-    k = std::min(k, stream.budget - out_pre);
-    if (darch.max_seq < draft_base + k) {
-      k = darch.max_seq > draft_base ? darch.max_seq - draft_base : 0;
-    }
-    if (k == 0) {
-      // No room to speculate this round: plain single-token decode.
-      stream.next =
-          argmax(model_.model().decode_step(stream.state, stream.out.back()));
-      return;
-    }
-
-    // Sync the draft session to prompt + out[:-1]. Rollback keeps the
-    // prefix consistent across rounds (rejected drafts are truncated
-    // away; accepted ones match what the draft already ingested).
-    nn::DecodeState& draft_state = *stream.draft;
-    if (draft_state.length() > draft_base) draft_state.truncate(draft_base);
-    if (draft_state.length() < draft_base) {
-      spec_sync_.clear();
-      for (std::size_t i = draft_state.length(); i < draft_base; ++i) {
-        spec_sync_.push_back(i < prompt_len ? stream.prompt[i]
-                                            : stream.out[i - prompt_len]);
-      }
-      draft_->model().prefill(draft_state, spec_sync_);
-    }
-
-    // Draft proposes d1..dk autoregressively (GEMV steps on the small
-    // model — the cheap half of the protocol).
-    spec_draft_.clear();
-    text::TokenId cand = stream.out.back();
-    for (std::size_t j = 0; j < k; ++j) {
-      cand = argmax(draft_->model().decode_step(draft_state, cand));
-      spec_draft_.push_back(cand);
-    }
-
-    // Target verifies candidate + drafts in ONE batched prefill: row i
-    // holds the target's logits after ingesting spec tokens 0..i, so
-    // greedy(row i) is what the target would have decoded there.
-    spec_sync_.clear();
-    spec_sync_.push_back(stream.out.back());
-    spec_sync_.insert(spec_sync_.end(), spec_draft_.begin(), spec_draft_.end());
-    model_.model().prefill_logits(stream.state, spec_sync_, spec_logits_);
-    std::size_t accepted = 0;
-    while (accepted < k &&
-           spec_draft_[accepted] == argmax(spec_logits_.row(accepted))) {
-      ++accepted;
-    }
-    const text::TokenId next_cand = argmax(spec_logits_.row(accepted));
-    {
-      std::lock_guard lock(mutex_);
-      metrics_.spec_drafted.add(k);
-      metrics_.spec_accepted.add(accepted);
-    }
-
-    // Roll the target back to exactly the accepted sequence, then emit
-    // the accepted tokens (EOS/budget/context checks per token).
-    stream.state.truncate(prompt_len + out_pre + accepted);
-    for (std::size_t i = 0; i < accepted; ++i) {
-      stream.next = spec_draft_[i];
-      if (!emit_pending_token(stream)) return;
-    }
-    stream.next = next_cand;
-  } catch (...) {
-    stream.error = std::current_exception();
-    stream.done = true;
-  }
-}
-
 void InferenceServer::finish_stream(Stream& stream) {
   const double latency = seconds_since(stream.request.submitted);
   if (stream.request.trace.active()) {
@@ -715,10 +598,6 @@ void InferenceServer::scheduler_loop() {
                                   stream->request.submitted_seconds,
                               stream->request.trace);
         }
-        if (draft_ && stream->spec_tokens > 0) {
-          stream->draft = std::make_unique<nn::DecodeState>(
-              draft_->model().new_decode_state());
-        }
         active.push_back(std::move(stream));
       }
       metrics_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
@@ -766,12 +645,6 @@ void InferenceServer::scheduler_loop() {
     round_tokens_.clear();
     for (auto& stream : active) {
       if (stream->done || !emit_pending_token(*stream)) continue;
-      if (draft_ && stream->spec_tokens > 0) {
-        // Speculative lanes run the draft/verify protocol sequentially on
-        // the scheduler thread; each round can emit several tokens.
-        speculative_round(*stream);
-        continue;
-      }
       round_lanes_.push_back(stream.get());
       round_states_.push_back(&stream->state);
       round_tokens_.push_back(stream->next);

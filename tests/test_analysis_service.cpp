@@ -345,7 +345,7 @@ core::HpcGpt tiny_model() {
 
 TEST(ServeVerify, TypedVerificationRequestsServeAlongsideGeneration) {
   core::HpcGpt model = tiny_model();
-  serve::InferenceServer server(model, 2);
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 2});
   VerifyRequest racy = VerifyRequest::single(source_of(loop_carried()), "racy");
   racy.explain = true;
   std::future<VerifyResponse> v1 = server.submit(std::move(racy));
@@ -378,7 +378,7 @@ TEST(ServeVerify, TypedVerificationRequestsServeAlongsideGeneration) {
 
 TEST(ServeVerify, SubmitAfterShutdownResolvesRejected) {
   core::HpcGpt model = tiny_model();
-  serve::InferenceServer server(model, 1);
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 1});
   server.shutdown();
   VerifyRequest request =
       VerifyRequest::single(source_of(vector_add()), "late");

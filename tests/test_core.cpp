@@ -235,7 +235,7 @@ TEST(Generation, ClassifyRaceTypedAgreesWithLegacyWrapper) {
 
 TEST(Serve, ServerAnswersConcurrentRequests) {
   HpcGpt model(tiny_spec(0), tokenizer());
-  serve::InferenceServer server(model, /*max_batch=*/3);
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 3});
   std::vector<std::future<GenerationResult>> futures;
   for (int i = 0; i < 8; ++i) {
     GenerationRequest request;
@@ -251,7 +251,7 @@ TEST(Serve, ServerAnswersConcurrentRequests) {
 
 TEST(Serve, SubmitAfterShutdownIsTypedRejected) {
   HpcGpt model(tiny_spec(0), tokenizer());
-  serve::InferenceServer server(model, 1);
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 1});
   server.shutdown();
   GenerationRequest request;
   request.prompt = "late question";

@@ -3,8 +3,7 @@
 // exactly — same doc order AND same scores — on randomized corpora,
 // including tied scores, incremental adds, sealing/merging segment
 // boundaries and empty/out-of-vocabulary queries. Plus unit coverage for
-// the posting iterators, HyperLogLog sketch, IVF-flat index and the
-// RetrievalConfig name maps. Labeled "retrieval" so the sanitize preset
+// the posting iterators, IVF-flat index and the RetrievalConfig name maps. Labeled "retrieval" so the sanitize preset
 // exercises the varint codec and iterator paths under ASan/UBSan.
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "hpcgpt/retrieval/engine.hpp"
-#include "hpcgpt/retrieval/hll.hpp"
 #include "hpcgpt/retrieval/index.hpp"
 #include "hpcgpt/retrieval/ivf.hpp"
 #include "hpcgpt/retrieval/vector_store.hpp"
@@ -177,10 +175,6 @@ TEST(RetrievalEquivalence, IncrementalAddsStayImmediatelySearchable) {
   EXPECT_GT(stats.postings, 0u);
   EXPECT_GT(stats.compressed_bytes, 0u);
   EXPECT_GT(stats.distinct_terms, 0u);
-  // HLL sketch tracks the exact distinct-term count closely at this size.
-  EXPECT_NEAR(stats.distinct_terms_estimate,
-              static_cast<double>(stats.distinct_terms),
-              0.2 * static_cast<double>(stats.distinct_terms) + 2.0);
 }
 
 TEST(RetrievalEquivalence, EmptyAndOovQueriesMatchScanShape) {
@@ -353,32 +347,6 @@ TEST(PostingIterators, CompressedRoundTripAcrossBlockSizes) {
       EXPECT_EQ(decoded[i].impact, postings[i].impact);
     }
   }
-}
-
-// ---- HyperLogLog ------------------------------------------------------
-
-TEST(HyperLogLogSketch, EstimatesWithinExpectedErrorAndMerges) {
-  retrieval::HyperLogLog a(12);
-  retrieval::HyperLogLog b(12);
-  const std::size_t n = 10000;
-  for (std::size_t i = 0; i < n; ++i) a.add(i);
-  for (std::size_t i = n / 2; i < n + n / 2; ++i) b.add(i);
-  // σ ≈ 1.04/√4096 ≈ 1.6%; 5% is > 3σ.
-  EXPECT_NEAR(a.estimate(), static_cast<double>(n), 0.05 * n);
-  EXPECT_NEAR(b.estimate(), static_cast<double>(n), 0.05 * n);
-  // Union covers 1.5n distinct values; merge is register-wise max.
-  a.merge(b);
-  EXPECT_NEAR(a.estimate(), 1.5 * n, 0.05 * 1.5 * n);
-
-  a.reset();
-  EXPECT_EQ(a.estimate(), 0.0);
-  // Small cardinalities: linear counting keeps the estimate tight.
-  for (std::size_t i = 0; i < 10; ++i) a.add(i * 7919);
-  EXPECT_NEAR(a.estimate(), 10.0, 1.0);
-
-  retrieval::HyperLogLog narrow(8);
-  EXPECT_THROW(a.merge(narrow), std::invalid_argument);
-  EXPECT_THROW(retrieval::HyperLogLog{3}, std::invalid_argument);
 }
 
 // ---- IVF-flat ---------------------------------------------------------

@@ -225,7 +225,8 @@ TEST(Serve, PerRequestBudgetOverridesServerDefault) {
 }
 
 TEST(Serve, SubmitAfterShutdownResolvesRejected) {
-  serve::InferenceServer server(shared_model(), 1);
+  serve::InferenceServer server(shared_model(),
+                                serve::ServeConfig{.max_batch = 1});
   server.shutdown();
   core::GenerationRequest request;
   request.prompt = kQuestion;

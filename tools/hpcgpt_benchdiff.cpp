@@ -6,11 +6,11 @@
 // Compares every numeric metric the two files' "measured" sections share
 // and fails (exit 1) when any gated metric regressed by more than the
 // threshold (default 15%). Direction is inferred from the metric name:
-// throughput-like metrics (*_per_second, gflops) and cache/speculation
-// ratios (*hit_rate*, *accept_rate*) must not drop; latency-like metrics
-// (latency, ttft, p95/p99 seconds) must not rise. Metrics matching no
-// family (e.g. the model_weight_kib_* footprint series) are printed as
-// informational only.
+// throughput-like metrics (*_per_second, gflops) and cache hit ratios
+// (*hit_rate*) must not drop; latency-like metrics (latency, ttft,
+// p95/p99 seconds) must not rise. Metrics matching no family (e.g. the
+// model_weight_kib_* footprint series) are printed as informational
+// only.
 //
 // One-sided metrics — present in only one of the two files — are
 // reported as "NEW" / "REMOVED" warnings rather than silently skipped,
@@ -57,12 +57,10 @@ Direction classify(const std::string& name) {
   const auto contains = [&](const char* needle) {
     return name.find(needle) != std::string::npos;
   };
-  // Ratio metrics first: "hit_rate"/"accept_rate" outrank the generic
-  // name families so e.g. a hypothetical *_hit_rate_seconds never gets
-  // misread as a latency.
-  if (contains("hit_rate") || contains("accept_rate")) {
-    return Direction::HigherBetter;
-  }
+  // Ratio metrics first: "hit_rate" outranks the generic name families
+  // so e.g. a hypothetical *_hit_rate_seconds never gets misread as a
+  // latency.
+  if (contains("hit_rate")) return Direction::HigherBetter;
   if (contains("per_second") || contains("gflops") || contains("qps")) {
     return Direction::HigherBetter;
   }

@@ -28,8 +28,7 @@
 //   hpcgpt serve --model model.bin [--metrics] [--trace-out trace.json]
 //          [--quant int8|fp16|fp32] [--batch N] [--max-new-tokens T]
 //          [--window SECONDS] [--kv-pages N] [--prefix-cache on|off]
-//          [--speculate] [--draft llama|llama2|gpt35|gpt4]
-//          [--draft-tokens K] [--rag] [--retrieval scan|indexed|hybrid]
+//          [--rag] [--retrieval scan|indexed|hybrid]
 //          [--fusion rerank|rrf] [--rag-score impact|bm25]
 //          [--rag-top-k K] [--rag-min-score S]
 //          [--metrics-port N] [--slo-ttft SECONDS]
@@ -47,10 +46,9 @@
 //       switch decode onto the SIMD-dispatched quantized kernels),
 //       --batch sets the continuous-batching lanes, --window the
 //       admission window, --kv-pages the paged-KV budget (0 = derived),
-//       --prefix-cache toggles the radix-trie prompt cache, --speculate
-//       enables speculative decoding with a --draft preset model
-//       proposing --draft-tokens per verify round, --rag augments every
-//       prompt with retrieved knowledge-base context at submit time
+//       --prefix-cache toggles the radix-trie prompt cache, --rag
+//       augments every prompt with retrieved knowledge-base context at
+//       submit time
 //   hpcgpt obs dump [--model model.bin] [--question "..."] [--compact]
 //          [--format json|prom|perfetto|folded]
 //       dump the process metrics registry (and, when a model is given,
@@ -127,8 +125,8 @@ struct Args {
 // and verify nothing).
 bool is_boolean_flag(const std::string& name) {
   return name == "pack" || name == "metrics" || name == "compact" ||
-         name == "compat" || name == "explain" || name == "speculate" ||
-         name == "rag" || name == "plain";
+         name == "compat" || name == "explain" || name == "rag" ||
+         name == "plain";
 }
 
 Args parse_args(int argc, char** argv, int from) {
@@ -441,13 +439,6 @@ int cmd_serve(const Args& args) {
   config.quant = quant_by_name(opt(args, "quant", "fp32"));
   config.kv.page_budget = std::stoul(opt(args, "kv-pages", "0"));
   config.kv.prefix_cache = opt(args, "prefix-cache", "on") != "off";
-  config.speculation.enabled = args.options.count("speculate") > 0;
-  config.speculation.draft_tokens =
-      std::stoul(opt(args, "draft-tokens", "4"));
-  if (config.speculation.enabled) {
-    config.speculation.draft =
-        core::spec_for(base_by_name(opt(args, "draft", "llama")));
-  }
   if (args.options.count("rag") > 0) {
     config.rag.enabled = true;
     config.rag.engine = build_rag_engine(args);
