@@ -20,17 +20,23 @@ using namespace hpcgpt;
 
 namespace {
 
+core::RaceVerdict classify(core::HpcGpt& model, const std::string& snippet,
+                          std::size_t token_limit) {
+  return model.classify_race({.prompt = snippet, .token_limit = token_limit})
+      .verdict;
+}
+
 /// Chunked classification: split at line granularity, classify each
 /// chunk, answer "yes" when any chunk is judged racy.
 core::RaceVerdict classify_chunked(core::HpcGpt& model,
                                    const std::string& snippet,
                                    std::size_t token_limit) {
-  const auto direct = model.classify_race(snippet, token_limit);
+  const auto direct = classify(model, snippet, token_limit);
   if (direct != core::RaceVerdict::TooLong) return direct;
   bool any_yes = false;
   bool any_judged = false;
   for (const std::string& chunk : text::chunk_code(snippet, 12, 2)) {
-    const auto v = model.classify_race(chunk, token_limit);
+    const auto v = classify(model, chunk, token_limit);
     if (v == core::RaceVerdict::TooLong) continue;
     any_judged = true;
     any_yes |= (v == core::RaceVerdict::Yes);
@@ -72,7 +78,7 @@ int main() {
   for (const drb::TestCase& tc : suite) {
     const std::string snippet =
         minilang::render_snippet(tc.program, tc.flavor);
-    const auto direct = model.classify_race(snippet, kLimit);
+    const auto direct = classify(model, snippet, kLimit);
     if (direct == core::RaceVerdict::TooLong) {
       ++oversized;
       naive.add_unsupported();

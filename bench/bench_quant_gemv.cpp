@@ -1,8 +1,10 @@
 // Quantized-GEMV micro-bench: the decode hot loop's matvec shapes
 // (d_model×d_model projections, d_model×d_ff MLP, d_model×vocab head)
 // timed per ISA tier and per storage format. Prints GB/s of weight
-// traffic and the speedup over an fp32 axpy baseline shaped like
-// nn::Linear::apply. Used interactively after kernel changes and as a
+// traffic and the speedup over an fp32 axpy baseline shaped like the
+// one-row case of the small fp32 GEMM (tensor::matmul) that
+// nn::Linear::apply_rows runs at decode. Used interactively after kernel
+// changes and as a
 // perf-smoke ctest entry (see tests/CMakeLists.txt) so the quantized
 // path is exercised — with a correctness cross-check — in sanitizer
 // lanes too.

@@ -76,7 +76,8 @@ int main() {
       "for (i = 1; i < 100; i++) {\n"
       "  y[i] = (x[i] + y[(i - 1)]);\n"
       "}\n";
-  const core::RaceVerdict verdict = model.classify_race(snippet, 256);
+  const core::RaceVerdict verdict =
+      model.classify_race({.prompt = snippet, .token_limit = 256}).verdict;
   std::printf("snippet:\n%sdata race? %s\n", snippet.c_str(),
               verdict == core::RaceVerdict::Yes   ? "yes"
               : verdict == core::RaceVerdict::No  ? "no"

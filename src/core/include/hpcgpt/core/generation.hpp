@@ -53,7 +53,7 @@ struct GenerationRequest {
   /// when left at 0 and echoes it in the result.
   std::uint64_t id = 0;
   /// Prefix-cache participation (paged serving only).
-  CacheOptions cache;
+  CacheOptions cache{};
 };
 
 /// The typed outcome every generation surface returns: text plus the

@@ -159,10 +159,6 @@ class HpcGpt {
   /// TSR < 1 in Table 5).
   RaceClassification classify_race(const GenerationRequest& request);
 
-  /// Legacy wrapper over the request form; returns only the verdict.
-  RaceVerdict classify_race(const std::string& snippet,
-                            std::size_t token_limit);
-
   /// Token count of the encoded free-form prompt for `question` (before
   /// any context clamping) — what token_limit checks compare against.
   std::size_t question_prompt_tokens(const std::string& question) const;

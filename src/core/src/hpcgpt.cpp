@@ -401,14 +401,6 @@ RaceClassification HpcGpt::classify_race(const GenerationRequest& request) {
   return rc;
 }
 
-RaceVerdict HpcGpt::classify_race(const std::string& snippet,
-                                  std::size_t token_limit) {
-  GenerationRequest request;
-  request.prompt = snippet;
-  request.token_limit = token_limit;
-  return classify_race(request).verdict;
-}
-
 std::size_t HpcGpt::question_prompt_tokens(const std::string& question) const {
   return encode_prompt(question).size();
 }

@@ -16,9 +16,9 @@ namespace hpcgpt::nn {
 /// with stride kPageSize, so feature i's slots are page[i·16 + s] for
 /// slot s — then the V slab at offset d_model·16 with the same layout.
 /// Feature-major within a page keeps the attention position loops
-/// unit-stride (the PR 2 cache invariant); a page boundary every 16
-/// positions coincides with the SIMD chunk grid of the dense kernels,
-/// which is what lets the paged kernels stay bitwise-identical.
+/// unit-stride; a page boundary every 16 positions coincides with the
+/// 8- and 16-wide SIMD chunk grids of the paged attention kernels, so
+/// only the last, partial page needs a tail.
 ///
 /// Pages are reference-counted: a page shared between sessions (prefix
 /// reuse, see serve::PrefixCache) is immutable until its refcount drops

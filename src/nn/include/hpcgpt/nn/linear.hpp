@@ -40,21 +40,17 @@ class Linear {
   /// Folds the LoRA product into W (for cheap inference after training).
   void merge_lora();
 
-  /// Stateless single-row application y = x·W (+ LoRA term): used by the
-  /// incremental decoder, which must not disturb the training caches.
-  /// `x` has in_features() elements, `y` out_features().
-  void apply(std::span<const float> x, std::span<float> y) const;
-
-  /// Stateless batched application y = x·W (+ LoRA term) over all rows of
-  /// `x` via the blocked GEMM. Like apply(), it neither reads nor writes
-  /// the training caches, so it is safe to call concurrently from many
-  /// threads — the prefill path of the batched inference engine.
+  /// Stateless application y = x·W (+ LoRA term) over all rows of `x`
+  /// via the GEMM — the projection of the inference forward. It neither
+  /// reads nor writes the training caches, so it is safe to call
+  /// concurrently from many threads. Resizes `y` only when its shape
+  /// differs.
   void apply_rows(const tensor::Matrix& x, tensor::Matrix& y) const;
 
   void collect_parameters(ParameterList& out);
 
   /// Repacks W into `mode` storage (int8 per-output-channel or fp16) and
-  /// frees the fp32 weight — the layer becomes inference-only: apply,
+  /// frees the fp32 weight — the layer becomes inference-only:
   /// apply_rows and forward route through the quantized kernels;
   /// backward throws. LoRA must be merged first (merge_lora()), and a
   /// layer can only be quantized once. `mode == Fp32` is a no-op.
@@ -77,9 +73,9 @@ class Linear {
   const Parameter& weight() const { return weight_; }
 
   /// Packed quantized weights — meaningful only when quantized(). The
-  /// decode loop uses these directly (gemv_prequant) to share one
+  /// inference forward uses these directly (matmul_prequant) to share one
   /// activation quantization across sibling layers consuming the same
-  /// normalized row.
+  /// normalized rows.
   const tensor::QuantizedMatrix& quantized_weights() const {
     return qweight_;
   }

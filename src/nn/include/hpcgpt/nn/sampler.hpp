@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "hpcgpt/nn/transformer.hpp"
@@ -35,12 +34,6 @@ std::vector<text::TokenId> generate(Transformer& model,
 std::vector<text::TokenId> generate_cached(
     const Transformer& model, const std::vector<text::TokenId>& prompt_ids,
     const SampleOptions& options = {});
-
-/// Convenience: encode `prompt`, generate, decode only the new tokens.
-std::string generate_text(Transformer& model,
-                          const text::BpeTokenizer& tokenizer,
-                          const std::string& prompt,
-                          const SampleOptions& options = {});
 
 /// Log-probability the model assigns to `continuation` after `prompt`
 /// (sum over continuation tokens). Used for answer scoring / classification.

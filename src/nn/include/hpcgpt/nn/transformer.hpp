@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hpcgpt/nn/config.hpp"
@@ -12,74 +13,42 @@
 
 namespace hpcgpt::nn {
 
-/// Reusable per-session work buffers for the incremental decode path.
-/// Sized once from the config; forward_step/decode_step then run with
-/// zero heap allocations in steady state, which is what lets the serving
-/// scheduler interleave thousands of decode steps cheaply.
-struct DecodeScratch {
-  std::vector<float> x;         // residual stream row (d_model)
-  std::vector<float> normed;    // rmsnorm output     (d_model)
-  std::vector<float> q;         // query row          (d_model)
-  std::vector<float> k_row;     // new key row        (d_model)
-  std::vector<float> v_row;     // new value row      (d_model)
-  std::vector<float> attn;      // head-concat attention output (d_model)
-  std::vector<float> proj;      // wo/w_down output   (d_model)
-  std::vector<float> probs;     // attention weights  (max_seq)
-  std::vector<float> gate;      // SwiGLU gate lane   (d_ff)
-  std::vector<float> up;        // SwiGLU up lane     (d_ff)
-  std::vector<float> logits;    // head output        (vocab)
-  std::vector<std::int8_t> qx;  // shared int8 activation row (d_model
-                                // padded to the quantizer chunk)
-
-  void resize(const TransformerConfig& config);
-};
-
-/// Work buffers for one batched decode round over several sessions.
-/// Owned by the scheduler (one per server), not per session: lanes come
-/// and go, the scratch persists. Row b of every matrix belongs to lane b.
-/// ensure() only reallocates when the lane count changes, so rounds with
-/// a stable batch are allocation-free apart from the GEMM outputs.
+/// Work buffers of the inference forward (TransformerBlock::infer), the
+/// only inference scratch type. Row r of every matrix belongs to row r
+/// of the call: a lane of a decode round, or a position of a prompt.
+/// ensure() sizes the buffers the forward reads row by row; the GEMM
+/// outputs size themselves on first use. Nothing reallocates while the
+/// row count stays the same, so steady-state decode of up to 8 lanes
+/// makes no heap allocation (test_decode_alloc). Three owners: the
+/// server keeps one for its decode rounds, each DecodeState one for its
+/// batch-of-one decode_step calls, and prefill one per call.
 struct BatchScratch {
-  tensor::Matrix x;       // residual stream        (batch × d_model)
-  tensor::Matrix normed;  // rmsnorm output         (batch × d_model)
-  tensor::Matrix q;       // query rows             (batch × d_model)
-  tensor::Matrix k_new;   // new key rows           (batch × d_model)
-  tensor::Matrix v_new;   // new value rows         (batch × d_model)
-  tensor::Matrix attn;    // attention output       (batch × d_model)
-  tensor::Matrix proj;    // wo/w_down output       (batch × d_model)
-  tensor::Matrix gate;    // SwiGLU gate lanes      (batch × d_ff)
-  tensor::Matrix up;      // SwiGLU up lanes        (batch × d_ff)
-  tensor::Matrix logits;  // head output            (batch × vocab)
-  std::vector<float> probs;  // attention weights, one lane at a time
+  tensor::Matrix x;       // residual stream        (rows × d_model)
+  tensor::Matrix normed;  // rmsnorm output         (rows × d_model)
+  tensor::Matrix q;       // query rows             (rows × d_model)
+  tensor::Matrix k_new;   // new key rows           (rows × d_model)
+  tensor::Matrix v_new;   // new value rows         (rows × d_model)
+  tensor::Matrix attn;    // attention output       (rows × d_model)
+  tensor::Matrix proj;    // wo/w_down output       (rows × d_model)
+  tensor::Matrix gate;    // SwiGLU gate lanes      (rows × d_ff)
+  tensor::Matrix up;      // SwiGLU up lanes        (rows × d_ff)
+  tensor::Matrix logits;  // head output            (rows × vocab)
+  std::vector<float> probs;  // attention weights, one row at a time
+  // int8 models: each normed row quantized once, shared by the sibling
+  // projections that read it (wq/wk/wv, then gate/up).
+  std::vector<std::int8_t> qx;   // rows × padded d_model
+  std::vector<float> qx_scale;   // one dequantization scale per row
 
-  void ensure(const TransformerConfig& config, std::size_t batch);
-};
-
-/// Work buffers for one prompt-ingestion (prefill) pass. One instance is
-/// reused across every block of the stack, so the ~9 activation matrices
-/// are allocated once per prompt instead of once per layer; the Linear
-/// apply_rows outputs additionally keep their storage between blocks
-/// because the shapes repeat.
-struct PrefillScratch {
-  tensor::Matrix normed;       // rmsnorm output      (seq × d_model)
-  tensor::Matrix q;            // query rows          (seq × d_model)
-  tensor::Matrix k_new;        // new key rows        (seq × d_model)
-  tensor::Matrix v_new;        // new value rows      (seq × d_model)
-  tensor::Matrix attn_concat;  // head-concat output  (seq × d_model)
-  tensor::Matrix attn_out;     // wo output           (seq × d_model)
-  tensor::Matrix gate;         // SwiGLU gate lanes   (seq × d_ff)
-  tensor::Matrix up;           // SwiGLU up lanes     (seq × d_ff)
-  tensor::Matrix mlp_out;      // w_down output       (seq × d_model)
-  std::vector<float> probs;    // attention weights, one row at a time
-
-  void ensure(const TransformerConfig& config, std::size_t seq);
+  void ensure(const TransformerConfig& config, std::size_t rows);
 };
 
 /// Decoding session state over the block-paged KV cache: per-layer page
 /// tables (the KvBlockTable indirection — position s of layer l lives in
 /// slot s % kPageSize of the table's page s / kPageSize), a shared
-/// KvPagePool the pages come from, and the allocation-free scratch arena
-/// shared by all blocks of the session.
+/// KvPagePool the pages come from, and the BatchScratch its batch-of-one
+/// decode_step calls run on. That scratch is sized on first use, so a
+/// served lane, which decodes on the server's scratch, only ever holds
+/// its prefill's last row there (the normed row and its logits).
 ///
 /// Pages are acquired lazily as positions are appended (prepare_append),
 /// released on destruction, and may be *shared* with other sessions
@@ -138,7 +107,7 @@ class DecodeState {
   std::size_t n_layers_ = 0;
   std::vector<std::vector<std::uint32_t>> tables_;  // [layer][page index]
   std::vector<std::vector<float*>> page_ptrs_;      // cached data(table[i])
-  DecodeScratch scratch_;
+  BatchScratch scratch_;
   std::size_t length_ = 0;
   std::size_t reserved_ = 0;
 };
@@ -167,32 +136,19 @@ class TransformerBlock {
   /// dx is dL/d(output), replaced by dL/d(input).
   void backward(tensor::Matrix& dx);
 
-  /// Incremental forward for one new position: `x` (d_model) is the
-  /// residual-stream row at position `pos`; the block's keys/values are
-  /// appended into `pages` — this layer's page-pointer table, with the
-  /// page for position pos already allocated/private (see
-  /// DecodeState::prepare_append). Work buffers come from `scratch` — no
-  /// heap allocation. Does not touch the training caches.
-  void forward_step(std::span<float> x, std::size_t pos,
-                    float* const* pages, DecodeScratch& scratch) const;
-
-  /// Batched prompt ingestion: `x` holds the residual-stream rows of
-  /// positions [pos0, pos0 + x.rows()); transforms them in place via the
-  /// blocked GEMMs and writes every K/V row of this block into `pages`
-  /// in one pass. Const and cache-free like forward_step, so concurrent
-  /// sessions can prefill the same block (each with its own scratch).
-  void forward_prefill(tensor::Matrix& x, std::size_t pos0,
-                       float* const* pages, PrefillScratch& scratch) const;
-
-  /// One decode step for `x.rows()` independent sessions at once: row b of
-  /// `x` is the residual-stream row of lane b, whose cache/position come
-  /// from states[b] (this block's layer index is `layer`). All projections
-  /// run as row-batched GEMMs across lanes — the cross-request batching
-  /// that amortizes weight traffic over the batch — while attention stays
-  /// per-lane (each lane has its own cache horizon).
-  void forward_step_batch(tensor::Matrix& x,
-                          std::span<DecodeState* const> states,
-                          std::size_t layer, BatchScratch& scratch) const;
+  /// The inference forward: transforms the residual-stream rows of `x`
+  /// in place. The rows are one segment per session — rows
+  /// [b·n, (b+1)·n), n = x.rows() / states.size(), are positions
+  /// [len, len + n) of states[b], len = states[b]->length() — so a
+  /// prompt is one segment of T rows and a decode round is B segments of
+  /// one row. Every projection is one GEMM over all rows of the call
+  /// (the cross-request batching that streams each weight once per
+  /// round); each segment scatters its K/V rows into its session's pages
+  /// of layer `layer` (prepared by prepare_append), then attends over its
+  /// own horizon. Const and cache-free: concurrent calls on distinct
+  /// sessions and scratches may share the block.
+  void infer(tensor::Matrix& x, std::span<DecodeState* const> states,
+             std::size_t layer, BatchScratch& scratch) const;
 
  private:
   TransformerConfig config_{};
@@ -212,7 +168,7 @@ class TransformerBlock {
   std::vector<float> inv_rms2_;
   tensor::Matrix gate_pre_, up_, swiglu_;
 
-  // ---- training scratch (PrefillScratch-style reuse) ----
+  // ---- training scratch (BatchScratch-style reuse) ----
   // forward/backward temporaries that keep their storage across train
   // steps: packed sequences repeat the same shapes, so after the first
   // step the whole train path runs without per-call tensor allocations.
@@ -288,19 +244,22 @@ class Transformer {
   const std::shared_ptr<KvPagePool>& page_pool() const { return pool_; }
 
   /// Feeds one token through the KV-cached path and returns the logits of
-  /// the new position (vocab-sized). Equivalent to logits(prefix).row(last)
-  /// but O(T·d) per call. The returned span points into the session's
-  /// scratch arena: it stays valid until the next decode_step/prefill on
-  /// the same state, and no allocation happens in steady state.
+  /// the new position (vocab-sized): decode_step_batch over the batch of
+  /// one {&state}, on the session's own scratch. Equivalent to
+  /// logits(prefix).row(last) but O(T·d) per call. The returned span
+  /// points into that scratch: it stays valid until the next
+  /// decode_step/prefill on the same state, and no allocation happens in
+  /// steady state.
   std::span<const float> decode_step(DecodeState& state,
                                      text::TokenId id) const;
 
   /// Batched prompt ingestion (the prefill half of the inference engine):
-  /// runs all of `ids` through the blocked-GEMM forward once, writes every
-  /// K/V row into the session caches in one pass and returns the logits of
-  /// the last position (same lifetime rules as decode_step). Equivalent to
+  /// runs all of `ids` through the block forward as one segment, writes
+  /// every K/V row into the session caches and returns the logits of the
+  /// last position (same lifetime rules as decode_step). Equivalent to
   /// calling decode_step per token, at GEMM rather than GEMV arithmetic
-  /// intensity. Thread-safe across states: the model is only read.
+  /// intensity. The prompt-sized activations live for the call only.
+  /// Thread-safe across states: the model is only read.
   std::span<const float> prefill(DecodeState& state,
                                  std::span<const text::TokenId> ids) const;
 
@@ -310,7 +269,8 @@ class Transformer {
   /// and returns the (batch × vocab) logits — row b belongs to lane b,
   /// valid until the next call with the same scratch. States must be
   /// distinct sessions of this model. Thread-safe w.r.t. the model (read
-  /// only); equivalent to calling decode_step(states[b], ids[b]) per lane.
+  /// only). Row b equals decode_step(states[b], ids[b]) bit for bit in
+  /// int8 and fp16, and in fp32 up to 8 lanes (the small-GEMM path).
   const tensor::Matrix& decode_step_batch(
       std::span<DecodeState* const> states,
       std::span<const text::TokenId> ids, BatchScratch& scratch) const;
@@ -330,10 +290,6 @@ class Transformer {
  private:
   tensor::Matrix embed(const std::vector<text::TokenId>& ids) const;
   tensor::Matrix forward_hidden(const std::vector<text::TokenId>& ids);
-  /// Prefill body: runs the block stack over `ids`, populating the paged
-  /// caches, and leaves the pre-final-norm hidden rows in `x`.
-  void prefill_hidden(DecodeState& state, std::span<const text::TokenId> ids,
-                      tensor::Matrix& x) const;
   /// out = tok_emb[id] + pos_emb[pos], reading fp32 or fp16 storage
   /// depending on quant_mode_.
   void add_embed_row(text::TokenId id, std::size_t pos,

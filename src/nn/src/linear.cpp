@@ -89,65 +89,15 @@ void Linear::backward(const Matrix& dy, Matrix& dx) {
   }
 }
 
-void Linear::apply(std::span<const float> x, std::span<float> y) const {
-  require(x.size() == in_features() && y.size() == out_features(),
-          "Linear::apply: size mismatch");
-  if (quantized()) {
-    qweight_.gemv(x, y);
-    return;
-  }
-  // Dense axpy over weight rows — activations are never sparse, so no
-  // zero-skip branch (it only adds a mispredict per row). Four weight
-  // rows per iteration: the restrict-qualified, unrolled form keeps the
-  // y vector in registers across four FMAs per element and roughly
-  // doubles the MACs/cycle of the naive loop (this matvec is the decode
-  // path's hot spot — see EXPERIMENTS.md A7).
-  const std::size_t in = x.size();
-  const std::size_t out = y.size();
-  const float* __restrict xp = x.data();
-  const float* __restrict wp = weight_.value.data();
-  float* __restrict yp = y.data();
-  std::fill(yp, yp + out, 0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= in; i += 4) {
-    const float x0 = xp[i], x1 = xp[i + 1], x2 = xp[i + 2], x3 = xp[i + 3];
-    const float* __restrict w0 = wp + i * out;
-    const float* __restrict w1 = w0 + out;
-    const float* __restrict w2 = w1 + out;
-    const float* __restrict w3 = w2 + out;
-    for (std::size_t j = 0; j < out; ++j) {
-      yp[j] += x0 * w0[j] + x1 * w1[j] + x2 * w2[j] + x3 * w3[j];
-    }
-  }
-  for (; i < in; ++i) {
-    const float xi = xp[i];
-    const float* __restrict w = wp + i * out;
-    for (std::size_t j = 0; j < out; ++j) yp[j] += xi * w[j];
-  }
-  if (lora_rank_ > 0) {
-    std::vector<float> xa(lora_rank_, 0.0f);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const float xi = x[i];
-      const auto a_row = lora_a_.value.row(i);
-      for (std::size_t r = 0; r < lora_rank_; ++r) xa[r] += xi * a_row[r];
-    }
-    for (std::size_t r = 0; r < lora_rank_; ++r) {
-      const float s = xa[r] * lora_scale_;
-      const auto b_row = lora_b_.value.row(r);
-      for (std::size_t j = 0; j < y.size(); ++j) y[j] += s * b_row[j];
-    }
-  }
-}
-
 void Linear::apply_rows(const Matrix& x, Matrix& y) const {
   require(x.cols() == in_features(), "Linear::apply_rows: width mismatch");
   if (quantized()) {
     qweight_.matmul(x, y);
     return;
   }
-  // Reuse the caller's buffer when the shape already matches: the batched
-  // decode loop calls this with persistent scratch matrices every step,
-  // and matmul overwrites, so skipping the reallocation makes steady-state
+  // Reuse the caller's buffer when the shape already matches: the decode
+  // loop calls this with persistent scratch matrices every step, and
+  // matmul overwrites, so skipping the reallocation makes steady-state
   // decode allocation-free.
   if (y.rows() != x.rows() || y.cols() != out_features()) {
     y = Matrix(x.rows(), out_features());

@@ -76,26 +76,6 @@ std::vector<text::TokenId> generate_cached(
   return out;
 }
 
-std::string generate_text(Transformer& model,
-                          const text::BpeTokenizer& tokenizer,
-                          const std::string& prompt,
-                          const SampleOptions& options) {
-  std::vector<text::TokenId> ids = tokenizer.encode(prompt);
-  ids.insert(ids.begin(), text::BpeTokenizer::kBos);
-  ids.push_back(text::BpeTokenizer::kSep);
-  // Clamp over-long prompts from the left so the separator survives —
-  // mirrors the truncation general chat stacks apply.
-  const std::size_t cap = model.config().max_seq > options.max_new_tokens
-                              ? model.config().max_seq - options.max_new_tokens
-                              : 1;
-  if (ids.size() > cap) {
-    ids.erase(ids.begin(),
-              ids.begin() + static_cast<std::ptrdiff_t>(ids.size() - cap));
-  }
-  const auto out_ids = generate(model, ids, options);
-  return tokenizer.decode(out_ids);
-}
-
 double continuation_logprob(Transformer& model,
                             const std::vector<text::TokenId>& prompt,
                             const std::vector<text::TokenId>& continuation) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "hpcgpt/obs/metrics.hpp"
@@ -26,7 +27,6 @@ struct InferenceMetrics {
   obs::Counter& prefill_calls;
   obs::Counter& prefill_tokens;
   obs::Histogram& prefill_seconds;
-  obs::Counter& decode_steps;
   obs::Counter& decode_rounds;
   obs::Counter& decode_lane_steps;
   obs::Histogram& decode_round_seconds;
@@ -41,7 +41,6 @@ InferenceMetrics& inference_metrics() {
       r.counter("nn.prefill.calls"),
       r.counter("nn.prefill.tokens"),
       r.histogram("nn.prefill.seconds"),
-      r.counter("nn.decode.steps"),
       r.counter("nn.decode.rounds"),
       r.counter("nn.decode.lane_steps"),
       r.histogram("nn.decode.round_seconds"),
@@ -360,13 +359,43 @@ void TransformerBlock::backward(Matrix& dx) {
 
 namespace {
 
-/// Row-wise RMSNorm without training caches (decode path). Routed
-/// through the ISA-dispatched kernel: all inference paths (single-lane,
-/// batched, prefill) share it, so they stay mutually consistent.
+/// Row-wise RMSNorm without training caches (inference path), through the
+/// ISA-dispatched kernel.
 void rmsnorm_row(const hpcgpt::nn::Parameter& gain,
                  std::span<const float> x, std::span<float> out) {
   tensor::kernels::active().rmsnorm_row(x.data(), gain.value.data(),
                                         x.size(), kNormEps, out.data());
+}
+
+/// One projection of a sibling group: y = x·W through `w`.
+struct Projection {
+  const Linear& w;
+  Matrix& y;
+};
+
+/// Runs sibling projections that read the same rows `x` (wq/wk/wv, then
+/// gate/up). In int8 mode each row is quantized once and the bytes are
+/// shared by every projection of the group; the quantizer depends on the
+/// row alone and gemv_prequant equals gemv, so this equals separate
+/// apply_rows calls bit for bit. Other modes run apply_rows.
+void project_rows(const Matrix& x, BatchScratch& s,
+                  std::initializer_list<Projection> group) {
+  const Linear& first = group.begin()->w;
+  if (first.quant_mode() != tensor::QuantMode::Int8) {
+    for (const Projection& p : group) p.w.apply_rows(x, p.y);
+    return;
+  }
+  const std::size_t padded = first.quantized_weights().padded_rows();
+  s.qx.resize(x.rows() * padded);
+  s.qx_scale.resize(x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    s.qx_scale[r] = tensor::kernels::quantize_row_i8(
+        x.row(r).data(), x.cols(), padded, s.qx.data() + r * padded);
+  }
+  for (const Projection& p : group) {
+    p.w.quantized_weights().matmul_prequant(s.qx.data(), s.qx_scale.data(),
+                                            x.rows(), p.y);
+  }
 }
 
 /// Causal attention of `rows` consecutive query positions, the first at
@@ -374,10 +403,7 @@ void rmsnorm_row(const hpcgpt::nn::Parameter& gain,
 /// stride kPageSize; V slab at d·kPageSize): row r attends over positions
 /// [0, pos0 + r + 1). q and out are row-major with d_model columns; probs
 /// holds at least pos0 + rows floats. Heads run outer and rows inner.
-/// Every inference path (single-lane step, batched step, prefill) goes
-/// through these same dispatched kernels in this order, so they stay
-/// bit-identical to each other. Both passes run unit-stride over
-/// positions within each page.
+/// Both passes run unit-stride over positions within each page.
 void paged_attention(const TransformerConfig& config, const float* q,
                      std::size_t rows, std::size_t pos0, float* const* pages,
                      float* __restrict probs, float* out) {
@@ -401,229 +427,72 @@ void paged_attention(const TransformerConfig& config, const float* q,
 
 }  // namespace
 
-void TransformerBlock::forward_step(std::span<float> x, std::size_t pos,
-                                    float* const* pages,
-                                    DecodeScratch& scratch) const {
+void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
+                             std::size_t layer, BatchScratch& s) const {
   constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t d = config_.d_model;
-
-  // --- attention sub-layer ---
-  std::span<float> normed(scratch.normed.data(), d);
-  rmsnorm_row(norm1_gain_, x, normed);
-  std::span<float> q(scratch.q.data(), d);
-  std::span<float> k_row(scratch.k_row.data(), d);
-  std::span<float> v_row(scratch.v_row.data(), d);
-  if (wq_.quant_mode() == tensor::QuantMode::Int8) {
-    // wq/wk/wv consume the same normalized row: quantize it once and
-    // share the bytes. The quantizer depends on the row alone, so this
-    // is bitwise-identical to three independent apply() calls.
-    const float xs = tensor::kernels::quantize_row_i8(
-        normed.data(), d, scratch.qx.size(), scratch.qx.data());
-    wq_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, q);
-    wk_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, k_row);
-    wv_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, v_row);
-  } else {
-    wq_.apply(normed, q);
-    wk_.apply(normed, k_row);
-    wv_.apply(normed, v_row);
-  }
-  // Scatter the new K/V row into its slot of the page covering `pos`
-  // (feature-major within the page, stride kPage; V slab at d·kPage).
-  float* page = pages[pos / kPage];
-  float* kc = page + pos % kPage;
-  float* vc = kc + d * kPage;
-  for (std::size_t i = 0; i < d; ++i) {
-    kc[i * kPage] = k_row[i];
-    vc[i * kPage] = v_row[i];
-  }
-
-  // Scores, softmax and the value reduction go through the ISA-dispatched
-  // fp32 kernels (tensor::kernels) — the decode loop's hottest non-GEMV
-  // work, SIMD-tiered alongside the quantized GEMVs.
-  std::span<float> attn(scratch.attn.data(), d);
-  paged_attention(config_, q.data(), 1, pos, pages, scratch.probs.data(),
-                  attn.data());
-  std::span<float> proj(scratch.proj.data(), d);
-  wo_.apply(attn, proj);
-  for (std::size_t i = 0; i < d; ++i) x[i] += proj[i];
-
-  // --- MLP sub-layer ---
+  const std::size_t rows = x.rows();
+  const std::size_t seg = rows / states.size();
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  rmsnorm_row(norm2_gain_, x, normed);
-  std::span<float> gate(scratch.gate.data(), config_.d_ff);
-  std::span<float> up(scratch.up.data(), config_.d_ff);
-  if (w_gate_.quant_mode() == tensor::QuantMode::Int8) {
-    // Same single-quantization trick as the QKV projections above.
-    const float xs = tensor::kernels::quantize_row_i8(
-        normed.data(), d, scratch.qx.size(), scratch.qx.data());
-    w_gate_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, gate);
-    w_up_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, up);
-  } else {
-    w_gate_.apply(normed, gate);
-    w_up_.apply(normed, up);
-  }
-  kt.silu_mul(gate.data(), up.data(), config_.d_ff);
-  w_down_.apply(gate, proj);
-  for (std::size_t i = 0; i < d; ++i) x[i] += proj[i];
-}
-
-void TransformerBlock::forward_prefill(Matrix& x, std::size_t pos0,
-                                       float* const* pages,
-                                       PrefillScratch& scratch) const {
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t seq = x.rows();
-  const std::size_t d = config_.d_model;
 
   // --- attention sub-layer ---
-  Matrix& normed = scratch.normed;
-  for (std::size_t t = 0; t < seq; ++t) {
-    rmsnorm_row(norm1_gain_, x.row(t), normed.row(t));
+  for (std::size_t r = 0; r < rows; ++r) {
+    rmsnorm_row(norm1_gain_, x.row(r), s.normed.row(r));
   }
-  Matrix& q = scratch.q;
-  wq_.apply_rows(normed, q);
-  // K/V of the whole prompt land in the session cache in one GEMM pass
-  // each — this is the "write all K/V rows at once" half of prefill.
-  Matrix& k_new = scratch.k_new;
-  Matrix& v_new = scratch.v_new;
-  wk_.apply_rows(normed, k_new);
-  wv_.apply_rows(normed, v_new);
-  // Transpose-scatter into the paged cache, page-run at a time: within a
-  // page, feature i's slots for positions [lo, hi) are the contiguous run
-  // page[i·kPage + lo%kPage ...], so the inner loops stay unit-stride.
-  for (std::size_t t0 = 0; t0 < seq;) {
-    const std::size_t pos = pos0 + t0;
-    float* page = pages[pos / kPage];
-    const std::size_t slot = pos % kPage;
-    const std::size_t run = std::min(seq - t0, kPage - slot);
-    for (std::size_t i = 0; i < d; ++i) {
-      float* __restrict kt = page + i * kPage + slot;
-      float* __restrict vt = kt + d * kPage;
-      for (std::size_t r = 0; r < run; ++r) {
-        kt[r] = k_new.at(t0 + r, i);
-        vt[r] = v_new.at(t0 + r, i);
-      }
-    }
-    t0 += run;
-  }
+  project_rows(s.normed, s, {{wq_, s.q}, {wk_, s.k_new}, {wv_, s.v_new}});
 
-  // Per-head causal attention over the feature-major cache. (Measured
-  // alternatives — per-head GEMM via matmul/matmul_nt, and 4-wide
-  // feature unrolling — both lose at these shapes: the causal horizons
-  // average seq/2, so dispatch and packing overheads dominate.)
-  Matrix& attn_concat = scratch.attn_concat;
-  paged_attention(config_, q.data(), seq, pos0, pages, scratch.probs.data(),
-                  attn_concat.data());
-  Matrix& attn_out = scratch.attn_out;
-  wo_.apply_rows(attn_concat, attn_out);
-  tensor::add_inplace(x, attn_out);
-
-  // --- MLP sub-layer (SwiGLU) ---
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t t = 0; t < seq; ++t) {
-    rmsnorm_row(norm2_gain_, x.row(t), normed.row(t));
-  }
-  Matrix& gate = scratch.gate;
-  Matrix& up = scratch.up;
-  w_gate_.apply_rows(normed, gate);
-  w_up_.apply_rows(normed, up);
-  for (std::size_t t = 0; t < seq; ++t) {
-    kt.silu_mul(gate.row(t).data(), up.row(t).data(), config_.d_ff);
-  }
-  Matrix& mlp_out = scratch.mlp_out;
-  w_down_.apply_rows(gate, mlp_out);
-  tensor::add_inplace(x, mlp_out);
-}
-
-void TransformerBlock::forward_step_batch(Matrix& x,
-                                          std::span<DecodeState* const> states,
-                                          std::size_t layer,
-                                          BatchScratch& scratch) const {
-  const std::size_t batch = x.rows();
-
-  // --- attention sub-layer ---
-  // The projections run once for the whole batch: one (batch × d) GEMM
-  // per weight instead of `batch` separate GEMVs, so each weight matrix
-  // is streamed through the cache once per round rather than per lane.
-  for (std::size_t b = 0; b < batch; ++b) {
-    rmsnorm_row(norm1_gain_, x.row(b), scratch.normed.row(b));
-  }
-  wq_.apply_rows(scratch.normed, scratch.q);
-  wk_.apply_rows(scratch.normed, scratch.k_new);
-  wv_.apply_rows(scratch.normed, scratch.v_new);
-
-  // Attention is inherently per-lane: every lane attends over its own
-  // page table at its own position, through the same helper as
-  // forward_step, so batched decode stays bit-identical to lane-at-a-time
-  // decode.
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  for (std::size_t b = 0; b < batch; ++b) {
+  // Attention is per segment: each session attends over its own pages at
+  // its own horizon. Its K/V rows go in first, transpose-scattered a page
+  // run at a time: within a page, feature i's slots for positions
+  // [lo, hi) are the contiguous run page[i·kPage + lo%kPage ...].
+  // (Measured alternatives for prompts — per-head GEMM via
+  // matmul/matmul_nt, and 4-wide feature unrolling — both lose at these
+  // shapes: the causal horizons average T/2, so dispatch and packing
+  // overheads dominate.)
+  for (std::size_t b = 0; b < states.size(); ++b) {
     float* const* pages = states[b]->page_ptrs_[layer].data();
-    const std::size_t pos = states[b]->length_;
-    const std::size_t d = config_.d_model;
-    float* page = pages[pos / kPage];
-    float* kc = page + pos % kPage;
-    float* vc = kc + d * kPage;
-    const auto k_new = scratch.k_new.row(b);
-    const auto v_new = scratch.v_new.row(b);
-    for (std::size_t i = 0; i < d; ++i) {
-      kc[i * kPage] = k_new[i];
-      vc[i * kPage] = v_new[i];
+    const std::size_t pos0 = states[b]->length_;
+    const std::size_t r0 = b * seg;
+    for (std::size_t t = 0; t < seg;) {
+      const std::size_t pos = pos0 + t;
+      float* page = pages[pos / kPage];
+      const std::size_t slot = pos % kPage;
+      const std::size_t run = std::min(seg - t, kPage - slot);
+      for (std::size_t i = 0; i < d; ++i) {
+        float* __restrict kc = page + i * kPage + slot;
+        float* __restrict vc = kc + d * kPage;
+        for (std::size_t j = 0; j < run; ++j) {
+          kc[j] = s.k_new.at(r0 + t + j, i);
+          vc[j] = s.v_new.at(r0 + t + j, i);
+        }
+      }
+      t += run;
     }
-
-    paged_attention(config_, scratch.q.row(b).data(), 1, pos, pages,
-                    scratch.probs.data(), scratch.attn.row(b).data());
+    paged_attention(config_, s.q.row(r0).data(), seg, pos0, pages,
+                    s.probs.data(), s.attn.row(r0).data());
   }
-  wo_.apply_rows(scratch.attn, scratch.proj);
-  tensor::add_inplace(x, scratch.proj);
+  wo_.apply_rows(s.attn, s.proj);
+  tensor::add_inplace(x, s.proj);
 
   // --- MLP sub-layer (SwiGLU) ---
-  for (std::size_t b = 0; b < batch; ++b) {
-    rmsnorm_row(norm2_gain_, x.row(b), scratch.normed.row(b));
+  for (std::size_t r = 0; r < rows; ++r) {
+    rmsnorm_row(norm2_gain_, x.row(r), s.normed.row(r));
   }
-  w_gate_.apply_rows(scratch.normed, scratch.gate);
-  w_up_.apply_rows(scratch.normed, scratch.up);
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t b = 0; b < batch; ++b) {
-    kt.silu_mul(scratch.gate.row(b).data(), scratch.up.row(b).data(),
-                config_.d_ff);
+  project_rows(s.normed, s, {{w_gate_, s.gate}, {w_up_, s.up}});
+  for (std::size_t r = 0; r < rows; ++r) {
+    kt.silu_mul(s.gate.row(r).data(), s.up.row(r).data(), config_.d_ff);
   }
-  w_down_.apply_rows(scratch.gate, scratch.proj);
-  tensor::add_inplace(x, scratch.proj);
+  w_down_.apply_rows(s.gate, s.proj);
+  tensor::add_inplace(x, s.proj);
 }
 
-void DecodeScratch::resize(const TransformerConfig& config) {
-  x.assign(config.d_model, 0.0f);
-  normed.assign(config.d_model, 0.0f);
-  q.assign(config.d_model, 0.0f);
-  k_row.assign(config.d_model, 0.0f);
-  v_row.assign(config.d_model, 0.0f);
-  attn.assign(config.d_model, 0.0f);
-  proj.assign(config.d_model, 0.0f);
-  probs.assign(config.max_seq, 0.0f);
-  gate.assign(config.d_ff, 0.0f);
-  up.assign(config.d_ff, 0.0f);
-  logits.assign(config.vocab_size, 0.0f);
-  qx.assign((config.d_model + 15) / 16 * 16, 0);
-}
-
-void BatchScratch::ensure(const TransformerConfig& config,
-                          std::size_t batch) {
-  if (x.rows() != batch || x.cols() != config.d_model) {
-    x = tensor::Matrix(batch, config.d_model);
-    normed = tensor::Matrix(batch, config.d_model);
-    attn = tensor::Matrix(batch, config.d_model);
-  }
-  if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
-}
-
-void PrefillScratch::ensure(const TransformerConfig& config,
-                            std::size_t seq) {
-  // normed/attn_concat are read-and-written row-by-row, so they must be
-  // pre-sized; the apply_rows outputs size themselves and keep their
-  // storage between blocks because the shapes repeat.
-  if (normed.rows() != seq || normed.cols() != config.d_model) {
-    normed = tensor::Matrix(seq, config.d_model);
-    attn_concat = tensor::Matrix(seq, config.d_model);
+void BatchScratch::ensure(const TransformerConfig& config, std::size_t rows) {
+  // x/normed/attn are written row by row, so they must be pre-sized; the
+  // GEMM outputs size themselves.
+  if (x.rows() != rows || x.cols() != config.d_model) {
+    x = tensor::Matrix(rows, config.d_model);
+    normed = tensor::Matrix(rows, config.d_model);
+    attn = tensor::Matrix(rows, config.d_model);
   }
   if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
 }
@@ -646,7 +515,6 @@ DecodeState::DecodeState(const TransformerConfig& config,
     tables_[l].reserve(max_pages);
     page_ptrs_[l].reserve(max_pages);
   }
-  scratch_.resize(config);
 }
 
 DecodeState::~DecodeState() { release_all(); }
@@ -934,26 +802,8 @@ DecodeState Transformer::new_decode_state(
 
 std::span<const float> Transformer::decode_step(DecodeState& state,
                                                 text::TokenId id) const {
-  inference_metrics().decode_steps.add(1);
-  const std::size_t pos = state.length_;
-  require(pos < config_.max_seq, "decode_step: context exhausted");
-  require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
-          "decode_step: token id out of range");
-
-  state.prepare_append(1);
-  DecodeScratch& scratch = state.scratch_;
-  std::span<float> x(scratch.x.data(), config_.d_model);
-  add_embed_row(id, pos, x);
-
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_step(x, pos, state.page_ptrs_[l].data(), scratch);
-  }
-
-  std::span<float> normed(scratch.normed.data(), config_.d_model);
-  rmsnorm_row(final_gain_, x, normed);
-  head_.apply(normed, scratch.logits);
-  ++state.length_;
-  return scratch.logits;
+  DecodeState* const lane[] = {&state};
+  return decode_step_batch(lane, {&id, 1}, state.scratch_).row(0);
 }
 
 const Matrix& Transformer::decode_step_batch(
@@ -979,7 +829,7 @@ const Matrix& Transformer::decode_step_batch(
   }
 
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_step_batch(x, states, l, scratch);
+    blocks_[l]->infer(x, states, l, scratch);
   }
 
   for (std::size_t b = 0; b < batch; ++b) {
@@ -998,13 +848,8 @@ const Matrix& Transformer::decode_step_batch(
   return scratch.logits;
 }
 
-/// Prefill body: embeds `ids` at the session's current length, runs the
-/// block stack (populating the paged caches), and leaves the final
-/// pre-norm hidden rows in `x`. Advances state.length_ and records the
-/// prefill metrics, which leave out the head.
-void Transformer::prefill_hidden(DecodeState& state,
-                                 std::span<const text::TokenId> ids,
-                                 Matrix& x) const {
+std::span<const float> Transformer::prefill(
+    DecodeState& state, std::span<const text::TokenId> ids) const {
   require(!ids.empty(), "prefill: empty prompt");
   HPCGPT_TRACE("nn.prefill");
   InferenceMetrics& metrics = inference_metrics();
@@ -1014,42 +859,35 @@ void Transformer::prefill_hidden(DecodeState& state,
           "prefill: context exhausted");
 
   state.prepare_append(ids.size());
-  ensure_shape(x, ids.size(), config_.d_model);
+  // The prompt's T-row activations live for this call only: a served
+  // lane must not keep prompt-sized buffers alive while it decodes.
+  BatchScratch scratch;
+  scratch.ensure(config_, ids.size());
   for (std::size_t t = 0; t < ids.size(); ++t) {
     const auto id = ids[t];
     require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
             "prefill: token id out of range");
-    add_embed_row(id, pos0 + t, x.row(t));
+    add_embed_row(id, pos0 + t, scratch.x.row(t));
   }
-
-  // One scratch arena for the whole stack: every block reuses the same
-  // activation matrices, so a prompt costs one set of allocations (and on
-  // repeated prefills of similar length, zero — apply_rows keeps storage).
-  PrefillScratch prefill_scratch;
-  prefill_scratch.ensure(config_, ids.size());
+  DecodeState* const lane[] = {&state};
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_prefill(x, pos0, state.page_ptrs_[l].data(),
-                                prefill_scratch);
+    blocks_[l]->infer(scratch.x, lane, l, scratch);
   }
   state.length_ = pos0 + ids.size();
+  // The prefill metrics leave out the head.
   metrics.prefill_calls.add(1);
   metrics.prefill_tokens.add(ids.size());
   metrics.prefill_seconds.observe(prefill_timer.seconds());
   metrics.kv_occupancy.observe(static_cast<double>(state.length_));
-}
 
-std::span<const float> Transformer::prefill(
-    DecodeState& state, std::span<const text::TokenId> ids) const {
-  Matrix x;
-  prefill_hidden(state, ids, x);
   // Only the last position's logits are needed downstream (the sampler
-  // feeds the next token through decode_step), so the head GEMV runs on
-  // one row instead of the whole prompt.
-  DecodeScratch& scratch = state.scratch_;
-  std::span<float> normed(scratch.normed.data(), config_.d_model);
-  rmsnorm_row(final_gain_, x.row(ids.size() - 1), normed);
-  head_.apply(normed, scratch.logits);
-  return scratch.logits;
+  // feeds the next token through decode_step), so the head runs on that
+  // one row, into the session's scratch where the returned span lives.
+  BatchScratch& out = state.scratch_;
+  ensure_shape(out.normed, 1, config_.d_model);
+  rmsnorm_row(final_gain_, scratch.x.row(ids.size() - 1), out.normed.row(0));
+  head_.apply_rows(out.normed, out.logits);
+  return out.logits.row(0);
 }
 
 LossResult Transformer::train_step(

@@ -92,9 +92,6 @@ class TraceSink {
   /// Records a completed span. The event's thread ordinal is filled in
   /// from the calling thread; ids are taken as given (0 = none).
   void record(TraceEvent event);
-  /// Id-less convenience overload (legacy callers, tests).
-  void record(std::string name, double start_seconds,
-              double duration_seconds);
 
   /// Buffered events, oldest first (handles wraparound).
   std::vector<TraceEvent> events() const;

@@ -102,15 +102,6 @@ void TraceSink::record(TraceEvent event) {
   if (overwrote) trace_dropped_counter().add(1);
 }
 
-void TraceSink::record(std::string name, double start_seconds,
-                       double duration_seconds) {
-  TraceEvent event;
-  event.name = std::move(name);
-  event.start_seconds = start_seconds;
-  event.duration_seconds = duration_seconds;
-  record(std::move(event));
-}
-
 std::vector<TraceEvent> TraceSink::events() const {
   std::lock_guard lock(mutex_);
   std::vector<TraceEvent> out;

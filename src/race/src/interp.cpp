@@ -80,14 +80,20 @@ class Machine {
 
   std::uint64_t resolve_addr(const std::string& name, std::int64_t index,
                              bool is_array) {
+    // Runs on every simulated access: the messages are built only when a
+    // check fails.
     const auto it = slots_.find(name);
-    require(it != slots_.end(), "interp: undeclared variable " + name);
+    if (it == slots_.end()) {
+      throw InvalidArgument("interp: undeclared variable " + name);
+    }
     const VarSlot& slot = it->second;
-    require(slot.is_array == is_array,
-            "interp: scalar/array mismatch for " + name);
-    require(index >= 0 && index < slot.size,
-            "interp: index out of bounds for " + name + "[" +
-                std::to_string(index) + "]");
+    if (slot.is_array != is_array) {
+      throw InvalidArgument("interp: scalar/array mismatch for " + name);
+    }
+    if (index < 0 || index >= slot.size) {
+      throw InvalidArgument("interp: index out of bounds for " + name + "[" +
+                            std::to_string(index) + "]");
+    }
     return slot.base + static_cast<std::uint64_t>(index);
   }
 

@@ -38,4 +38,10 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw InvalidArgument(message);
 }
 
+/// Same for a literal message: the std::string is built only when the
+/// check fails, so a passing check on a hot path never allocates.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw InvalidArgument(message);
+}
+
 }  // namespace hpcgpt

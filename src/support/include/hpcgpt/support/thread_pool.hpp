@@ -7,6 +7,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace hpcgpt {
@@ -86,6 +87,22 @@ class ParallelInlineGuard {
   ParallelInlineGuard& operator=(const ParallelInlineGuard&) = delete;
 };
 
+namespace detail {
+
+/// True when parallel_for over `n` iterations would run them all on the
+/// calling thread: an inline region or a nested call from one of the
+/// pool's workers, or a range too small to split at `grain`.
+bool runs_inline(const ThreadPool& pool, std::size_t n,
+                 std::size_t grain) noexcept;
+
+/// The pooled half of parallel_for: chunks the range across `pool` and
+/// waits for every chunk.
+void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
+                 const std::function<void(std::size_t)>& body,
+                 std::size_t grain);
+
+}  // namespace detail
+
 /// Runs `body(i)` for every i in [begin, end), split into contiguous chunks
 /// across `pool`. Blocks until all chunks complete. Exceptions thrown by
 /// `body` propagate to the caller (the first one wins).
@@ -95,15 +112,30 @@ class ParallelInlineGuard {
 /// produces (tensor rows, test cases). `grain` bounds the minimum chunk so
 /// tiny ranges run inline without synchronization cost.
 ///
+/// The inline decision comes before `body` is type-erased, so a range
+/// that runs inline never wraps it in a std::function: the per-token
+/// decode GEMMs stay allocation-free. Only a pooled range wraps it, by
+/// reference.
+///
 /// Safe to call from inside a task running on `pool`: a nested call runs
 /// the whole range inline on the calling worker (never self-deadlocks).
+template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
+                  Body&& body, std::size_t grain = 1) {
+  if (begin >= end) return;
+  if (detail::runs_inline(pool, end - begin, grain)) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+  detail::run_chunked(pool, begin, end, std::ref(body), grain);
+}
 
 /// parallel_for on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
+template <typename Body>
+void parallel_for(std::size_t begin, std::size_t end, Body&& body,
+                  std::size_t grain = 1) {
+  parallel_for(ThreadPool::global(), begin, end, std::forward<Body>(body),
+               grain);
+}
 
 }  // namespace hpcgpt

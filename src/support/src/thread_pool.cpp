@@ -14,6 +14,14 @@ thread_local const ThreadPool* current_pool = nullptr;
 // Depth of ParallelInlineGuard scopes alive on the current thread.
 thread_local int inline_region_depth = 0;
 
+// Static chunk count of a pooled range: one per worker, each at least
+// `grain` iterations.
+std::size_t chunk_count(const ThreadPool& pool, std::size_t n,
+                        std::size_t grain) {
+  return std::min(pool.size(), std::max<std::size_t>(
+                                   1, n / std::max<std::size_t>(1, grain)));
+}
+
 }  // namespace
 
 bool ThreadPool::on_worker_thread() const noexcept {
@@ -67,32 +75,26 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
-  if (begin >= end) return;
-  if (ThreadPool::inline_region_active()) {
-    // An outer engine owns this thread's parallelism (see
-    // ParallelInlineGuard): run the whole range here.
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
+namespace detail {
+
+bool runs_inline(const ThreadPool& pool, std::size_t n,
+                 std::size_t grain) noexcept {
+  // An outer engine owns this thread's parallelism (see
+  // ParallelInlineGuard), or this is a nested region issued from one of
+  // the pool's own workers: submitting and waiting there could deadlock —
+  // every worker might be blocked inside the wait with the chunks queued
+  // behind them.
+  if (ThreadPool::inline_region_active() || pool.on_worker_thread()) {
+    return true;
   }
-  if (pool.on_worker_thread()) {
-    // Nested parallel region issued from one of this pool's own workers:
-    // run inline. Submitting and waiting here could deadlock — every
-    // worker might be blocked inside this wait with the chunks queued
-    // behind them.
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
+  return chunk_count(pool, n, grain) <= 1;
+}
+
+void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
+                 const std::function<void(std::size_t)>& body,
+                 std::size_t grain) {
   const std::size_t total = end - begin;
-  const std::size_t max_chunks =
-      std::max<std::size_t>(1, total / std::max<std::size_t>(1, grain));
-  const std::size_t chunks = std::min(pool.size(), max_chunks);
-  if (chunks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
+  const std::size_t chunks = chunk_count(pool, total, grain);
 
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
@@ -118,10 +120,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), begin, end, body, grain);
-}
+}  // namespace detail
 
 }  // namespace hpcgpt

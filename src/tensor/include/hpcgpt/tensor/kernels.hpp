@@ -37,10 +37,8 @@ std::optional<IsaTier> parse_tier(std::string_view name);
 /// Positions per KV page in the block-paged cache (nn::KvPagePool). The
 /// value is load-bearing for the paged attention kernels below: page
 /// boundaries land on multiples of 16, which coincide with both the
-/// 8-wide AVX2 and the 16-wide AVX-512 position-chunk boundaries of the
-/// dense kernels, so the paged variants can replay the dense kernels'
-/// accumulation order exactly and stay bitwise-identical to a dense
-/// cache within a tier.
+/// 8-wide AVX2 and the 16-wide AVX-512 position chunks, so a full page is
+/// whole vector chunks and only the last, partial page needs a tail.
 inline constexpr std::size_t kKvPageSize = 16;
 
 /// One tier's kernel set. All pointers are always non-null (a tier that
@@ -73,32 +71,16 @@ struct KernelTable {
   void (*gemv_f16)(const float* x, const std::uint16_t* w, std::size_t in,
                    std::size_t out, float* y);
 
-  // --- fp32 attention helpers -------------------------------------------
-  // The decode loop's other hot spot. These are float kernels: results
-  // are identical across calls within one tier (what the batched-decode
-  // == single-lane equivalence needs) but may differ between tiers by
-  // accumulation order / FMA rounding, like any fp32 re-association.
-
-  /// Attention scores against a feature-major K cache:
-  /// probs[s] = Σ_i (q[i] · scale) · k[i·stride + s] for s < len.
-  void (*attn_scores)(const float* q, float scale, const float* k,
-                      std::size_t hd, std::size_t stride, std::size_t len,
-                      float* probs);
-
-  /// Weighted value sum against a feature-major V cache:
-  /// out[i] = inv · Σ_s probs[s] · v[i·stride + s] for i < hd.
-  void (*attn_values)(const float* probs, float inv, const float* v,
-                      std::size_t hd, std::size_t stride, std::size_t len,
-                      float* out);
-
   // --- paged fp32 attention helpers -------------------------------------
-  // Same math against a block-paged cache: position s lives in slot
-  // s % kKvPageSize of pages[s / kKvPageSize], and within a page feature
-  // i's slots start at offset page_off + i·kKvPageSize (feature-major
-  // with stride kKvPageSize). Each tier's paged kernel reproduces its
-  // dense kernel's accumulation order, so for the same inputs the paged
-  // and dense results are bitwise-identical within a tier (asserted in
-  // test_kernels.cpp).
+  // The decode loop's other hot spot, against the block-paged KV cache:
+  // position s lives in slot s % kKvPageSize of pages[s / kKvPageSize],
+  // and within a page feature i's slots start at offset
+  // page_off + i·kKvPageSize (feature-major with stride kKvPageSize).
+  // These are float kernels: results are identical across calls within
+  // one tier (what the one inference forward's bitwise contracts need)
+  // but may differ between tiers by accumulation order / FMA rounding,
+  // like any fp32 re-association — test_kernels.cpp bounds each tier
+  // against the scalar one on multi-page caches.
 
   /// probs[s] = Σ_i (q[i] · scale) · K[s] over a paged K cache.
   void (*attn_scores_paged)(const float* q, float scale,

@@ -72,6 +72,13 @@ class QuantizedMatrix {
   /// Resizes `out` as needed.
   void matmul(const Matrix& x, Matrix& out) const;
 
+  /// Int8 only: matmul() over `m` activation rows already quantized —
+  /// row r's padded_rows() bytes start at qx + r·padded_rows() and its
+  /// scale is xscale[r]. The multi-row form of gemv_prequant, and bitwise
+  /// equal to matmul() on the rows they came from.
+  void matmul_prequant(const std::int8_t* qx, const float* xscale,
+                       std::size_t m, Matrix& out) const;
+
   /// Per-output-channel dequantization scales (Int8 only; empty for Fp16).
   std::span<const float> scales() const { return scale_; }
 

@@ -64,9 +64,9 @@ void gemv_f16_scalar(const float* x, const std::uint16_t* w, std::size_t in,
 }
 
 // --- scalar fp32 attention helpers ----------------------------------------
-// These are verbatim the loops the decode path ran before the dispatch
-// table existed, so the scalar tier reproduces pre-kernel decode numerics
-// exactly (and autovectorizes to baseline SSE2/NEON like the originals).
+// The scores loop over one contiguous feature-major K block (stride
+// `stride` between features); the paged kernel below runs it once per
+// page. It autovectorizes to baseline SSE2/NEON.
 
 void attn_scores_scalar(const float* q, float scale, const float* k,
                         std::size_t hd, std::size_t stride, std::size_t len,
@@ -79,23 +79,12 @@ void attn_scores_scalar(const float* q, float scale, const float* k,
   }
 }
 
-void attn_values_scalar(const float* probs, float inv, const float* v,
-                        std::size_t hd, std::size_t stride, std::size_t len,
-                        float* out) {
-  for (std::size_t i = 0; i < hd; ++i) {
-    const float* __restrict vt = v + i * stride;
-    float acc = 0.0f;
-    for (std::size_t s = 0; s < len; ++s) acc += probs[s] * vt[s];
-    out[i] = acc * inv;
-  }
-}
-
 // --- scalar paged attention ------------------------------------------------
 // The scores pass is per-page independent (probs[s] only reads position s),
-// so it simply replays the dense kernel page by page. The values pass
-// carries one accumulator per feature across pages in the same
-// feature-outer / position-inner order as the dense kernel, so both are
-// bitwise-identical to their dense counterparts.
+// so it runs the block kernel page by page. The values pass carries one
+// accumulator per feature across pages, feature-outer / position-inner,
+// so a position's contribution lands in the same order wherever the page
+// boundaries fall.
 
 void attn_scores_paged_scalar(const float* q, float scale,
                               const float* const* pages, std::size_t page_off,
@@ -315,7 +304,7 @@ __attribute__((target("avx2,fma,f16c"))) void gemv_f16_f16c(
   }
 }
 
-// AVX2+FMA attention helpers. The K/V caches are feature-major (unit
+// AVX2+FMA attention helpers. The K/V pages are feature-major (unit
 // stride over positions), so the position loop vectorizes directly; the
 // head_dim loop stays outer with one broadcast per feature.
 
@@ -368,52 +357,12 @@ __attribute__((target("avx2,fma"))) void attn_scores_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void attn_values_avx2(
-    const float* probs, float inv, const float* v, std::size_t hd,
-    std::size_t stride, std::size_t len, float* out) {
-  // Two output features share each probs load; their independent chains
-  // hide part of the FMA latency a feature-at-a-time loop exposes.
-  std::size_t i = 0;
-  for (; i + 2 <= hd; i += 2) {
-    const float* vt = v + i * stride;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    std::size_t s = 0;
-    for (; s + 8 <= len; s += 8) {
-      const __m256 p = _mm256_loadu_ps(probs + s);
-      a0 = _mm256_fmadd_ps(p, _mm256_loadu_ps(vt + s), a0);
-      a1 = _mm256_fmadd_ps(p, _mm256_loadu_ps(vt + stride + s), a1);
-    }
-    float sum0 = hsum_avx2(a0);
-    float sum1 = hsum_avx2(a1);
-    for (; s < len; ++s) {
-      sum0 += probs[s] * vt[s];
-      sum1 += probs[s] * vt[stride + s];
-    }
-    out[i] = sum0 * inv;
-    out[i + 1] = sum1 * inv;
-  }
-  for (; i < hd; ++i) {
-    const float* vt = v + i * stride;
-    __m256 acc = _mm256_setzero_ps();
-    std::size_t s = 0;
-    for (; s + 8 <= len; s += 8) {
-      acc = _mm256_fmadd_ps(_mm256_loadu_ps(probs + s),
-                            _mm256_loadu_ps(vt + s), acc);
-    }
-    float sum = hsum_avx2(acc);
-    for (; s < len; ++s) sum += probs[s] * vt[s];
-    out[i] = sum * inv;
-  }
-}
-
-// Paged AVX2 attention. Pages are kKvPageSize (16) positions, so the
-// dense kernels' 8-wide chunk grid (s = 0, 8, 16, …) lines up with page
-// starts: every full page is exactly two 8-chunks and only the final
-// partial page has a scalar tail. The scores pass delegates to the dense
-// kernel per page; the values pass carries the dense kernel's vector
-// accumulators across pages and does the hsum + scalar tail once at the
-// end — the same accumulation order, hence bitwise-identical results.
+// Paged AVX2 attention. Pages are kKvPageSize (16) positions, so an
+// 8-wide chunk grid (s = 0, 8, 16, …) lines up with page starts: every
+// full page is exactly two 8-chunks and only the final partial page has
+// a scalar tail. The scores pass runs the block kernel per page; the
+// values pass carries its vector accumulators across pages and does the
+// hsum + scalar tail once at the end.
 
 __attribute__((target("avx2,fma"))) void attn_scores_paged_avx2(
     const float* q, float scale, const float* const* pages,
@@ -797,55 +746,10 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void attn_scores_avx512(
   }
 }
 
-__attribute__((target(HPCGPT_AVX512_TARGET))) void attn_values_avx512(
-    const float* probs, float inv, const float* v, std::size_t hd,
-    std::size_t stride, std::size_t len, float* out) {
-  // Four output features share each probs load, and their four chains
-  // hide the FMA latency that a feature-at-a-time loop would expose.
-  std::size_t i = 0;
-  for (; i + 4 <= hd; i += 4) {
-    const float* vt = v + i * stride;
-    __m512 a0 = _mm512_setzero_ps();
-    __m512 a1 = _mm512_setzero_ps();
-    __m512 a2 = _mm512_setzero_ps();
-    __m512 a3 = _mm512_setzero_ps();
-    for (std::size_t s = 0; s < len; s += 16) {
-      const std::size_t rem = len - s;
-      const __mmask16 m =
-          rem >= 16 ? static_cast<__mmask16>(0xFFFF)
-                    : static_cast<__mmask16>((1u << rem) - 1u);
-      const __m512 p = _mm512_maskz_loadu_ps(m, probs + s);
-      a0 = _mm512_fmadd_ps(p, _mm512_maskz_loadu_ps(m, vt + s), a0);
-      a1 = _mm512_fmadd_ps(p, _mm512_maskz_loadu_ps(m, vt + stride + s), a1);
-      a2 = _mm512_fmadd_ps(p, _mm512_maskz_loadu_ps(m, vt + 2 * stride + s),
-                           a2);
-      a3 = _mm512_fmadd_ps(p, _mm512_maskz_loadu_ps(m, vt + 3 * stride + s),
-                           a3);
-    }
-    out[i] = _mm512_reduce_add_ps(a0) * inv;
-    out[i + 1] = _mm512_reduce_add_ps(a1) * inv;
-    out[i + 2] = _mm512_reduce_add_ps(a2) * inv;
-    out[i + 3] = _mm512_reduce_add_ps(a3) * inv;
-  }
-  for (; i < hd; ++i) {
-    const float* vt = v + i * stride;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t s = 0; s < len; s += 16) {
-      const std::size_t rem = len - s;
-      const __mmask16 m =
-          rem >= 16 ? static_cast<__mmask16>(0xFFFF)
-                    : static_cast<__mmask16>((1u << rem) - 1u);
-      acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, probs + s),
-                            _mm512_maskz_loadu_ps(m, vt + s), acc);
-    }
-    out[i] = _mm512_reduce_add_ps(acc) * inv;
-  }
-}
-
-// Paged AVX-512 attention: one page is exactly one masked 16-chunk of
-// the dense kernels (full pages get mask 0xFFFF, the final partial page
-// the same tail mask the dense kernel would use at that offset), so both
-// passes replay the dense accumulation order verbatim.
+// Paged AVX-512 attention: one page is exactly one masked 16-chunk (full
+// pages get mask 0xFFFF, the final partial page a tail mask), so the
+// scores pass runs the block kernel per page and the values pass carries
+// its accumulators across pages.
 
 __attribute__((target(HPCGPT_AVX512_TARGET))) void attn_scores_paged_avx512(
     const float* q, float scale, const float* const* pages,
@@ -1051,7 +955,6 @@ void gemv_i8_neon(const std::int8_t* qx, const std::int8_t* w,
 const KernelTable kScalarTable = {
     IsaTier::Scalar,          "scalar",
     gemv_i8_scalar,           gemv_f16_scalar,
-    attn_scores_scalar,       attn_values_scalar,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,
     rmsnorm_row_scalar,       silu_mul_scalar};
@@ -1071,8 +974,6 @@ const KernelTable& avx2_table() {
       "avx2",
       gemv_i8_avx2,
       cpu_has_f16c_fma() ? gemv_f16_f16c : gemv_f16_scalar,
-      fma ? attn_scores_avx2 : attn_scores_scalar,
-      fma ? attn_values_avx2 : attn_values_scalar,
       fma ? attn_scores_paged_avx2 : attn_scores_paged_scalar,
       fma ? attn_values_paged_avx2 : attn_values_paged_scalar,
       fma ? softmax_row_avx2 : softmax_row_scalar,
@@ -1088,8 +989,6 @@ const KernelTable& avx512_table() {
       "avx512",
       gemv_i8_avx512,
       cpu_has_f16c_fma() ? gemv_f16_avx512 : gemv_f16_scalar,
-      attn_scores_avx512,
-      attn_values_avx512,
       attn_scores_paged_avx512,
       attn_values_paged_avx512,
       softmax_row_avx512,
@@ -1107,7 +1006,6 @@ const KernelTable& avx512_table() {
 const KernelTable kNeonTable = {
     IsaTier::Neon,            "neon",
     gemv_i8_neon,             gemv_f16_scalar,
-    attn_scores_scalar,       attn_values_scalar,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,
     rmsnorm_row_scalar,       silu_mul_scalar};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "hpcgpt/obs/metrics.hpp"
 #include "hpcgpt/obs/trace.hpp"
@@ -69,7 +70,12 @@ constexpr std::size_t KC = 256;
 constexpr std::size_t kSmallFlops = 32 * 32 * 32;
 
 void check_inner(std::size_t a, std::size_t b, const char* what) {
-  require(a == b, std::string("matmul: inner dimension mismatch in ") + what);
+  // The message is built only on failure: this runs on every GEMM,
+  // including each per-token decode projection.
+  if (a != b) {
+    throw InvalidArgument(std::string("matmul: inner dimension mismatch in ") +
+                          what);
+  }
 }
 
 // How the B operand is laid out in memory relative to the logical
@@ -195,9 +201,11 @@ void gemm_nn(const Matrix& a, const Matrix& b, Matrix& out) {
     // Dense small path: ikj with the k loop unrolled by four, no
     // zero-skip branch — the branch costs more than it saves on dense
     // activations. Two-row blocking on top: both output rows share each
-    // streamed B row, halving weight traffic, while each row's k-groups
-    // of four keep the exact accumulation order of Linear::apply — so a
-    // batched decode round is bit-identical to the single-lane matvec.
+    // streamed B row, halving weight traffic, while every row keeps the
+    // same k-groups-of-four accumulation order whether it runs in a pair
+    // or alone — so a decode round's logits do not depend on how many
+    // lanes share it (up to 2·MR lanes; the blocked path beyond that
+    // reassociates).
     const float* __restrict bp = b.data();
     const std::size_t pairs = m / 2 + (m % 2);
     parallel_for(0, pairs, [&](std::size_t pi) {

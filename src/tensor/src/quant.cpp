@@ -167,4 +167,16 @@ void QuantizedMatrix::matmul(const Matrix& x, Matrix& out) const {
       [&](std::size_t r) { gemv(x.row(r), out.row(r)); }, kRowGrain);
 }
 
+void QuantizedMatrix::matmul_prequant(const std::int8_t* qx,
+                                      const float* xscale, std::size_t m,
+                                      Matrix& out) const {
+  if (out.rows() != m || out.cols() != cols_) out = Matrix(m, cols_);
+  parallel_for(
+      0, m,
+      [&](std::size_t r) {
+        gemv_prequant(qx + r * in_padded_, xscale[r], out.row(r));
+      },
+      kRowGrain);
+}
+
 }  // namespace hpcgpt::tensor

@@ -45,8 +45,9 @@ TEST(Bundle, RoundTripPreservesBehaviour) {
       "#pragma omp parallel for\nfor (i = 1; i < 9; i++) { a[i] = a[i-1]; }",
   };
   for (const char* s : snippets) {
-    EXPECT_EQ(static_cast<int>(restored.classify_race(s, 256)),
-              static_cast<int>(model.classify_race(s, 256)))
+    const GenerationRequest request{.prompt = s, .token_limit = 256};
+    EXPECT_EQ(static_cast<int>(restored.classify_race(request).verdict),
+              static_cast<int>(model.classify_race(request).verdict))
         << s;
   }
 }

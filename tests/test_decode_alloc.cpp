@@ -1,0 +1,138 @@
+// Steady-state decode makes no heap allocation. This binary replaces the
+// global operator new with a counting one, warms a model's page pool and
+// the decode scratch, then counts allocations over a window of decode
+// steps: decode_step lane by lane and decode_step_batch over all lanes,
+// at 1 and 4 lanes, for fp32 and int8 weights.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <span>
+#include <vector>
+
+#include "hpcgpt/core/hpcgpt.hpp"
+#include "hpcgpt/support/rng.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// All out of line, so the compiler does not see malloc() and free()
+// through them at a call site and warn about mismatched allocation calls.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+using namespace hpcgpt;
+
+constexpr std::size_t kPromptLen = 64;
+constexpr std::size_t kWarmupSteps = 2;
+constexpr std::size_t kSteps = 100;
+
+text::TokenId argmax(std::span<const float> logits) {
+  return static_cast<text::TokenId>(std::distance(
+      logits.begin(), std::max_element(logits.begin(), logits.end())));
+}
+
+/// Prefills `lanes` fresh sessions of `m` with 64-token prompts, then
+/// decodes greedily — lane by lane through decode_step, or all lanes per
+/// round through decode_step_batch. Returns the operator new calls of the
+/// kSteps steps that follow kWarmupSteps unmeasured ones (the warm-up
+/// sizes the scratch buffers).
+std::size_t decode_allocations(const nn::Transformer& m, std::size_t lanes,
+                               bool batched) {
+  const std::size_t vocab = m.config().vocab_size;
+  Rng rng(lanes);
+  std::vector<nn::DecodeState> states;
+  std::vector<text::TokenId> next(lanes);
+  for (std::size_t b = 0; b < lanes; ++b) {
+    std::vector<text::TokenId> prompt(kPromptLen);
+    for (auto& id : prompt) {
+      id = static_cast<text::TokenId>(4 + rng.next_below(vocab - 4));
+    }
+    states.push_back(m.new_decode_state());
+    next[b] = argmax(m.prefill(states.back(), prompt));
+  }
+  std::vector<nn::DecodeState*> lane_ptrs;
+  for (auto& s : states) lane_ptrs.push_back(&s);
+  nn::BatchScratch scratch;
+  const auto step = [&] {
+    if (batched) {
+      const tensor::Matrix& logits =
+          m.decode_step_batch(lane_ptrs, next, scratch);
+      for (std::size_t b = 0; b < lanes; ++b) next[b] = argmax(logits.row(b));
+    } else {
+      for (std::size_t b = 0; b < lanes; ++b) {
+        next[b] = argmax(m.decode_step(states[b], next[b]));
+      }
+    }
+  };
+  for (std::size_t i = 0; i < kWarmupSteps; ++i) step();
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (std::size_t i = 0; i < kSteps; ++i) step();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+const text::BpeTokenizer& shared_tokenizer() {
+  static const text::BpeTokenizer tok = core::build_shared_tokenizer();
+  return tok;
+}
+
+class DecodeAlloc : public ::testing::TestWithParam<tensor::QuantMode> {
+ protected:
+  /// Untrained llama_sim in the parameter's weight format, its page pool
+  /// warmed by one full run so the measured run draws every page from
+  /// the free list instead of growing the pool.
+  core::HpcGpt warm_model(bool batched) const {
+    core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
+    spec.pretrain_steps = 0;
+    spec.quant = GetParam();
+    core::HpcGpt model(spec, shared_tokenizer());
+    (void)decode_allocations(model.model(), 4, batched);
+    return model;
+  }
+};
+
+TEST_P(DecodeAlloc, DecodeStepIsAllocationFree) {
+  core::HpcGpt model = warm_model(/*batched=*/false);
+  for (const std::size_t lanes : {1u, 4u}) {
+    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/false), 0u)
+        << lanes << " lane(s)";
+  }
+}
+
+TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
+  core::HpcGpt model = warm_model(/*batched=*/true);
+  for (const std::size_t lanes : {1u, 4u}) {
+    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
+        << lanes << " lane(s)";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Quant, DecodeAlloc,
+    ::testing::Values(tensor::QuantMode::Fp32, tensor::QuantMode::Int8),
+    [](const ::testing::TestParamInfo<tensor::QuantMode>& info) {
+      return std::string(tensor::quant_mode_name(info.param));
+    });
+
+}  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -24,12 +25,14 @@ const text::BpeTokenizer& shared_tokenizer() {
   return tok;
 }
 
-core::HpcGpt make_preset(core::BaseModel base) {
+core::HpcGpt make_preset(core::BaseModel base,
+                         tensor::QuantMode quant = tensor::QuantMode::Fp32) {
   core::ModelOptions spec = core::spec_for(base);
   // Untrained weights: equivalence is a property of the forward math, not
   // of training, and skipping pretraining keeps the suite fast. Each
   // preset still gets its own init seed, so all four weight sets differ.
   spec.pretrain_steps = 0;
+  spec.quant = quant;
   return core::HpcGpt(spec, shared_tokenizer());
 }
 
@@ -96,46 +99,61 @@ TEST_P(DecodeEquivalence, PrefillPlusDecodeMatchesFullForwards) {
 }
 
 TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
-  core::HpcGpt model = make_preset(GetParam());
-  const std::size_t vocab = model.model().config().vocab_size;
-  const nn::Transformer& m = model.model();
-  Rng rng(7);
-
   // Four lanes with different prompts, advanced together through
   // decode_step_batch; a twin set advanced one lane at a time through
-  // decode_step. Both must emit identical ids: cross-request batching is
-  // a scheduling transform, not a numerics change.
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kSteps = 10;
-  std::vector<std::vector<text::TokenId>> prompts;
-  for (std::size_t b = 0; b < kLanes; ++b) {
-    prompts.push_back(random_prompt(rng, 2 + 3 * b, vocab));
-  }
+  // decode_step, which is the batch-of-one case of the same forward.
+  // Every logits row must match bit for bit: cross-request batching is a
+  // scheduling transform, not a numerics change. Four lanes put the
+  // small GEMM's row-pair branch against its single-row branch; int8
+  // also checks the shared activation quantization.
+  for (const tensor::QuantMode quant :
+       {tensor::QuantMode::Fp32, tensor::QuantMode::Int8}) {
+    core::HpcGpt model = make_preset(GetParam(), quant);
+    const nn::Transformer& m = model.model();
+    const std::size_t vocab = m.config().vocab_size;
+    const std::size_t row_bytes = vocab * sizeof(float);
+    Rng rng(7);
 
-  std::vector<nn::DecodeState> batch_states;
-  std::vector<nn::DecodeState> single_states;
-  std::vector<text::TokenId> batch_next(kLanes);
-  std::vector<text::TokenId> single_next(kLanes);
-  for (std::size_t b = 0; b < kLanes; ++b) {
-    batch_states.push_back(m.new_decode_state());
-    single_states.push_back(m.new_decode_state());
-    batch_next[b] = argmax(m.prefill(batch_states[b], prompts[b]));
-    single_next[b] = argmax(m.prefill(single_states[b], prompts[b]));
-    ASSERT_EQ(batch_next[b], single_next[b]) << "lane " << b;
-  }
-
-  nn::BatchScratch scratch;
-  std::vector<nn::DecodeState*> lane_ptrs;
-  for (auto& s : batch_states) lane_ptrs.push_back(&s);
-  for (std::size_t step = 0; step < kSteps; ++step) {
-    const tensor::Matrix& logits =
-        m.decode_step_batch(lane_ptrs, batch_next, scratch);
+    constexpr std::size_t kLanes = 4;
+    constexpr std::size_t kSteps = 10;
+    std::vector<std::vector<text::TokenId>> prompts;
     for (std::size_t b = 0; b < kLanes; ++b) {
-      batch_next[b] = argmax(logits.row(b));
-      single_next[b] =
-          argmax(m.decode_step(single_states[b], single_next[b]));
-      EXPECT_EQ(batch_next[b], single_next[b])
-          << model.name() << " lane=" << b << " step=" << step;
+      prompts.push_back(random_prompt(rng, 2 + 3 * b, vocab));
+    }
+
+    std::vector<nn::DecodeState> batch_states;
+    std::vector<nn::DecodeState> single_states;
+    std::vector<text::TokenId> next(kLanes);
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      batch_states.push_back(m.new_decode_state());
+      single_states.push_back(m.new_decode_state());
+      const std::span<const float> batch_logits =
+          m.prefill(batch_states[b], prompts[b]);
+      const std::span<const float> single_logits =
+          m.prefill(single_states[b], prompts[b]);
+      ASSERT_EQ(std::memcmp(batch_logits.data(), single_logits.data(),
+                            row_bytes),
+                0)
+          << model.name() << " " << tensor::quant_mode_name(quant)
+          << " prefill lane " << b;
+      next[b] = argmax(batch_logits);
+    }
+
+    nn::BatchScratch scratch;
+    std::vector<nn::DecodeState*> lane_ptrs;
+    for (auto& s : batch_states) lane_ptrs.push_back(&s);
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      const tensor::Matrix& logits =
+          m.decode_step_batch(lane_ptrs, next, scratch);
+      for (std::size_t b = 0; b < kLanes; ++b) {
+        const std::span<const float> single =
+            m.decode_step(single_states[b], next[b]);
+        ASSERT_EQ(std::memcmp(logits.row(b).data(), single.data(), row_bytes),
+                  0)
+            << model.name() << " " << tensor::quant_mode_name(quant)
+            << " lane=" << b << " step=" << step;
+        next[b] = argmax(logits.row(b));
+      }
     }
   }
 }

@@ -218,45 +218,55 @@ TEST(Fp16Gemv, MatchesFp32WithinHalfPrecision) {
   }
 }
 
-/// Per-tier accuracy of one fp32 kernel against the scalar table, over a
-/// decode-shaped attention problem.
+/// Per-tier accuracy of the fp32 kernels against the scalar table.
 class Fp32KernelTiers : public ::testing::Test {
  protected:
   TierGuard guard_;
 };
 
 TEST_F(Fp32KernelTiers, AttentionScoresAndValues) {
+  // Decode-shaped attention over a block-paged cache: lengths 1..64 cover
+  // one to four pages, with partial tail pages. Each page is its own
+  // allocation holding the K slab (offset 0) and the V slab (offset
+  // hd·kKvPageSize), feature-major with stride kKvPageSize.
+  constexpr std::size_t kPage = kernels::kKvPageSize;
   Rng rng(14);
   const kernels::KernelTable& scalar =
       kernels::table_for(kernels::IsaTier::Scalar);
   for (const std::size_t hd : {8u, 12u, 16u, 48u, 80u}) {
     for (const std::size_t len : {1u, 5u, 16u, 33u, 64u}) {
-      const std::size_t stride = len + 3;  // cache rows longer than len
+      const std::size_t n_pages = (len + kPage - 1) / kPage;
+      std::vector<std::vector<float>> storage;
+      std::vector<const float*> pages;
+      for (std::size_t p = 0; p < n_pages; ++p) {
+        storage.push_back(random_row(rng, 2 * hd * kPage));
+        pages.push_back(storage.back().data());
+      }
+      const std::size_t v_off = hd * kPage;
       const std::vector<float> q = random_row(rng, hd);
-      const std::vector<float> kv = random_row(rng, hd * stride);
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
       std::vector<float> probs_ref(len);
-      scalar.attn_scores(q.data(), scale, kv.data(), hd, stride, len,
-                         probs_ref.data());
+      scalar.attn_scores_paged(q.data(), scale, pages.data(), 0, hd, len,
+                               probs_ref.data());
       std::vector<float> out_ref(hd);
-      scalar.attn_values(probs_ref.data(), 0.5f, kv.data(), hd, stride, len,
-                         out_ref.data());
+      scalar.attn_values_paged(probs_ref.data(), 0.5f, pages.data(), v_off,
+                               hd, len, out_ref.data());
 
       for (const kernels::IsaTier tier : kernels::supported_tiers()) {
         ASSERT_TRUE(kernels::set_active_tier(tier));
         const kernels::KernelTable& kt = kernels::active();
         std::vector<float> probs(len);
-        kt.attn_scores(q.data(), scale, kv.data(), hd, stride, len,
-                       probs.data());
+        kt.attn_scores_paged(q.data(), scale, pages.data(), 0, hd, len,
+                             probs.data());
         for (std::size_t s = 0; s < len; ++s) {
           ASSERT_NEAR(probs[s], probs_ref[s],
                       1e-5f * static_cast<float>(hd) + 1e-5f)
               << kt.name << " hd=" << hd << " len=" << len << " s=" << s;
         }
         std::vector<float> out(hd);
-        kt.attn_values(probs_ref.data(), 0.5f, kv.data(), hd, stride, len,
-                       out.data());
+        kt.attn_values_paged(probs_ref.data(), 0.5f, pages.data(), v_off, hd,
+                             len, out.data());
         for (std::size_t i = 0; i < hd; ++i) {
           ASSERT_NEAR(out[i], out_ref[i],
                       1e-5f * static_cast<float>(len) + 1e-5f)

@@ -202,7 +202,9 @@ TEST(Trace, RingBufferWrapsKeepingNewestEvents) {
   obs::TraceSink sink(/*capacity=*/4);
   sink.enable(true);
   for (int i = 0; i < 6; ++i) {
-    sink.record("e" + std::to_string(i), static_cast<double>(i), 0.5);
+    sink.record({.name = "e" + std::to_string(i),
+                 .start_seconds = static_cast<double>(i),
+                 .duration_seconds = 0.5});
   }
   EXPECT_EQ(sink.total_recorded(), 6u);
   const std::vector<obs::TraceEvent> events = sink.events();
@@ -256,7 +258,9 @@ TEST(Trace, WraparoundIsCountedAsDropped) {
       obs::MetricsRegistry::global().counter("obs.trace.dropped");
   const std::uint64_t counter_before = dropped_counter.value();
   for (int i = 0; i < 5; ++i) {
-    sink.record("e" + std::to_string(i), static_cast<double>(i), 0.1);
+    sink.record({.name = "e" + std::to_string(i),
+                 .start_seconds = static_cast<double>(i),
+                 .duration_seconds = 0.1});
   }
   EXPECT_EQ(sink.dropped_count(), 2u);
   EXPECT_EQ(sink.total_recorded(), 5u);
@@ -272,7 +276,8 @@ TEST(Trace, WraparoundIsCountedAsDropped) {
 TEST(Trace, ToJsonEmitsChromeTraceLikeFields) {
   obs::TraceSink sink(4);
   sink.enable(true);
-  sink.record("phase", 0.001, 0.002);
+  sink.record({.name = "phase", .start_seconds = 0.001,
+               .duration_seconds = 0.002});
   const json::Value json = sink.to_json();
   ASSERT_TRUE(json.is_array());
   ASSERT_EQ(json.as_array().size(), 1u);

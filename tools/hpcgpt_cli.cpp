@@ -365,7 +365,8 @@ int cmd_detect(const Args& args) {
     if (it != args.options.end()) {
       core::HpcGpt model = core::HpcGpt::load_bundle_file(it->second);
       const std::string snippet = minilang::render_snippet(program, flavor);
-      const core::RaceVerdict v = model.classify_race(snippet, 256);
+      const core::RaceVerdict v =
+          model.classify_race({.prompt = snippet, .token_limit = 256}).verdict;
       std::printf("  %-16s %s\n", model.name().c_str(),
                   v == core::RaceVerdict::Yes   ? "RACE"
                   : v == core::RaceVerdict::No  ? "no race"
