@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/kb/kb.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/support/strings.hpp"
 #include "hpcgpt/text/chunker.hpp"
 
@@ -42,7 +42,7 @@ int main() {
   }
   for (const kb::MlperfEntry& e : fresh) corpus.push_back(kb::flatten(e, 1));
   embedder.fit(corpus);
-  retrieval::VectorStore store(embedder);
+  retrieval::SearchEngine store(embedder);
   for (const kb::MlperfEntry& e : kb::KnowledgeBase::builtin().mlperf) {
     store.add(kb::flatten(e, 1));
   }

@@ -1,17 +1,17 @@
-// Retrieval-engine throughput: indexed (WAND) and hybrid query paths vs
-// the brute-force scan over one shared index.
+// Retrieval-engine throughput: the indexed (WAND) query path vs the
+// brute-force scan over one shared index.
 //
 //   bench_retrieval [BENCH_perf.json] [--docs N] [--queries N]
 //
 // Builds a synthetic MLPerf-style knowledge base (default 10^5 records;
 // HPCGPT_FAST=1 drops to 10^4), indexes it once, then runs the same query
-// set through every engine path, measuring per-query latency and QPS.
-// Before timing it cross-checks that the indexed and hybrid rankings are
-// identical to the scan's (ids AND scores) and exits non-zero on any
-// mismatch, so the numbers can never come from a wrong answer. When given
-// a BENCH_perf.json path it merges
-//   retrieval_qps_{scan,indexed,hybrid}            (higher is better)
-//   retrieval_p95_latency_seconds_{scan,indexed,hybrid}  (lower is better)
+// set through both engine paths, measuring per-query latency and QPS.
+// Before reporting it cross-checks that the indexed ranking is identical
+// to the scan's (ids AND scores) and exits non-zero on any mismatch, so
+// the numbers can never come from a wrong answer. When given a
+// BENCH_perf.json path it merges
+//   retrieval_qps_{scan,indexed}                   (higher is better)
+//   retrieval_p95_latency_seconds_{scan,indexed}   (lower is better)
 // into the "measured" section for hpcgpt_benchdiff gating.
 
 #include <algorithm>
@@ -113,7 +113,7 @@ bool same_ranking(const PathResult& want, const PathResult& got,
 }
 
 void merge_into(const std::string& path, const PathResult& scan,
-                const PathResult& indexed, const PathResult& hybrid) {
+                const PathResult& indexed) {
   json::Value root;
   {
     std::ifstream in(path, std::ios::binary);
@@ -135,10 +135,8 @@ void merge_into(const std::string& path, const PathResult& scan,
   json::Object& measured = top["measured"].as_object();
   measured["retrieval_qps_scan"] = scan.qps;
   measured["retrieval_qps_indexed"] = indexed.qps;
-  measured["retrieval_qps_hybrid"] = hybrid.qps;
   measured["retrieval_p95_latency_seconds_scan"] = scan.p95_seconds;
   measured["retrieval_p95_latency_seconds_indexed"] = indexed.p95_seconds;
-  measured["retrieval_p95_latency_seconds_hybrid"] = hybrid.p95_seconds;
   std::ofstream out(path);
   out << root.dump_pretty() << "\n";
 }
@@ -159,7 +157,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::banner("Retrieval engine: scan vs indexed (WAND) vs hybrid");
+  bench::banner("Retrieval engine: scan vs indexed (WAND)");
   std::printf("corpus: %zu synthetic KB records, %zu queries, k=10\n", n_docs,
               n_queries);
 
@@ -225,11 +223,8 @@ int main(int argc, char** argv) {
       run_path(engine, queries, kTopK, retrieval::RetrievalConfig::Engine::Scan);
   const PathResult indexed = run_path(
       engine, queries, kTopK, retrieval::RetrievalConfig::Engine::Indexed);
-  const PathResult hybrid = run_path(
-      engine, queries, kTopK, retrieval::RetrievalConfig::Engine::Hybrid);
 
-  if (!same_ranking(scan, indexed, "indexed") ||
-      !same_ranking(scan, hybrid, "hybrid")) {
+  if (!same_ranking(scan, indexed, "indexed")) {
     std::fprintf(stderr, "ranking equivalence violated; refusing to report\n");
     return 1;
   }
@@ -242,7 +237,6 @@ int main(int argc, char** argv) {
   };
   row("scan", scan);
   row("indexed", indexed);
-  row("hybrid", hybrid);
 
   // Per-class indexed latency (needle vs medium-df) plus the WAND work
   // counters the engine publishes — the knobs to watch when tuning.
@@ -277,7 +271,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(decoded));
 
   if (!json_path.empty()) {
-    merge_into(json_path, scan, indexed, hybrid);
+    merge_into(json_path, scan, indexed);
     std::printf("\nmerged retrieval_qps_* / retrieval_p95_latency_* into %s\n",
                 json_path.c_str());
   }

@@ -10,7 +10,7 @@
 
 #include "hpcgpt/analysis/verifier.hpp"
 #include "hpcgpt/obs/metrics.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/support/thread_pool.hpp"
 
 namespace hpcgpt::analysis {
@@ -18,10 +18,10 @@ namespace hpcgpt::analysis {
 /// The DRB category knowledge base: one chunk per DataRaceBench category
 /// (Table 3), describing the pattern and why it does or does not race.
 /// This is the grounding corpus behind the service's "detect + explain"
-/// path — rationales are matched against it by TF-IDF cosine similarity,
-/// so every explanation ships with the catalogue entries it is grounded
-/// in (the RAG analogue of the paper's §5 LangChain route, applied to
-/// Task 2).
+/// path — rationales are matched against it by a retrieval::SearchEngine
+/// (TF-IDF impacts), so every explanation ships with the catalogue entries
+/// it is grounded in (the RAG analogue of the paper's §5 LangChain route,
+/// applied to Task 2).
 const std::vector<std::string>& drb_category_kb();
 
 /// Knobs of one VerificationService instance.
@@ -38,7 +38,7 @@ struct ServiceOptions {
   bool ground_rationales = true;
   /// Grounding chunks attached per explained function.
   std::size_t grounding_top_k = 2;
-  /// Cosine floor below which a KB chunk is considered unrelated.
+  /// Retrieval-score floor below which a KB chunk is considered unrelated.
   double grounding_min_score = 0.02;
   /// Fan-out pool for cache misses; nullptr = ThreadPool::global().
   ThreadPool* pool = nullptr;
@@ -193,7 +193,7 @@ class VerificationService {
   std::unordered_map<std::uint64_t, std::uint64_t> text_index_;  // text → key
   std::list<std::uint64_t> lru_;  ///< keys, most recently used first
 
-  std::unique_ptr<retrieval::VectorStore> grounding_store_;
+  std::unique_ptr<retrieval::SearchEngine> grounding_engine_;
 };
 
 }  // namespace hpcgpt::analysis

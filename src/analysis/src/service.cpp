@@ -162,9 +162,9 @@ VerificationService::VerificationService(ServiceOptions options)
   if (options_.ground_rationales) {
     retrieval::TfidfEmbedder embedder;
     embedder.fit(drb_category_kb());
-    grounding_store_ =
-        std::make_unique<retrieval::VectorStore>(std::move(embedder));
-    grounding_store_->add_all(drb_category_kb());
+    grounding_engine_ =
+        std::make_unique<retrieval::SearchEngine>(std::move(embedder));
+    grounding_engine_->add_all(drb_category_kb());
   }
 }
 
@@ -266,13 +266,13 @@ void VerificationService::explain_report(std::uint64_t key,
   // concurrent duplicate computation memoizes the same values.
   out.rationale = rationale_text(out.report);
   out.grounding.clear();
-  if (grounding_store_ != nullptr) {
+  if (grounding_engine_ != nullptr) {
     std::string query = out.rationale;
     if (const Diagnostic* e = out.report.first_error()) {
       query += " " + e->variable + " " + e->message;
     }
     for (const retrieval::Hit& hit :
-         grounding_store_->top_k(query, options_.grounding_top_k)) {
+         grounding_engine_->top_k(query, options_.grounding_top_k)) {
       if (hit.score >= options_.grounding_min_score) {
         out.grounding.push_back(hit.text);
       }

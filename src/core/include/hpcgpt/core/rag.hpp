@@ -4,7 +4,6 @@
 
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/retrieval/engine.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
 
 namespace hpcgpt::core {
 
@@ -37,13 +36,9 @@ void trim_context(std::vector<retrieval::Hit>& hits, double min_score);
 std::string rag_prompt(const std::vector<retrieval::Hit>& context,
                        const std::string& question);
 
-/// Retrieval routed through the indexed hybrid SearchEngine — the serve
-/// default (engine selection lives in the engine's RetrievalConfig).
+/// Retrieval routed through the SearchEngine (the query path, scan or
+/// indexed, is the engine's RetrievalConfig::engine).
 RagAnswer rag_ask(HpcGpt& model, const retrieval::SearchEngine& engine,
-                  const std::string& question, const RagOptions& options = {});
-
-/// Legacy brute-force path kept for the demo-scale VectorStore.
-RagAnswer rag_ask(HpcGpt& model, const retrieval::VectorStore& store,
                   const std::string& question, const RagOptions& options = {});
 
 }  // namespace hpcgpt::core

@@ -17,14 +17,10 @@ std::string rag_prompt(const std::vector<retrieval::Hit>& context,
   return prompt;
 }
 
-namespace {
-
-RagAnswer rag_answer_from_context(HpcGpt& model,
-                                  std::vector<retrieval::Hit> context,
-                                  const std::string& question,
-                                  const RagOptions& options) {
+RagAnswer rag_ask(HpcGpt& model, const retrieval::SearchEngine& engine,
+                  const std::string& question, const RagOptions& options) {
   RagAnswer answer;
-  answer.context = std::move(context);
+  answer.context = engine.top_k(question, options.top_k);
   trim_context(answer.context, options.min_score);
   if (answer.context.empty()) {
     answer.text = model.ask(question, options.max_new_tokens);
@@ -34,20 +30,6 @@ RagAnswer rag_answer_from_context(HpcGpt& model,
       model.ask(rag_prompt(answer.context, question), options.max_new_tokens);
   answer.used_context = true;
   return answer;
-}
-
-}  // namespace
-
-RagAnswer rag_ask(HpcGpt& model, const retrieval::SearchEngine& engine,
-                  const std::string& question, const RagOptions& options) {
-  return rag_answer_from_context(model, engine.top_k(question, options.top_k),
-                                 question, options);
-}
-
-RagAnswer rag_ask(HpcGpt& model, const retrieval::VectorStore& store,
-                  const std::string& question, const RagOptions& options) {
-  return rag_answer_from_context(model, store.top_k(question, options.top_k),
-                                 question, options);
 }
 
 }  // namespace hpcgpt::core

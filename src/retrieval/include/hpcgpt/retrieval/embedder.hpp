@@ -11,7 +11,7 @@ namespace hpcgpt::retrieval {
 /// Term identifier in a fitted TfidfEmbedder vocabulary.
 using TermId = std::uint32_t;
 
-/// Document identifier: position in a store/engine's document list. Docs
+/// Document identifier: position in an engine's document list. Docs
 /// are appended with strictly increasing ids, which keeps every postings
 /// list naturally sorted and lets sealed index segments cover disjoint
 /// id ranges.
@@ -24,10 +24,10 @@ using SparseVector = std::vector<std::pair<TermId, float>>;
 
 /// TF-IDF document embedder over normalized words.
 ///
-/// This is the embedding component of the LangChain-style vector store the
-/// paper proposes (§5) for updating HPC-GPT with new data without
-/// retraining: text is chunked, embedded and matched against prompts by
-/// cosine similarity.
+/// This is the embedding component of `SearchEngine` (engine.hpp), the
+/// LangChain-style vector store the paper proposes (§5) for updating
+/// HPC-GPT with new data without retraining: text is chunked, embedded
+/// and matched against prompts by similarity.
 class TfidfEmbedder {
  public:
   /// Learns the vocabulary and document frequencies from `corpus`.
@@ -58,38 +58,11 @@ class TfidfEmbedder {
   double avg_doc_len_ = 0.0;
 };
 
-/// Cosine similarity of two sparse vectors (both assumed L2-normalized,
-/// so this is just the dot product over the sorted-merge intersection).
-double cosine(const SparseVector& a, const SparseVector& b);
-
 /// A scored retrieval hit.
 struct Hit {
-  std::size_t index = 0;  ///< position in the store
+  std::size_t index = 0;  ///< the document's DocId in its engine
   double score = 0.0;
   std::string text;
-};
-
-/// In-memory vector store with brute-force top-k cosine retrieval. Kept as
-/// the demo-scale baseline (and for grounding in the analysis service);
-/// `SearchEngine` in engine.hpp is the indexed production path.
-class VectorStore {
- public:
-  explicit VectorStore(TfidfEmbedder embedder) : embedder_(std::move(embedder)) {}
-
-  /// Adds one chunk. Chunks added after construction are immediately
-  /// searchable — the "integrate new data without retraining" property.
-  void add(std::string chunk);
-  void add_all(const std::vector<std::string>& chunks);
-
-  std::size_t size() const { return chunks_.size(); }
-
-  /// The `k` most similar chunks to `query`, best first.
-  std::vector<Hit> top_k(const std::string& query, std::size_t k) const;
-
- private:
-  TfidfEmbedder embedder_;
-  std::vector<std::string> chunks_;
-  std::vector<SparseVector> vectors_;
 };
 
 }  // namespace hpcgpt::retrieval

@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "hpcgpt/retrieval/embedder.hpp"
 #include "hpcgpt/retrieval/index.hpp"
-#include "hpcgpt/retrieval/ivf.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
 
 namespace hpcgpt::retrieval {
 
@@ -20,26 +19,15 @@ struct RetrievalConfig {
   ///    baseline; exact).
   ///  - Indexed: WAND top-k over the compressed inverted index — returns
   ///    the *same ranking* as Scan while touching a fraction of the index.
-  ///  - Hybrid: lexical + vector ANN candidate generation, fused.
-  enum class Engine { Scan, Indexed, Hybrid };
+  enum class Engine { Scan, Indexed };
   /// Document-side impact weighting stored in the index.
   enum class Weighting { Tfidf, Bm25 };
-  /// Hybrid candidate fusion.
-  ///  - Rerank: union of WAND and IVF candidates, exactly re-scored
-  ///    against the stored sparse vectors (ranking provably equals Scan).
-  ///  - Rrf: reciprocal-rank fusion of the two candidate lists (ranking
-  ///    intentionally blends lexical and vector orders; not scan-equal).
-  enum class Fusion { Rerank, Rrf };
 
   Engine engine = Engine::Indexed;
   Weighting weighting = Weighting::Tfidf;
-  Fusion fusion = Fusion::Rerank;
-  std::size_t hybrid_expand = 4;  ///< candidate multiplier per source
-  std::size_t rrf_k = 60;         ///< RRF rank-offset constant
   double bm25_k1 = 1.2;
   double bm25_b = 0.75;
   IndexOptions index;
-  IvfOptions ivf;
 
   /// Throws InvalidArgument (std::invalid_argument) on nonsense.
   void validate() const;
@@ -47,8 +35,6 @@ struct RetrievalConfig {
 
 std::string_view engine_name(RetrievalConfig::Engine engine);
 RetrievalConfig::Engine engine_by_name(std::string_view name);
-std::string_view fusion_name(RetrievalConfig::Fusion fusion);
-RetrievalConfig::Fusion fusion_by_name(std::string_view name);
 std::string_view weighting_name(RetrievalConfig::Weighting weighting);
 RetrievalConfig::Weighting weighting_by_name(std::string_view name);
 
@@ -61,9 +47,8 @@ struct IndexStats {
   std::size_t distinct_terms = 0;
 };
 
-/// The indexed hybrid retrieval engine: a compressed inverted index with
-/// WAND top-k, an IVF-flat vector index over dense projections, and the
-/// brute-force scan kept as the reference path. add() keeps documents
+/// The retrieval engine: a compressed inverted index with WAND top-k, and
+/// the brute-force scan kept as the reference path. add() keeps documents
 /// immediately searchable (in-memory tail segment). top_k() is const and
 /// safe to call concurrently; add() needs external serialization against
 /// queries.
@@ -103,19 +88,14 @@ class SearchEngine {
   std::vector<Hit> indexed_top_k(
       const std::vector<std::pair<TermId, double>>& query,
       std::size_t k) const;
-  std::vector<Hit> hybrid_top_k(
-      const std::vector<std::pair<TermId, double>>& query, std::size_t k,
-      const std::string& raw_query) const;
   /// Pads `hits` to k with never-matched docs in index order at score 0
   /// (exactly what the scan's ranking does below the matched docs).
   void fill_unmatched(std::vector<Hit>& hits, std::size_t k) const;
-  std::vector<Hit> finalize(std::vector<ScoredDoc> scored, std::size_t k) const;
 
   TfidfEmbedder embedder_;
   RetrievalConfig config_;
   double impact_scale_ = 1.0 / 255.0;
   InvertedIndex index_;
-  IvfFlatIndex ivf_;
   std::vector<bool> term_seen_;
   std::size_t distinct_terms_ = 0;
   std::vector<std::string> texts_;

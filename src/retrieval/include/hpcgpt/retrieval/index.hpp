@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/embedder.hpp"
 
 namespace hpcgpt::retrieval {
 

@@ -1,4 +1,4 @@
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/embedder.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -72,56 +72,6 @@ SparseVector TfidfEmbedder::embed(const std::string& text) const {
     }
   }
   return v;
-}
-
-double cosine(const SparseVector& a, const SparseVector& b) {
-  double dot = 0.0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (ia->first < ib->first) {
-      ++ia;
-    } else if (ib->first < ia->first) {
-      ++ib;
-    } else {
-      dot += static_cast<double>(ia->second) * static_cast<double>(ib->second);
-      ++ia;
-      ++ib;
-    }
-  }
-  return dot;
-}
-
-void VectorStore::add(std::string chunk) {
-  vectors_.push_back(embedder_.embed(chunk));
-  chunks_.push_back(std::move(chunk));
-}
-
-void VectorStore::add_all(const std::vector<std::string>& chunks) {
-  for (const std::string& c : chunks) add(c);
-}
-
-std::vector<Hit> VectorStore::top_k(const std::string& query,
-                                    std::size_t k) const {
-  const SparseVector q = embedder_.embed(query);
-  std::vector<Hit> hits;
-  hits.reserve(chunks_.size());
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    Hit h;
-    h.index = i;
-    h.score = cosine(q, vectors_[i]);
-    hits.push_back(std::move(h));
-  }
-  std::partial_sort(hits.begin(),
-                    hits.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(k, hits.size())),
-                    hits.end(), [](const Hit& x, const Hit& y) {
-                      return x.score > y.score ||
-                             (x.score == y.score && x.index < y.index);
-                    });
-  hits.resize(std::min(k, hits.size()));
-  for (Hit& h : hits) h.text = chunks_[h.index];
-  return hits;
 }
 
 }  // namespace hpcgpt::retrieval

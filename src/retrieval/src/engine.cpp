@@ -19,21 +19,17 @@ namespace {
 }  // namespace
 
 void RetrievalConfig::validate() const {
-  if (hybrid_expand == 0) invalid("hybrid_expand must be >= 1");
-  if (rrf_k == 0) invalid("rrf_k must be >= 1");
   if (bm25_k1 <= 0.0) invalid("bm25_k1 must be > 0");
   if (bm25_b < 0.0 || bm25_b > 1.0) invalid("bm25_b must be in [0, 1]");
   if (index.block_size == 0) invalid("index.block_size must be >= 1");
   if (index.seal_threshold == 0) invalid("index.seal_threshold must be >= 1");
   if (index.merge_fanin < 2) invalid("index.merge_fanin must be >= 2");
-  if (ivf.dim == 0) invalid("ivf.dim must be >= 1");
 }
 
 std::string_view engine_name(RetrievalConfig::Engine engine) {
   switch (engine) {
     case RetrievalConfig::Engine::Scan: return "scan";
     case RetrievalConfig::Engine::Indexed: return "indexed";
-    case RetrievalConfig::Engine::Hybrid: return "hybrid";
   }
   return "indexed";
 }
@@ -41,20 +37,8 @@ std::string_view engine_name(RetrievalConfig::Engine engine) {
 RetrievalConfig::Engine engine_by_name(std::string_view name) {
   if (name == "scan") return RetrievalConfig::Engine::Scan;
   if (name == "indexed") return RetrievalConfig::Engine::Indexed;
-  if (name == "hybrid") return RetrievalConfig::Engine::Hybrid;
   throw std::invalid_argument("unknown retrieval engine: " + std::string(name) +
-                              " (expected scan|indexed|hybrid)");
-}
-
-std::string_view fusion_name(RetrievalConfig::Fusion fusion) {
-  return fusion == RetrievalConfig::Fusion::Rerank ? "rerank" : "rrf";
-}
-
-RetrievalConfig::Fusion fusion_by_name(std::string_view name) {
-  if (name == "rerank") return RetrievalConfig::Fusion::Rerank;
-  if (name == "rrf") return RetrievalConfig::Fusion::Rrf;
-  throw std::invalid_argument("unknown fusion mode: " + std::string(name) +
-                              " (expected rerank|rrf)");
+                              " (expected scan|indexed)");
 }
 
 std::string_view weighting_name(RetrievalConfig::Weighting weighting) {
@@ -72,7 +56,6 @@ SearchEngine::SearchEngine(TfidfEmbedder embedder, RetrievalConfig config)
     : embedder_(std::move(embedder)),
       config_(config),
       index_(config.index),
-      ivf_(config.ivf),
       term_seen_(embedder_.vocabulary_size(), false) {
   config_.validate();
   if (config_.weighting == RetrievalConfig::Weighting::Bm25) {
@@ -133,8 +116,6 @@ void SearchEngine::add(std::string chunk) {
   const auto doc = static_cast<DocId>(texts_.size());
   DocVec weights = doc_weights(chunk);
   index_.add_document(doc, weights);
-  ivf_.add(doc, project_dense(embedder_.embed(chunk), config_.ivf.dim,
-                              config_.ivf.seed));
   if (term_seen_.size() < embedder_.vocabulary_size())
     term_seen_.resize(embedder_.vocabulary_size(), false);
   for (const auto& [term, impact] : weights) {
@@ -145,15 +126,6 @@ void SearchEngine::add(std::string chunk) {
   }
   vectors_.push_back(std::move(weights));
   texts_.push_back(std::move(chunk));
-
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Gauge& docs_gauge = registry.gauge("retrieval.index.docs");
-  static obs::Gauge& postings_gauge = registry.gauge("retrieval.index.postings");
-  static obs::Gauge& segments_gauge = registry.gauge("retrieval.index.segments");
-  const InvertedIndex::Stats s = index_.stats();
-  docs_gauge.set(static_cast<std::int64_t>(s.docs));
-  postings_gauge.set(static_cast<std::int64_t>(s.postings));
-  segments_gauge.set(static_cast<std::int64_t>(s.sealed_segments));
 }
 
 void SearchEngine::add_all(const std::vector<std::string>& chunks) {
@@ -208,9 +180,6 @@ std::vector<Hit> SearchEngine::top_k_with(
     case RetrievalConfig::Engine::Indexed:
       hits = indexed_top_k(weights, k);
       break;
-    case RetrievalConfig::Engine::Hybrid:
-      hits = hybrid_top_k(weights, k, query);
-      break;
   }
 
   seconds.observe(std::chrono::duration<double>(
@@ -241,21 +210,6 @@ std::vector<Hit> SearchEngine::scan_top_k(
   return hits;
 }
 
-std::vector<Hit> SearchEngine::finalize(std::vector<ScoredDoc> scored,
-                                        std::size_t k) const {
-  std::vector<Hit> hits;
-  hits.reserve(std::min(k, scored.size()));
-  for (const ScoredDoc& s : scored) {
-    if (hits.size() >= k) break;
-    Hit h;
-    h.index = s.doc;
-    h.score = s.score;
-    h.text = texts_[s.doc];
-    hits.push_back(std::move(h));
-  }
-  return hits;
-}
-
 void SearchEngine::fill_unmatched(std::vector<Hit>& hits,
                                   std::size_t k) const {
   if (hits.size() >= k) return;
@@ -276,7 +230,7 @@ void SearchEngine::fill_unmatched(std::vector<Hit>& hits,
 std::vector<Hit> SearchEngine::indexed_top_k(
     const std::vector<std::pair<TermId, double>>& query, std::size_t k) const {
   WandStats wstats;
-  std::vector<ScoredDoc> scored =
+  const std::vector<ScoredDoc> scored =
       wand_top_k(index_, query, impact_scale_, k, &wstats);
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& docs_scored =
@@ -289,81 +243,15 @@ std::vector<Hit> SearchEngine::indexed_top_k(
   blocks_skipped.add(wstats.blocks_skipped);
   postings_decoded.add(wstats.postings_decoded);
 
-  std::vector<Hit> hits = finalize(std::move(scored), k);
-  fill_unmatched(hits, k);
-  return hits;
-}
-
-std::vector<Hit> SearchEngine::hybrid_top_k(
-    const std::vector<std::pair<TermId, double>>& query, std::size_t k,
-    const std::string& raw_query) const {
-  const std::size_t expand = k * config_.hybrid_expand;
-  std::vector<ScoredDoc> lexical =
-      wand_top_k(index_, query, impact_scale_, expand, nullptr);
-  std::vector<IvfFlatIndex::Result> dense;
-  if (ivf_.size() > 0) {
-    dense = ivf_.top_k(
-        project_dense(embedder_.embed(raw_query), config_.ivf.dim,
-                      config_.ivf.seed),
-        expand, config_.ivf.probes);
+  std::vector<Hit> hits;
+  hits.reserve(scored.size());
+  for (const ScoredDoc& s : scored) {
+    Hit h;
+    h.index = s.doc;
+    h.score = s.score;
+    h.text = texts_[s.doc];
+    hits.push_back(std::move(h));
   }
-
-  if (config_.fusion == RetrievalConfig::Fusion::Rerank) {
-    // Union the candidate ids, then re-score exactly against the stored
-    // sparse vectors. The WAND list alone already contains the true top-k
-    // (expand >= 1), so the reranked order provably equals the scan's.
-    std::vector<DocId> candidates;
-    candidates.reserve(lexical.size() + dense.size());
-    for (const ScoredDoc& s : lexical) candidates.push_back(s.doc);
-    for (const IvfFlatIndex::Result& r : dense) candidates.push_back(r.doc);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::vector<ScoredDoc> rescored;
-    rescored.reserve(candidates.size());
-    for (const DocId doc : candidates) {
-      const double score = doc_score(vectors_[doc], query);
-      // Zero-score (vector-only) candidates are dropped: the scan ranks
-      // unmatched docs purely by index order, which fill_unmatched
-      // reproduces.
-      if (score > 0.0) rescored.push_back(ScoredDoc{score, doc});
-    }
-    std::sort(rescored.begin(), rescored.end(),
-              [](const ScoredDoc& a, const ScoredDoc& b) {
-                return a.score > b.score ||
-                       (a.score == b.score && a.doc < b.doc);
-              });
-    std::vector<Hit> hits = finalize(std::move(rescored), k);
-    fill_unmatched(hits, k);
-    return hits;
-  }
-
-  // Reciprocal-rank fusion: score = sum over lists of 1 / (rrf_k + rank).
-  std::vector<std::pair<DocId, double>> fused;
-  const auto accumulate = [&](DocId doc, std::size_t rank) {
-    const double contribution =
-        1.0 / (static_cast<double>(config_.rrf_k) + static_cast<double>(rank) +
-               1.0);
-    for (auto& [d, s] : fused) {
-      if (d == doc) {
-        s += contribution;
-        return;
-      }
-    }
-    fused.emplace_back(doc, contribution);
-  };
-  for (std::size_t r = 0; r < lexical.size(); ++r)
-    accumulate(lexical[r].doc, r);
-  for (std::size_t r = 0; r < dense.size(); ++r) accumulate(dense[r].doc, r);
-  std::sort(fused.begin(), fused.end(),
-            [](const auto& a, const auto& b) {
-              return a.second > b.second ||
-                     (a.second == b.second && a.first < b.first);
-            });
-  std::vector<ScoredDoc> scored;
-  scored.reserve(fused.size());
-  for (const auto& [doc, score] : fused) scored.push_back(ScoredDoc{score, doc});
-  std::vector<Hit> hits = finalize(std::move(scored), k);
   fill_unmatched(hits, k);
   return hits;
 }

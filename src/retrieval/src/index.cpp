@@ -405,7 +405,9 @@ std::vector<ScoredDoc> wand_top_k(
     return a.score > b.score || (a.score == b.score && a.doc < b.doc);
   };
   std::vector<ScoredDoc> heap;  // min-heap under `better`: worst kept on top
-  heap.reserve(k);
+  // k comes from the caller (--rag-top-k, RagConfig::top_k): never reserve
+  // more slots than there are documents to fill them.
+  heap.reserve(std::min<std::size_t>(k, index.doc_count()));
 
   std::vector<Cursor*> order;
   order.reserve(cursors.size());

@@ -47,9 +47,9 @@ struct KvCacheConfig {
 /// here — index it before attaching; queries are const-thread-safe.
 struct RagConfig {
   bool enabled = false;
-  /// The indexed hybrid retrieval engine (required when enabled). Which
-  /// query path runs — scan, indexed or hybrid — is the engine's own
-  /// RetrievalConfig::engine; indexed is the default.
+  /// The retrieval engine (required when enabled). Which query path runs
+  /// — scan or indexed — is the engine's own RetrievalConfig::engine;
+  /// indexed is the default.
   std::shared_ptr<const retrieval::SearchEngine> engine;
   std::size_t top_k = 2;
   /// Hits below this score are dropped; a request whose hits all fall

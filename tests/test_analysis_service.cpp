@@ -22,6 +22,7 @@
 #include "hpcgpt/minilang/parse.hpp"
 #include "hpcgpt/minilang/render.hpp"
 #include "hpcgpt/obs/trace.hpp"
+#include "hpcgpt/retrieval/embedder.hpp"
 #include "hpcgpt/serve/server.hpp"
 
 namespace hpcgpt::analysis {
@@ -253,6 +254,76 @@ TEST(VerificationService, ExplainGroundsRationaleInDrbKb) {
   EXPECT_TRUE(warm.functions[0].cache_hit);
   EXPECT_EQ(warm.functions[0].rationale, f.rationale);
   EXPECT_EQ(warm.functions[0].grounding, f.grounding);
+}
+
+TEST(VerificationService, ExplainGroundingMatchesFloatCosineOracle) {
+  // Grounding scores chunks by the search engine's 8-bit impacts. The
+  // oracle keeps the float arithmetic instead: the top grounding_top_k KB
+  // chunks by dot product of L2-normalized TF-IDF vectors (ties toward the
+  // lower index), cut at grounding_min_score. Every DRB evaluation case,
+  // C and Fortran, must be grounded in exactly the oracle's chunks.
+  const ServiceOptions options;
+  const std::vector<std::string>& kb = drb_category_kb();
+  retrieval::TfidfEmbedder embedder;
+  embedder.fit(kb);
+  std::vector<retrieval::SparseVector> kb_vectors;
+  for (const std::string& chunk : kb) {
+    kb_vectors.push_back(embedder.embed(chunk));
+  }
+  const auto oracle = [&](const std::string& query) {
+    const retrieval::SparseVector q = embedder.embed(query);
+    std::vector<std::pair<double, std::size_t>> ranked;  // (score, index)
+    for (std::size_t i = 0; i < kb.size(); ++i) {
+      double dot = 0.0;
+      auto a = q.begin();
+      auto b = kb_vectors[i].begin();
+      while (a != q.end() && b != kb_vectors[i].end()) {
+        if (a->first < b->first) {
+          ++a;
+        } else if (b->first < a->first) {
+          ++b;
+        } else {
+          dot += static_cast<double>(a->second) *
+                 static_cast<double>(b->second);
+          ++a;
+          ++b;
+        }
+      }
+      ranked.emplace_back(dot, i);
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first > y.first;
+                     });
+    std::vector<std::string> chunks;
+    for (std::size_t r = 0; r < options.grounding_top_k && r < ranked.size();
+         ++r) {
+      if (ranked[r].first >= options.grounding_min_score) {
+        chunks.push_back(kb[ranked[r].second]);
+      }
+    }
+    return chunks;
+  };
+
+  VerificationService service(options);
+  std::size_t cases = 0;
+  for (const Flavor flavor : {Flavor::C, Flavor::Fortran}) {
+    VerifyRequest request;
+    request.explain = true;
+    for (const drb::TestCase& tc : drb::evaluation_suite(flavor)) {
+      request.functions.push_back({tc.id, tc.source});
+    }
+    for (const FunctionReport& f : service.verify(request).functions) {
+      ASSERT_TRUE(f.parsed) << f.name << ": " << f.parse_error;
+      std::string query = f.rationale;
+      if (const Diagnostic* e = f.report.first_error()) {
+        query += " " + e->variable + " " + e->message;
+      }
+      EXPECT_EQ(f.grounding, oracle(query)) << f.name;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 343u);
 }
 
 TEST(VerificationService, ExplainOffLeavesRationaleEmpty) {

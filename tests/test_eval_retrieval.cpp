@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "hpcgpt/eval/metrics.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/text/chunker.hpp"
 
 namespace hpcgpt {
@@ -122,10 +122,10 @@ std::vector<std::string> corpus() {
   };
 }
 
-retrieval::VectorStore make_store() {
+retrieval::SearchEngine make_store() {
   retrieval::TfidfEmbedder emb;
   emb.fit(corpus());
-  retrieval::VectorStore store(emb);
+  retrieval::SearchEngine store(emb);
   store.add_all(corpus());
   return store;
 }
@@ -150,14 +150,6 @@ TEST(Retrieval, TopHitMatchesTopic) {
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_NE(hits[0].text.find("dgxh100_n64"), std::string::npos);
   EXPECT_GT(hits[0].score, hits[1].score);
-}
-
-TEST(Retrieval, CosineIdenticalIsOne) {
-  retrieval::TfidfEmbedder emb;
-  emb.fit(corpus());
-  const auto v = emb.embed(corpus()[2]);
-  // Float-stored weights: self-similarity is 1 to single precision.
-  EXPECT_NEAR(retrieval::cosine(v, v), 1.0, 1e-6);
 }
 
 TEST(Retrieval, UnknownWordsEmbedEmpty) {
@@ -195,7 +187,7 @@ TEST(Retrieval, ChunkerFeedsStore) {
   const auto chunks = text::chunk_document(doc, {});
   retrieval::TfidfEmbedder emb;
   emb.fit(chunks);
-  retrieval::VectorStore store(emb);
+  retrieval::SearchEngine store(emb);
   store.add_all(chunks);
   const auto hits = store.top_k("zeus prometheus system", 1);
   ASSERT_EQ(hits.size(), 1u);

@@ -1,15 +1,17 @@
-// Retrieval engine property tests: the indexed (WAND) and hybrid
-// (rerank-fusion) query paths must reproduce the brute-force scan ranking
-// exactly — same doc order AND same scores — on randomized corpora,
-// including tied scores, incremental adds, sealing/merging segment
-// boundaries and empty/out-of-vocabulary queries. Plus unit coverage for
-// the posting iterators, IVF-flat index and the RetrievalConfig name maps. Labeled "retrieval" so the sanitize preset
-// exercises the varint codec and iterator paths under ASan/UBSan.
+// Retrieval engine property tests: the indexed (WAND) query path must
+// reproduce the brute-force scan ranking exactly — same doc order AND same
+// scores — on randomized corpora, including tied scores, incremental adds,
+// sealing/merging segment boundaries, empty/out-of-vocabulary queries and
+// k far beyond the corpus size. Plus unit coverage for the posting
+// iterators and the RetrievalConfig name maps. Labeled "retrieval" so the
+// sanitize preset exercises the varint codec and iterator paths under
+// ASan/UBSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,8 +19,6 @@
 
 #include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/retrieval/index.hpp"
-#include "hpcgpt/retrieval/ivf.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
 #include "hpcgpt/support/rng.hpp"
 
 namespace {
@@ -28,7 +28,6 @@ using retrieval::RetrievalConfig;
 
 using Engine = RetrievalConfig::Engine;
 using Weighting = RetrievalConfig::Weighting;
-using Fusion = RetrievalConfig::Fusion;
 
 // Small word pool => heavy term overlap, frequent exact score ties.
 std::vector<std::string> make_pool(std::size_t n) {
@@ -63,8 +62,6 @@ RetrievalConfig churny_config(Weighting weighting) {
   cfg.index.block_size = 4;
   cfg.index.seal_threshold = 16;
   cfg.index.merge_fanin = 3;
-  cfg.ivf.dim = 16;
-  cfg.ivf.train_threshold = 32;
   return cfg;
 }
 
@@ -81,7 +78,7 @@ void expect_same_hits(const std::vector<retrieval::Hit>& want,
   }
 }
 
-// ---- scan == indexed == hybrid equivalence ---------------------------
+// ---- scan == indexed equivalence --------------------------------------
 
 TEST(RetrievalEquivalence, IndexedAndHybridMatchScanOnRandomCorpora) {
   const std::vector<std::string> pool = make_pool(24);
@@ -110,8 +107,6 @@ TEST(RetrievalEquivalence, IndexedAndHybridMatchScanOnRandomCorpora) {
           const auto scan = engine.top_k_with(query, k, Engine::Scan);
           expect_same_hits(scan, engine.top_k_with(query, k, Engine::Indexed),
                            what + " [indexed]");
-          expect_same_hits(scan, engine.top_k_with(query, k, Engine::Hybrid),
-                           what + " [hybrid]");
         }
       }
     }
@@ -139,9 +134,6 @@ TEST(RetrievalEquivalence, TiedScoresBreakByAscendingIndexOnBothPaths) {
   expect_same_hits(scan, engine.top_k_with("mpi race detection", 6,
                                            Engine::Indexed),
                    "tied [indexed]");
-  expect_same_hits(scan, engine.top_k_with("mpi race detection", 6,
-                                           Engine::Hybrid),
-                   "tied [hybrid]");
 }
 
 TEST(RetrievalEquivalence, IncrementalAddsStayImmediatelySearchable) {
@@ -194,34 +186,19 @@ TEST(RetrievalEquivalence, EmptyAndOovQueriesMatchScanShape) {
     EXPECT_EQ(scan[1].index, 1u);
     expect_same_hits(scan, engine.top_k_with(query, 2, Engine::Indexed),
                      std::string("oov [indexed] q=") + query);
-    expect_same_hits(scan, engine.top_k_with(query, 2, Engine::Hybrid),
-                     std::string("oov [hybrid] q=") + query);
   }
-}
-
-TEST(RetrievalEquivalence, RrfFusionStillReturnsKRankedHits) {
-  // RRF intentionally blends lexical and vector order (not scan-equal),
-  // but must stay well-formed: k hits, scores non-increasing.
-  const std::vector<std::string> pool = make_pool(12);
-  Rng rng(0x44f);
-  std::vector<std::string> corpus;
-  for (std::size_t d = 0; d < 40; ++d) {
-    corpus.push_back(random_doc(rng, pool, 2, 8));
+  // A matching query with k beyond the corpus: the scan clamps to the
+  // corpus size and WAND must too. k comes from outside (--rag-top-k,
+  // RagConfig::top_k), so WAND must not size anything from it.
+  for (const std::size_t k : {engine.size() + 1, std::size_t{1} << 40,
+                              std::numeric_limits<std::size_t>::max()}) {
+    const auto scan = engine.top_k_with("gamma", k, Engine::Scan);
+    ASSERT_EQ(scan.size(), engine.size());
+    EXPECT_EQ(scan[0].index, 1u);
+    EXPECT_GT(scan[0].score, 0.0);
+    expect_same_hits(scan, engine.top_k_with("gamma", k, Engine::Indexed),
+                     "oversized k=" + std::to_string(k));
   }
-  retrieval::TfidfEmbedder embedder;
-  embedder.fit(corpus);
-  RetrievalConfig cfg = churny_config(Weighting::Tfidf);
-  cfg.engine = Engine::Hybrid;
-  cfg.fusion = Fusion::Rrf;
-  retrieval::SearchEngine engine(embedder, cfg);
-  engine.add_all(corpus);
-
-  const auto hits = engine.top_k(corpus[7], 5);
-  ASSERT_EQ(hits.size(), 5u);
-  for (std::size_t i = 1; i < hits.size(); ++i) {
-    EXPECT_GE(hits[i - 1].score, hits[i].score);
-  }
-  EXPECT_GT(hits[0].score, 0.0);
 }
 
 // ---- posting iterators ------------------------------------------------
@@ -349,91 +326,26 @@ TEST(PostingIterators, CompressedRoundTripAcrossBlockSizes) {
   }
 }
 
-// ---- IVF-flat ---------------------------------------------------------
-
-TEST(IvfFlat, ProbingAllClustersEqualsBruteForce) {
-  retrieval::IvfOptions opts;
-  opts.dim = 16;
-  opts.train_threshold = 64;
-  retrieval::IvfFlatIndex index(opts);
-
-  Rng rng(0x1f5);
-  std::vector<std::vector<float>> vecs;
-  for (std::size_t d = 0; d < 300; ++d) {
-    retrieval::SparseVector sparse;
-    for (retrieval::TermId t = 0; t < 32; ++t) {
-      if (rng.next_below(4) == 0) sparse.emplace_back(t, rng.next_float());
-    }
-    if (sparse.empty()) sparse.emplace_back(0u, 1.0f);
-    vecs.push_back(retrieval::project_dense(sparse, opts.dim, opts.seed));
-    index.add(static_cast<retrieval::DocId>(d), vecs.back());
-  }
-  ASSERT_TRUE(index.trained());
-  ASSERT_GT(index.cluster_count(), 1u);
-
-  const std::vector<float>& query = vecs[123];
-  // Reference scores in double (the index accumulates in float, so allow
-  // FP noise: compare via tolerance, and check top-k *optimality* — the
-  // returned set's total score matches the best achievable — instead of
-  // demanding a bitwise-identical ranking).
-  constexpr double kTol = 1e-4;
-  std::vector<double> naive(vecs.size(), 0.0);
-  for (std::size_t d = 0; d < vecs.size(); ++d) {
-    for (std::size_t j = 0; j < opts.dim; ++j) {
-      naive[d] += static_cast<double>(query[j]) * vecs[d][j];
-    }
-  }
-  std::vector<double> best(naive);
-  std::sort(best.begin(), best.end(), std::greater<>());
-  double want_total = 0.0;
-  for (std::size_t i = 0; i < 10; ++i) want_total += best[i];
-
-  const auto got = index.top_k(query, 10, index.cluster_count());
-  ASSERT_EQ(got.size(), 10u);
-  double got_total = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].score, naive[got[i].doc], kTol) << "rank " << i;
-    if (i > 0) EXPECT_GE(got[i - 1].score + kTol, got[i].score);
-    got_total += naive[got[i].doc];
-  }
-  EXPECT_NEAR(got_total, want_total, 10 * kTol);
-  // The self-query's nearest neighbor is itself.
-  EXPECT_EQ(got[0].doc, 123u);
-
-  // Default (partial) probing still returns k well-formed results.
-  const auto approx = index.top_k(query, 10);
-  ASSERT_EQ(approx.size(), 10u);
-  EXPECT_EQ(approx[0].doc, 123u);  // own cluster is always probed
-}
-
 // ---- config -----------------------------------------------------------
 
 TEST(RetrievalConfigNames, RoundTripAndValidation) {
   using retrieval::engine_by_name;
   using retrieval::engine_name;
-  using retrieval::fusion_by_name;
-  using retrieval::fusion_name;
   using retrieval::weighting_by_name;
   using retrieval::weighting_name;
 
-  for (const Engine e : {Engine::Scan, Engine::Indexed, Engine::Hybrid}) {
+  for (const Engine e : {Engine::Scan, Engine::Indexed}) {
     EXPECT_EQ(engine_by_name(engine_name(e)), e);
-  }
-  for (const Fusion f : {Fusion::Rerank, Fusion::Rrf}) {
-    EXPECT_EQ(fusion_by_name(fusion_name(f)), f);
   }
   for (const Weighting w : {Weighting::Tfidf, Weighting::Bm25}) {
     EXPECT_EQ(weighting_by_name(weighting_name(w)), w);
   }
   EXPECT_THROW(engine_by_name("linear"), std::invalid_argument);
-  EXPECT_THROW(fusion_by_name("concat"), std::invalid_argument);
+  EXPECT_THROW(engine_by_name("hybrid"), std::invalid_argument);
   EXPECT_THROW(weighting_by_name("tf"), std::invalid_argument);
 
   RetrievalConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.hybrid_expand = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = {};
   cfg.index.merge_fanin = 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};

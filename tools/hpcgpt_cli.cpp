@@ -1,4 +1,6 @@
-// hpcgpt — command-line front end for the whole pipeline.
+// hpcgpt — command-line front end for the whole pipeline. Each command
+// accepts exactly the flags listed with it below; any other flag exits
+// with status 2.
 //
 //   hpcgpt collect --out dataset.jsonl [--seed N] [--scale D]
 //       run the §3.2 instruction collection and write JSON-lines
@@ -12,14 +14,12 @@
 //       optimizer step, --pack concatenates short examples to the
 //       context window, --trace-out writes a Perfetto trace of the run
 //   hpcgpt ask --model model.bin [--quant int8|fp16|fp32] [--rag]
-//          [--retrieval scan|indexed|hybrid] [--fusion rerank|rrf]
-//          [--rag-score impact|bm25] [--rag-top-k K] [--rag-min-score S]
-//          "question..."
+//          [--retrieval scan|indexed] [--rag-score impact|bm25]
+//          [--rag-top-k K] [--rag-min-score S] "question..."
 //       free-form Task-1 question answering; --rag retrieves context from
-//       the built-in knowledge base through the indexed hybrid search
-//       engine first (--retrieval picks the query path, --fusion the
-//       hybrid candidate fusion, --rag-score the document-side index
-//       weighting: impact = TF-IDF, bm25 = Okapi BM25)
+//       the built-in knowledge base through the search engine first
+//       (--retrieval picks the query path, --rag-score the document-side
+//       index weighting: impact = TF-IDF, bm25 = Okapi BM25)
 //   hpcgpt detect [--model model.bin] file.c|file.f90
 //       race-check a source file with the four tools (and, when a model
 //       is given, the LLM-based method of Task 2)
@@ -28,8 +28,7 @@
 //   hpcgpt serve --model model.bin [--metrics] [--trace-out trace.json]
 //          [--quant int8|fp16|fp32] [--batch N] [--max-new-tokens T]
 //          [--window SECONDS] [--kv-pages N] [--prefix-cache on|off]
-//          [--rag] [--retrieval scan|indexed|hybrid]
-//          [--fusion rerank|rrf] [--rag-score impact|bm25]
+//          [--rag] [--retrieval scan|indexed] [--rag-score impact|bm25]
 //          [--rag-top-k K] [--rag-min-score S]
 //          [--metrics-port N] [--slo-ttft SECONDS]
 //       answer questions from stdin, one per line (Figure-1 deployment).
@@ -89,7 +88,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "hpcgpt/analysis/service.hpp"
 #include "hpcgpt/core/evaluation.hpp"
@@ -274,8 +275,7 @@ void apply_quant(core::HpcGpt& model, const Args& args) {
 
 /// --rag support, shared by ask and serve: a SearchEngine over the
 /// built-in knowledge base (unstructured paragraphs plus every flattened
-/// PLP/MLPerf record), with --retrieval picking the query path and
-/// --fusion the hybrid candidate fusion.
+/// PLP/MLPerf record), with --retrieval picking the query path.
 std::shared_ptr<retrieval::SearchEngine> build_rag_engine(const Args& args) {
   std::vector<std::string> chunks = kb::unstructured_corpus();
   const kb::KnowledgeBase& base = kb::KnowledgeBase::expanded();
@@ -285,7 +285,6 @@ std::shared_ptr<retrieval::SearchEngine> build_rag_engine(const Args& args) {
   embedder.fit(chunks);
   retrieval::RetrievalConfig config;
   config.engine = retrieval::engine_by_name(opt(args, "retrieval", "indexed"));
-  config.fusion = retrieval::fusion_by_name(opt(args, "fusion", "rerank"));
   // --rag-score picks the document-side index weighting: "impact" is the
   // TF-IDF impact-ordered default, "bm25" switches to Okapi BM25.
   const std::string score = opt(args, "rag-score", "impact");
@@ -306,11 +305,7 @@ std::shared_ptr<retrieval::SearchEngine> build_rag_engine(const Args& args) {
 core::RagOptions rag_options(const Args& args) {
   core::RagOptions options;
   options.top_k = std::stoul(opt(args, "rag-top-k", "2"));
-  // RRF scores are rank reciprocals (at most 1/61 per source), so the
-  // cosine-similarity floor of 0.05 would silently drop every hit; only
-  // similarity-scored fusion gets a non-zero default.
-  const bool rrf = opt(args, "fusion", "rerank") == "rrf";
-  options.min_score = std::stod(opt(args, "rag-min-score", rrf ? "0.0" : "0.05"));
+  options.min_score = std::stod(opt(args, "rag-min-score", "0.05"));
   return options;
 }
 
@@ -731,24 +726,58 @@ int usage() {
   return 2;
 }
 
+/// A subcommand and the flags it accepts: exactly the flags its cmd_*
+/// reads, plus those read by the helpers it calls (apply_quant,
+/// build_rag_engine, rag_options, trace capture).
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"collect", cmd_collect, {"out", "seed", "scale"}},
+    {"train", cmd_train,
+     {"data", "out", "base", "lora", "epochs", "max-records", "workers",
+      "micro-batch", "pack", "trace-out"}},
+    {"ask", cmd_ask,
+     {"model", "quant", "rag", "retrieval", "rag-score", "rag-top-k",
+      "rag-min-score"}},
+    {"detect", cmd_detect, {"model"}},
+    {"eval", cmd_eval, {"model", "quant", "language"}},
+    {"serve", cmd_serve,
+     {"model", "quant", "batch", "max-new-tokens", "window", "kv-pages",
+      "prefix-cache", "rag", "retrieval", "rag-score", "rag-top-k",
+      "rag-min-score", "metrics", "metrics-port", "slo-ttft", "trace-out"}},
+    {"verify-serve", cmd_verify_serve,
+     {"compat", "explain", "cache", "metrics", "metrics-port"}},
+    {"top", cmd_top, {"interval", "frames", "plain"}},
+    {"obs", cmd_obs, {"model", "question", "compact", "format"}},
+    {"export-drb", cmd_export_drb, {"dir", "language"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const Command* cmd = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return c.name == command; });
+  if (cmd == std::end(kCommands)) return usage();
   const Args args = parse_args(argc, argv, 2);
+  // A flag nothing reads is a typo or a removed flag; rejecting it before
+  // any file or model is opened beats silently running without it.
+  for (const auto& option : args.options) {
+    if (std::find(cmd->flags.begin(), cmd->flags.end(), option.first) ==
+        cmd->flags.end()) {
+      std::fprintf(stderr, "hpcgpt: unknown option --%s for %s\n",
+                   option.first.c_str(), command.c_str());
+      return 2;
+    }
+  }
   try {
-    if (command == "collect") return cmd_collect(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "ask") return cmd_ask(args);
-    if (command == "detect") return cmd_detect(args);
-    if (command == "eval") return cmd_eval(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "verify-serve") return cmd_verify_serve(args);
-    if (command == "top") return cmd_top(args);
-    if (command == "obs") return cmd_obs(args);
-    if (command == "export-drb") return cmd_export_drb(args);
-    return usage();
+    return cmd->run(args);
   } catch (const Error& e) {
     std::fprintf(stderr, "hpcgpt: %s\n", e.what());
     return 1;
