@@ -24,14 +24,15 @@ std::string base_model_name(BaseModel base);
 /// The defaults reproduce the classic one-sequence-per-step sequential
 /// loop exactly, so existing training runs are unchanged unless opted in.
 struct TrainOptions {
-  /// Data-parallel workers (model replicas). 0 = all hardware threads.
+  /// Data-parallel workers (model replicas). 0 = usable_cores(), the
+  /// CPUs in the affinity mask.
   /// Any value reproduces workers=1 up to float summation order.
   std::size_t workers = 1;
   /// Sequences accumulated (and gradient-averaged) per optimizer step.
   std::size_t micro_batch = 1;
   /// Fine-tuning only: concatenate short instruction pairs up to the
   /// context window (targets masked with -1 at boundaries) so train
-  /// steps feed the blocked GEMM at batch width instead of width ~30.
+  /// steps feed the GEMM at batch width instead of width ~30.
   bool pack_sequences = false;
 };
 

@@ -23,7 +23,7 @@ struct TrainSequence {
 /// consecutive examples while the combined length stays within `max_seq`,
 /// masking the target at each internal boundary with -1 so the loss never
 /// asks the model to predict across examples. Packed steps feed the
-/// blocked GEMM at near-context width instead of the short instruction
+/// GEMM at near-context width instead of the short instruction
 /// lengths — the batched-train-step half of the throughput story. (Later
 /// examples in a pack can attend to earlier ones; accepting that
 /// contamination for throughput is the standard SFT-packing tradeoff.)
@@ -36,7 +36,7 @@ std::vector<TrainSequence> pack_sequences(
 /// Data-parallel engine knobs.
 struct TrainerOptions {
   AdamConfig adam{};
-  /// Data-parallel workers (model replicas). 0 = hardware concurrency.
+  /// Data-parallel workers (model replicas). 0 = usable_cores().
   /// Results are independent of this up to float reduction order.
   std::size_t workers = 1;
   /// Sequences accumulated per optimizer step. This is a *global* batch:

@@ -18,8 +18,9 @@ namespace hpcgpt::nn {
 /// of the call: a lane of a decode round, or a position of a prompt.
 /// ensure() sizes the buffers the forward reads row by row; the GEMM
 /// outputs size themselves on first use. Nothing reallocates while the
-/// row count stays the same, so steady-state decode of up to 8 lanes
-/// makes no heap allocation (test_decode_alloc). Three owners: the
+/// row count stays the same, so steady-state decode makes no heap
+/// allocation (test_decode_alloc, up to 16 lanes; int8 rows fan out to
+/// the pool, which allocates, from 32 rows up). Three owners: the
 /// server keeps one for its decode rounds, each DecodeState one for its
 /// batch-of-one decode_step calls, and prefill one per call.
 struct BatchScratch {
@@ -269,8 +270,8 @@ class Transformer {
   /// and returns the (batch × vocab) logits — row b belongs to lane b,
   /// valid until the next call with the same scratch. States must be
   /// distinct sessions of this model. Thread-safe w.r.t. the model (read
-  /// only). Row b equals decode_step(states[b], ids[b]) bit for bit in
-  /// int8 and fp16, and in fp32 up to 8 lanes (the small-GEMM path).
+  /// only). Row b equals decode_step(states[b], ids[b]) bit for bit at
+  /// any lane count, in fp32, int8 and fp16.
   const tensor::Matrix& decode_step_batch(
       std::span<DecodeState* const> states,
       std::span<const text::TokenId> ids, BatchScratch& scratch) const;

@@ -74,10 +74,7 @@ std::vector<TrainSequence> pack_sequences(
 
 Trainer::Trainer(Transformer& model, TrainerOptions options)
     : model_(model), options_(options), optimizer_(options.adam) {
-  workers_ = options_.workers != 0
-                 ? options_.workers
-                 : std::max<std::size_t>(
-                       1, std::thread::hardware_concurrency());
+  workers_ = options_.workers != 0 ? options_.workers : usable_cores();
   require(options_.micro_batch > 0, "Trainer: micro_batch is 0");
 }
 

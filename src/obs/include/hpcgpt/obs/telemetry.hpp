@@ -103,7 +103,8 @@ class TelemetryPipeline {
   TelemetryPipeline& operator=(const TelemetryPipeline&) = delete;
 
   /// Starts the collector thread and the HTTP server (each only when
-  /// configured). Safe to call once; tick() works without start().
+  /// configured). With a collector, the first tick runs before start()
+  /// returns. Safe to call once; tick() works without start().
   void start();
   void stop();
 

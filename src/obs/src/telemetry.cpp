@@ -270,17 +270,21 @@ TelemetryPipeline::~TelemetryPipeline() { stop(); }
 
 void TelemetryPipeline::start() {
   if (!running_ && config_.sample_interval_seconds > 0.0) {
+    // The first sample is taken here rather than on the collector thread,
+    // so health() and /healthz carry every rule as soon as start()
+    // returns, however late the thread is first scheduled.
+    tick();
     running_ = true;
     stop_requested_ = false;
     thread_ = std::thread([this] {
       const auto period =
           std::chrono::duration<double>(config_.sample_interval_seconds);
       std::unique_lock<std::mutex> lock(stop_mutex_);
-      while (!stop_requested_) {
+      while (!stop_cv_.wait_for(lock, period,
+                                [this] { return stop_requested_; })) {
         lock.unlock();
         tick();
         lock.lock();
-        stop_cv_.wait_for(lock, period, [this] { return stop_requested_; });
       }
     });
   }

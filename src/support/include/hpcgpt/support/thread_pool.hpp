@@ -12,17 +12,25 @@
 
 namespace hpcgpt {
 
+/// CPUs the calling thread may run on: the size of its affinity mask
+/// (sched_getaffinity), so a process started under `taskset` or a
+/// cpuset sizes itself to what it was given. Falls back to
+/// std::thread::hardware_concurrency() where the mask cannot be read;
+/// always at least 1.
+std::size_t usable_cores();
+
 /// A fixed-size worker pool with a shared FIFO task queue.
 ///
 /// This is the shared-memory parallel substrate for the whole repository:
-/// the tensor library's GEMM, the data-generation pipeline and the race
-/// detector evaluation harness all schedule work through it. The pool is
+/// the tensor library's row loops (int8 rows, softmax_rows), the
+/// data-generation pipeline and the race detector evaluation harness all
+/// schedule work through it. The pool is
 /// intentionally simple — a mutex-protected deque — because tasks in this
 /// codebase are coarse (row blocks, whole test programs), so queue
 /// contention is negligible.
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `threads` workers; 0 means usable_cores().
   explicit ThreadPool(std::size_t threads = 0);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -55,7 +63,8 @@ class ThreadPool {
     return result;
   }
 
-  /// The process-wide default pool, sized to the hardware.
+  /// The process-wide default pool, sized by usable_cores() when first
+  /// used.
   static ThreadPool& global();
 
   /// True while a ParallelInlineGuard is alive on the calling thread.
@@ -76,7 +85,7 @@ class ThreadPool {
 /// targets. This is how an outer parallel engine — the data-parallel
 /// trainer runs one model replica per OS thread — keeps the inner tensor
 /// kernels from re-submitting row blocks to the global pool: without the
-/// guard, W trainer threads would funnel their GEMM chunks through the
+/// guard, W trainer threads would funnel their row chunks through the
 /// global queue, serializing on its workers instead of using their own
 /// core. Nestable; the effect ends when the outermost guard dies.
 class ParallelInlineGuard {
@@ -113,8 +122,8 @@ void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
 /// tiny ranges run inline without synchronization cost.
 ///
 /// The inline decision comes before `body` is type-erased, so a range
-/// that runs inline never wraps it in a std::function: the per-token
-/// decode GEMMs stay allocation-free. Only a pooled range wraps it, by
+/// that runs inline never wraps it in a std::function: the int8 rows of
+/// a decode round stay allocation-free. Only a pooled range wraps it, by
 /// reference.
 ///
 /// Safe to call from inside a task running on `pool`: a nested call runs

@@ -1,10 +1,24 @@
 #include "hpcgpt/support/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
 
 namespace hpcgpt {
+
+std::size_t usable_cores() {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 namespace {
 
@@ -37,9 +51,7 @@ ParallelInlineGuard::ParallelInlineGuard() { ++inline_region_depth; }
 ParallelInlineGuard::~ParallelInlineGuard() { --inline_region_depth; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = usable_cores();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -8,11 +8,12 @@
 
 namespace hpcgpt::tensor::kernels {
 
-/// Instruction-set tiers of the quantized micro-kernels, best-first. The
-/// active tier is probed from cpuid at first use (see active()); every
-/// tier computes bitwise-identical int8 results (the int8 dot products
-/// accumulate in exact int32 arithmetic, which is associative, so vector
-/// width cannot change the answer — asserted tier-vs-tier in
+/// Instruction-set tiers of the micro-kernels (fp32 GEMM, quantized
+/// GEMV, attention), best-first. The active tier is probed from cpuid at
+/// first use (see active()); every tier computes bitwise-identical fp32
+/// GEMM and int8 results (the GEMM rounds one FMA per step in a fixed k
+/// order, and the int8 dot products accumulate in exact int32 arithmetic,
+/// so vector width cannot change the answer — asserted tier-vs-tier in
 /// test_kernels.cpp).
 enum class IsaTier {
   Scalar = 0,  ///< portable C++ fallback — always supported
@@ -46,6 +47,18 @@ inline constexpr std::size_t kKvPageSize = 16;
 struct KernelTable {
   IsaTier tier = IsaTier::Scalar;
   const char* name = "scalar";
+
+  /// fp32 GEMM behind every tensor::matmul* entry point: C = A·B, or
+  /// C += A·B when `accumulate`. A is m×k with element (i, p) at
+  /// a[i·a_rs + p·a_cs], so a transposed operand is read in place; B is
+  /// row-major k×n and C row-major m×n. Each C element is one chain of
+  /// fused multiply-adds over p = 0, 1, …, k-1, seeded with 0 (or with
+  /// the old C value when accumulating). Row i of C therefore depends
+  /// only on row i of A and on B: not on m, the tile shape, the thread
+  /// or the tier, all of which return the same bits.
+  void (*gemm_f32)(const float* a, std::size_t a_rs, std::size_t a_cs,
+                   const float* b, float* c, std::size_t m, std::size_t k,
+                   std::size_t n, bool accumulate);
 
   /// Quantized GEMV: y[j] = (float(dot_j) * xscale) * wscale[j] where
   /// dot_j = Σ_i qx[i]·w_ij in exact int32. `w` is quad-interleaved:

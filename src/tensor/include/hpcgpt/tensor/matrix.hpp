@@ -62,20 +62,24 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = a · b. Shapes: (m×k)·(k×n) → (m×n). Parallel over row blocks of
-/// `a` via the global thread pool. Large shapes run a cache-blocked
-/// kernel: B is packed once into NR-wide column panels, then an MR×NR
-/// register tile streams each panel with a KC-deep k loop (see DESIGN.md,
-/// "Inference engine"); small shapes fall back to a plain ikj loop.
+/// out = a · b. Shapes: (m×k)·(k×n) → (m×n). All six matmul* entry
+/// points run one register-tiled FMA kernel (kernels::KernelTable::
+/// gemm_f32) on the calling thread. Each output element is one fused
+/// multiply-add chain over k in ascending order, so row i of `out`
+/// depends only on row i of `a` (column i for matmul_tn) and on `b`: its
+/// bits are the same whatever the row count, thread or ISA tier (see
+/// DESIGN.md, "Inference engine").
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = a · bᵀ. Shapes: (m×k)·(n×k)ᵀ → (m×n).
+/// out = a · bᵀ. Shapes: (m×k)·(n×k)ᵀ → (m×n). Copies bᵀ once per call
+/// into a per-thread buffer that keeps its capacity.
 void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = aᵀ · b. Shapes: (k×m)ᵀ·(k×n) → (m×n).
 void matmul_tn(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out += a · b (accumulating variants used by backprop).
+/// out += a · b (accumulating variants used by backprop): each chain is
+/// seeded with the old `out` value.
 void matmul_acc(const Matrix& a, const Matrix& b, Matrix& out);
 void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& out);
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out);

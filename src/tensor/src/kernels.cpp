@@ -147,6 +147,35 @@ void silu_mul_scalar(float* gate, const float* up, std::size_t n) {
   }
 }
 
+// --- fp32 GEMM -------------------------------------------------------------
+// std::fma rounds once per step, exactly like one lane of a vector FMA,
+// so this loop is the reference the SIMD tiers reproduce bit for bit:
+// they only tile the same per-element chains into registers.
+
+void gemm_f32_scalar(const float* a, std::size_t a_rs, std::size_t a_cs,
+                     const float* b, float* c, std::size_t m, std::size_t k,
+                     std::size_t n, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
+    float* __restrict ci = c + i * n;
+    if (!accumulate) std::fill(ci, ci + n, 0.0f);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = a[i * a_rs + p * a_cs];
+      const float* __restrict bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) ci[j] = std::fma(aip, bp[j], ci[j]);
+    }
+  }
+}
+
+/// The operands of one gemm_f32 call, shared by the register-tiled tiers.
+struct GemmArgs {
+  const float* a;
+  std::size_t a_rs, a_cs;
+  const float* b;
+  float* c;
+  std::size_t m, k, n;
+  bool accumulate;
+};
+
 // Shared scalar tail for the x86 int8 kernels: identical integer math,
 // used for output columns past the widest vector chunk.
 inline std::int32_t dot_col_i8(const std::int8_t* qx, const std::int8_t* w,
@@ -555,6 +584,70 @@ __attribute__((target("avx2,fma"))) void silu_mul_avx2(float* gate,
   }
 }
 
+// AVX2+FMA GEMM tile (run by gemm_tiled below): 6 rows × 2 vectors of
+// C stay in 12 of the 16 YMM registers for the whole k loop, beside the
+// two B vectors and one broadcast. The unroll pragmas here and in the
+// AVX-512 tile make GCC unroll the tile loops before scalar replacement;
+// without them it keeps `acc` on the stack and stores every accumulator
+// on each k step.
+alignas(32) constexpr std::int32_t kLaneMask8[16] = {-1, -1, -1, -1, -1, -1,
+                                                     -1, -1, 0,  0,  0,  0,
+                                                     0,  0,  0,  0};
+
+struct Avx2Gemm {
+  static constexpr std::size_t kWidth = 8;
+  static constexpr int kRows = 6;
+  static constexpr int kVecs = 2;
+
+  /// C rows [i, i+MR) × columns [j, j + 8·NV): the last vector holds
+  /// `last` (1..8) columns and is read and written masked.
+  template <int MR, int NV>
+  __attribute__((target("avx2,fma"))) static void tile(const GemmArgs& g,
+                                                       std::size_t i,
+                                                       std::size_t j,
+                                                       std::size_t last) {
+    const std::size_t n = g.n, k = g.k, a_rs = g.a_rs, a_cs = g.a_cs;
+    const __m256i tail = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kLaneMask8 + 8 - last));
+    float* c = g.c + i * n + j;
+    __m256 acc[MR][NV] = {};
+    if (g.accumulate) {
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+        for (int v = 0; v + 1 < NV; ++v) {
+          acc[r][v] = _mm256_loadu_ps(c + r * n + 8 * v);
+        }
+        acc[r][NV - 1] = _mm256_maskload_ps(c + r * n + 8 * (NV - 1), tail);
+      }
+    }
+    const float* a = g.a + i * a_rs;
+    const float* b = g.b + j;
+    for (std::size_t p = 0; p < k; ++p, a += a_cs, b += n) {
+      __m256 bv[NV];
+#pragma GCC unroll 8
+      for (int v = 0; v + 1 < NV; ++v) bv[v] = _mm256_loadu_ps(b + 8 * v);
+      bv[NV - 1] = _mm256_maskload_ps(b + 8 * (NV - 1), tail);
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+        const __m256 ar = _mm256_broadcast_ss(a + r * a_rs);
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+      for (int v = 0; v + 1 < NV; ++v) {
+        _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+      }
+      _mm256_maskstore_ps(c + r * n + 8 * (NV - 1), tail, acc[r][NV - 1]);
+    }
+  }
+};
+
 // ---------------------------------------------------------------------------
 // AVX-512 VNNI tier. vpdpbusd wants unsigned×signed bytes; biasing the
 // activation quad into offset-binary (qx XOR 0x80 == qx + 128 as u8)
@@ -566,13 +659,50 @@ __attribute__((target("avx2,fma"))) void silu_mul_avx2(float* gate,
 
 #define HPCGPT_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512vnni"
 
+// GCC 12 defines the unmasked forms of several AVX-512 intrinsics
+// (max/min, slli, the cvt family, and the 256-bit extract behind
+// _mm512_reduce_*) with a self-initialized `__Y` merge source, which
+// -Wmaybe-uninitialized reports wherever they inline. Their zero-masking
+// forms with every lane enabled are the same instructions and read no
+// such value, so this tier calls those, and reduces through the two
+// helpers below, which keep _mm512_reduce_{add,max}_ps's order.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+__attribute__((target(HPCGPT_AVX512_TARGET))) inline __m256 half_avx512(
+    __m512 v, bool upper) {
+  const __m512d d = _mm512_castps_pd(v);
+  return _mm256_castpd_ps(upper ? _mm512_maskz_extractf64x4_pd(0xF, d, 1)
+                                : _mm512_maskz_extractf64x4_pd(0xF, d, 0));
+}
+
+__attribute__((target(HPCGPT_AVX512_TARGET))) inline float reduce_add_avx512(
+    __m512 v) {
+  const __m256 s8 = _mm256_add_ps(half_avx512(v, true), half_avx512(v, false));
+  const __m128 s4 =
+      _mm_add_ps(_mm256_extractf128_ps(s8, 1), _mm256_extractf128_ps(s8, 0));
+  const __m128 s2 =
+      _mm_add_ps(s4, _mm_shuffle_ps(s4, s4, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(s2) + _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, 1));
+}
+
+__attribute__((target(HPCGPT_AVX512_TARGET))) inline float reduce_max_avx512(
+    __m512 v) {
+  const __m256 m8 = _mm256_max_ps(half_avx512(v, true), half_avx512(v, false));
+  const __m128 m4 =
+      _mm_max_ps(_mm256_extractf128_ps(m8, 1), _mm256_extractf128_ps(m8, 0));
+  const __m128 m2 =
+      _mm_max_ps(m4, _mm_shuffle_ps(m4, m4, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(
+      _mm_max_ps(m2, _mm_shuffle_ps(m2, m2, _MM_SHUFFLE(0, 1, 0, 1))));
+}
+
 __attribute__((target(HPCGPT_AVX512_TARGET))) inline void store_scaled_avx512(
     float* y, __m512i biased, const std::int32_t* colsum, __m512 xs,
     const float* wscale) {
-  __m512i corr = _mm512_slli_epi32(
-      _mm512_loadu_si512(reinterpret_cast<const void*>(colsum)), 7);
-  __m512 f =
-      _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_sub_epi32(biased, corr)), xs);
+  __m512i corr = _mm512_maskz_slli_epi32(
+      kAll16, _mm512_loadu_si512(reinterpret_cast<const void*>(colsum)), 7);
+  __m512 f = _mm512_mul_ps(
+      _mm512_maskz_cvtepi32_ps(kAll16, _mm512_sub_epi32(biased, corr)), xs);
   _mm512_storeu_ps(y, _mm512_mul_ps(f, _mm512_loadu_ps(wscale)));
 }
 
@@ -643,6 +773,13 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void gemv_i8_avx512(
   ::operator delete(heap);
 }
 
+/// 16 binary16 values widened to fp32 (exact).
+__attribute__((target(HPCGPT_AVX512_TARGET))) inline __m512 load_half16_avx512(
+    const std::uint16_t* p) {
+  return _mm512_maskz_cvtph_ps(
+      kAll16, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
+
 __attribute__((target(HPCGPT_AVX512_TARGET ",f16c,fma"))) void
 gemv_f16_avx512(const float* x, const std::uint16_t* w, std::size_t in,
                 std::size_t out, float* y) {
@@ -655,26 +792,10 @@ gemv_f16_avx512(const float* x, const std::uint16_t* w, std::size_t in,
     for (std::size_t i = 0; i < in; ++i) {
       const __m512 xb = _mm512_set1_ps(x[i]);
       const std::uint16_t* wr = w + i * out + j;
-      acc0 = _mm512_fmadd_ps(
-          xb,
-          _mm512_cvtph_ps(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr))),
-          acc0);
-      acc1 = _mm512_fmadd_ps(
-          xb,
-          _mm512_cvtph_ps(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr + 16))),
-          acc1);
-      acc2 = _mm512_fmadd_ps(
-          xb,
-          _mm512_cvtph_ps(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr + 32))),
-          acc2);
-      acc3 = _mm512_fmadd_ps(
-          xb,
-          _mm512_cvtph_ps(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr + 48))),
-          acc3);
+      acc0 = _mm512_fmadd_ps(xb, load_half16_avx512(wr), acc0);
+      acc1 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 16), acc1);
+      acc2 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 32), acc2);
+      acc3 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 48), acc3);
     }
     _mm512_storeu_ps(y + j, acc0);
     _mm512_storeu_ps(y + j + 16, acc1);
@@ -684,11 +805,8 @@ gemv_f16_avx512(const float* x, const std::uint16_t* w, std::size_t in,
   for (; j + 16 <= out; j += 16) {
     __m512 acc = _mm512_setzero_ps();
     for (std::size_t i = 0; i < in; ++i) {
-      acc = _mm512_fmadd_ps(
-          _mm512_set1_ps(x[i]),
-          _mm512_cvtph_ps(_mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w + i * out + j))),
-          acc);
+      acc = _mm512_fmadd_ps(_mm512_set1_ps(x[i]),
+                            load_half16_avx512(w + i * out + j), acc);
     }
     _mm512_storeu_ps(y + j, acc);
   }
@@ -789,10 +907,10 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void attn_values_paged_avx512(
       a3 = _mm512_fmadd_ps(pv, _mm512_maskz_loadu_ps(m, vt + 3 * kKvPageSize),
                            a3);
     }
-    out[i] = _mm512_reduce_add_ps(a0) * inv;
-    out[i + 1] = _mm512_reduce_add_ps(a1) * inv;
-    out[i + 2] = _mm512_reduce_add_ps(a2) * inv;
-    out[i + 3] = _mm512_reduce_add_ps(a3) * inv;
+    out[i] = reduce_add_avx512(a0) * inv;
+    out[i + 1] = reduce_add_avx512(a1) * inv;
+    out[i + 2] = reduce_add_avx512(a2) * inv;
+    out[i + 3] = reduce_add_avx512(a3) * inv;
   }
   for (; i < hd; ++i) {
     const std::size_t off = page_off + i * kKvPageSize;
@@ -805,19 +923,21 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void attn_values_paged_avx512(
       acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, probs + p * kKvPageSize),
                             _mm512_maskz_loadu_ps(m, pages[p] + off), acc);
     }
-    out[i] = _mm512_reduce_add_ps(acc) * inv;
+    out[i] = reduce_add_avx512(acc) * inv;
   }
 }
 
 /// 16-wide fast_expf (same sequence as hpcgpt::fast_expf, FMA-contracted).
 __attribute__((target(HPCGPT_AVX512_TARGET))) inline __m512
 fast_expf_avx512(__m512 x) {
-  const __m512 z = _mm512_min_ps(
-      _mm512_max_ps(_mm512_mul_ps(x, _mm512_set1_ps(1.4426950408889634f)),
-                    _mm512_set1_ps(-126.0f)),
+  const __m512 z = _mm512_maskz_min_ps(
+      kAll16,
+      _mm512_maskz_max_ps(
+          kAll16, _mm512_mul_ps(x, _mm512_set1_ps(1.4426950408889634f)),
+          _mm512_set1_ps(-126.0f)),
       _mm512_set1_ps(126.0f));
-  const __m512i ei = _mm512_cvttps_epi32(z);
-  const __m512 f = _mm512_sub_ps(z, _mm512_cvtepi32_ps(ei));
+  const __m512i ei = _mm512_maskz_cvttps_epi32(kAll16, z);
+  const __m512 f = _mm512_sub_ps(z, _mm512_maskz_cvtepi32_ps(kAll16, ei));
   __m512 p = _mm512_set1_ps(1.52527338e-5f);
   p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.54035304e-4f));
   p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.33335581e-3f));
@@ -826,8 +946,8 @@ fast_expf_avx512(__m512 x) {
   p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(2.40226507e-1f));
   p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(6.93147181e-1f));
   p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
-  const __m512i bits =
-      _mm512_slli_epi32(_mm512_add_epi32(ei, _mm512_set1_epi32(127)), 23);
+  const __m512i bits = _mm512_maskz_slli_epi32(
+      kAll16, _mm512_add_epi32(ei, _mm512_set1_epi32(127)), 23);
   return _mm512_mul_ps(p, _mm512_castsi512_ps(bits));
 }
 
@@ -840,9 +960,10 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) float softmax_row_avx512(
     const __mmask16 m =
         rem >= 16 ? static_cast<__mmask16>(0xFFFF)
                   : static_cast<__mmask16>((1u << rem) - 1u);
-    vmax = _mm512_max_ps(vmax, _mm512_mask_loadu_ps(ninf, m, probs + s));
+    vmax = _mm512_maskz_max_ps(kAll16, vmax,
+                               _mm512_mask_loadu_ps(ninf, m, probs + s));
   }
-  const float max_score = _mm512_reduce_max_ps(vmax);
+  const float max_score = reduce_max_avx512(vmax);
 
   const __m512 vm = _mm512_set1_ps(max_score);
   __m512 vsum = _mm512_setzero_ps();
@@ -857,7 +978,7 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) float softmax_row_avx512(
     _mm512_mask_storeu_ps(probs + s, m, e);
     vsum = _mm512_add_ps(vsum, e);
   }
-  return 1.0f / _mm512_reduce_add_ps(vsum);
+  return 1.0f / reduce_add_avx512(vsum);
 }
 
 __attribute__((target(HPCGPT_AVX512_TARGET ",f16c,fma"))) void
@@ -865,11 +986,8 @@ add_half_rows_avx512(const std::uint16_t* a, const std::uint16_t* b,
                      std::size_t n, float* out) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512 av = _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    const __m512 bv = _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    _mm512_storeu_ps(out + i, _mm512_add_ps(av, bv));
+    _mm512_storeu_ps(out + i, _mm512_add_ps(load_half16_avx512(a + i),
+                                            load_half16_avx512(b + i)));
   }
   for (; i < n; ++i) {
     out[i] = Half::from_bits(a[i]).to_float() + Half::from_bits(b[i]).to_float();
@@ -886,7 +1004,7 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void rmsnorm_row_avx512(
     const __m512 v = _mm512_maskz_loadu_ps(m, x + i);
     acc = _mm512_fmadd_ps(v, v, acc);
   }
-  const float ms = _mm512_reduce_add_ps(acc);
+  const float ms = reduce_add_avx512(acc);
   const float r = 1.0f / std::sqrt(ms / static_cast<float>(n) + eps);
   const __m512 vr = _mm512_set1_ps(r);
   for (std::size_t i = 0; i < n; i += 16) {
@@ -912,6 +1030,104 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) void silu_mul_avx512(
     const __m512 s = _mm512_div_ps(g, _mm512_add_ps(one, e));
     _mm512_mask_storeu_ps(gate + j, m,
                           _mm512_mul_ps(s, _mm512_maskz_loadu_ps(m, up + j)));
+  }
+}
+
+// AVX-512 GEMM tile (run by gemm_tiled below): 7 rows × 3 vectors of
+// C stay in 21 of the 32 ZMM registers for the whole k loop, beside the
+// three B vectors and one broadcast.
+struct Avx512Gemm {
+  static constexpr std::size_t kWidth = 16;
+  static constexpr int kRows = 7;
+  static constexpr int kVecs = 3;
+
+  /// C rows [i, i+MR) × columns [j, j + 16·NV): the last vector holds
+  /// `last` (1..16) columns and is read and written masked.
+  template <int MR, int NV>
+  __attribute__((target(HPCGPT_AVX512_TARGET))) static void tile(
+      const GemmArgs& g, std::size_t i, std::size_t j, std::size_t last) {
+    const std::size_t n = g.n, k = g.k, a_rs = g.a_rs, a_cs = g.a_cs;
+    const auto tail = static_cast<__mmask16>((1u << last) - 1u);
+    float* c = g.c + i * n + j;
+    __m512 acc[MR][NV] = {};
+    if (g.accumulate) {
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = _mm512_maskz_loadu_ps(v + 1 < NV ? kAll16 : tail,
+                                            c + r * n + 16 * v);
+        }
+      }
+    }
+    const float* a = g.a + i * a_rs;
+    const float* b = g.b + j;
+    for (std::size_t p = 0; p < k; ++p, a += a_cs, b += n) {
+      __m512 bv[NV];
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        bv[v] = _mm512_maskz_loadu_ps(v + 1 < NV ? kAll16 : tail, b + 16 * v);
+      }
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+        const __m512 ar = _mm512_set1_ps(a[r * a_rs]);
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = _mm512_fmadd_ps(ar, bv[v], acc[r][v]);
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        _mm512_mask_storeu_ps(c + r * n + 16 * v, v + 1 < NV ? kAll16 : tail,
+                              acc[r][v]);
+      }
+    }
+  }
+};
+
+// Register-tiled GEMM loops of the x86 tiers. Tiles only regroup the
+// scalar tier's per-element FMA chains, so the shape chosen here cannot
+// change a bit: it is picked for speed from m and n alone.
+
+/// Row block [i, i+MR) across columns [j, n) in tiles of NV vectors; a
+/// partial last tile narrows to the fewest vectors that cover it.
+template <class Isa, int MR, int NV>
+void gemm_panel(const GemmArgs& g, std::size_t i, std::size_t j) {
+  constexpr std::size_t w = Isa::kWidth;
+  for (; j + w * NV <= g.n; j += w * NV) {
+    Isa::template tile<MR, NV>(g, i, j, w);
+  }
+  const std::size_t rem = g.n - j;
+  if (rem == 0) return;
+  if constexpr (NV > 1) {
+    if (rem <= w * (NV - 1)) return gemm_panel<Isa, MR, NV - 1>(g, i, j);
+  }
+  Isa::template tile<MR, NV>(g, i, j, rem - w * (NV - 1));
+}
+
+/// Rows [i, m) in blocks of MR; the leftover rows take one shorter block.
+template <class Isa, int MR, int NV>
+void gemm_rows(const GemmArgs& g, std::size_t i) {
+  for (; i + MR <= g.m; i += MR) gemm_panel<Isa, MR, NV>(g, i, 0);
+  if constexpr (MR > 1) {
+    if (i < g.m) gemm_rows<Isa, MR - 1, NV>(g, i);
+  }
+}
+
+template <class Isa>
+void gemm_tiled(const float* a, std::size_t a_rs, std::size_t a_cs,
+                const float* b, float* c, std::size_t m, std::size_t k,
+                std::size_t n, bool accumulate) {
+  const GemmArgs g{a, a_rs, a_cs, b, c, m, k, n, accumulate};
+  if (m < 4) {
+    // GEMV-shaped calls (decode rounds of up to 3 lanes): one row up to 8
+    // vectors wide, so more independent FMA chains hide the latency.
+    gemm_rows<Isa, 1, 8>(g, 0);
+  } else {
+    gemm_rows<Isa, Isa::kRows, Isa::kVecs>(g, 0);
   }
 }
 
@@ -954,6 +1170,7 @@ void gemv_i8_neon(const std::int8_t* qx, const std::int8_t* w,
 
 const KernelTable kScalarTable = {
     IsaTier::Scalar,          "scalar",
+    gemm_f32_scalar,
     gemv_i8_scalar,           gemv_f16_scalar,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,
@@ -965,13 +1182,14 @@ bool cpu_has_f16c_fma() {
 }
 
 const KernelTable& avx2_table() {
-  // The fp32 attention helpers want FMA on top of avx2; an AVX2-only CPU
-  // (no such silicon in practice, but the probe is honest) keeps the
-  // scalar versions.
+  // The fp32 GEMM and attention helpers want FMA on top of avx2; an
+  // AVX2-only CPU (no such silicon in practice, but the probe is honest)
+  // keeps the scalar versions.
   const bool fma = __builtin_cpu_supports("fma");
   static const KernelTable t = {
       IsaTier::Avx2,
       "avx2",
+      fma ? gemm_tiled<Avx2Gemm> : gemm_f32_scalar,
       gemv_i8_avx2,
       cpu_has_f16c_fma() ? gemv_f16_f16c : gemv_f16_scalar,
       fma ? attn_scores_paged_avx2 : attn_scores_paged_scalar,
@@ -987,6 +1205,7 @@ const KernelTable& avx512_table() {
   static const KernelTable t = {
       IsaTier::Avx512,
       "avx512",
+      gemm_tiled<Avx512Gemm>,
       gemv_i8_avx512,
       cpu_has_f16c_fma() ? gemv_f16_avx512 : gemv_f16_scalar,
       attn_scores_paged_avx512,
@@ -1005,6 +1224,7 @@ const KernelTable& avx512_table() {
 // nothing the int8 kernel doesn't.
 const KernelTable kNeonTable = {
     IsaTier::Neon,            "neon",
+    gemm_f32_scalar,
     gemv_i8_neon,             gemv_f16_scalar,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,

@@ -2,7 +2,8 @@
 // global operator new with a counting one, warms a model's page pool and
 // the decode scratch, then counts allocations over a window of decode
 // steps: decode_step lane by lane and decode_step_batch over all lanes,
-// at 1 and 4 lanes, for fp32 and int8 weights.
+// at 1 and 4 lanes (and 16 for decode_step_batch), for fp32 and int8
+// weights.
 
 #include <gtest/gtest.h>
 
@@ -100,20 +101,20 @@ const text::BpeTokenizer& shared_tokenizer() {
 class DecodeAlloc : public ::testing::TestWithParam<tensor::QuantMode> {
  protected:
   /// Untrained llama_sim in the parameter's weight format, its page pool
-  /// warmed by one full run so the measured run draws every page from
-  /// the free list instead of growing the pool.
-  core::HpcGpt warm_model(bool batched) const {
+  /// warmed by one full run of `lanes` lanes so the measured runs draw
+  /// every page from the free list instead of growing the pool.
+  core::HpcGpt warm_model(bool batched, std::size_t lanes) const {
     core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
     spec.pretrain_steps = 0;
     spec.quant = GetParam();
     core::HpcGpt model(spec, shared_tokenizer());
-    (void)decode_allocations(model.model(), 4, batched);
+    (void)decode_allocations(model.model(), lanes, batched);
     return model;
   }
 };
 
 TEST_P(DecodeAlloc, DecodeStepIsAllocationFree) {
-  core::HpcGpt model = warm_model(/*batched=*/false);
+  core::HpcGpt model = warm_model(/*batched=*/false, 4);
   for (const std::size_t lanes : {1u, 4u}) {
     EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/false), 0u)
         << lanes << " lane(s)";
@@ -121,8 +122,11 @@ TEST_P(DecodeAlloc, DecodeStepIsAllocationFree) {
 }
 
 TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
-  core::HpcGpt model = warm_model(/*batched=*/true);
-  for (const std::size_t lanes : {1u, 4u}) {
+  // Sixteen lanes: fp32 rounds run the same GEMM as rounds of one, and
+  // int8 rows still run inline (they fan out to the pool, which
+  // allocates, from 32 rows up).
+  core::HpcGpt model = warm_model(/*batched=*/true, 16);
+  for (const std::size_t lanes : {1u, 4u, 16u}) {
     EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
         << lanes << " lane(s)";
   }

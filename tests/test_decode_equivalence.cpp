@@ -99,32 +99,39 @@ TEST_P(DecodeEquivalence, PrefillPlusDecodeMatchesFullForwards) {
 }
 
 TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
-  // Four lanes with different prompts, advanced together through
+  // Lanes with different prompts, advanced together through
   // decode_step_batch; a twin set advanced one lane at a time through
   // decode_step, which is the batch-of-one case of the same forward.
   // Every logits row must match bit for bit: cross-request batching is a
-  // scheduling transform, not a numerics change. Four lanes put the
-  // small GEMM's row-pair branch against its single-row branch; int8
-  // also checks the shared activation quantization.
-  for (const tensor::QuantMode quant :
-       {tensor::QuantMode::Fp32, tensor::QuantMode::Int8}) {
-    core::HpcGpt model = make_preset(GetParam(), quant);
+  // scheduling transform, not a numerics change. In fp32 that rests on
+  // the GEMM's contract that a row's bits do not depend on how many rows
+  // share the call, so 16 lanes take the kernel's 7-row tiles and their
+  // remainder against its one-row path; int8 also checks the shared
+  // activation quantization.
+  struct Case {
+    tensor::QuantMode quant;
+    std::size_t lanes;
+  };
+  for (const Case c : {Case{tensor::QuantMode::Fp32, 4},
+                       Case{tensor::QuantMode::Fp32, 16},
+                       Case{tensor::QuantMode::Int8, 4}}) {
+    core::HpcGpt model = make_preset(GetParam(), c.quant);
     const nn::Transformer& m = model.model();
     const std::size_t vocab = m.config().vocab_size;
     const std::size_t row_bytes = vocab * sizeof(float);
+    const std::size_t lanes = c.lanes;
     Rng rng(7);
 
-    constexpr std::size_t kLanes = 4;
     constexpr std::size_t kSteps = 10;
     std::vector<std::vector<text::TokenId>> prompts;
-    for (std::size_t b = 0; b < kLanes; ++b) {
+    for (std::size_t b = 0; b < lanes; ++b) {
       prompts.push_back(random_prompt(rng, 2 + 3 * b, vocab));
     }
 
     std::vector<nn::DecodeState> batch_states;
     std::vector<nn::DecodeState> single_states;
-    std::vector<text::TokenId> next(kLanes);
-    for (std::size_t b = 0; b < kLanes; ++b) {
+    std::vector<text::TokenId> next(lanes);
+    for (std::size_t b = 0; b < lanes; ++b) {
       batch_states.push_back(m.new_decode_state());
       single_states.push_back(m.new_decode_state());
       const std::span<const float> batch_logits =
@@ -134,7 +141,7 @@ TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
       ASSERT_EQ(std::memcmp(batch_logits.data(), single_logits.data(),
                             row_bytes),
                 0)
-          << model.name() << " " << tensor::quant_mode_name(quant)
+          << model.name() << " " << tensor::quant_mode_name(c.quant)
           << " prefill lane " << b;
       next[b] = argmax(batch_logits);
     }
@@ -145,13 +152,13 @@ TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
     for (std::size_t step = 0; step < kSteps; ++step) {
       const tensor::Matrix& logits =
           m.decode_step_batch(lane_ptrs, next, scratch);
-      for (std::size_t b = 0; b < kLanes; ++b) {
+      for (std::size_t b = 0; b < lanes; ++b) {
         const std::span<const float> single =
             m.decode_step(single_states[b], next[b]);
         ASSERT_EQ(std::memcmp(logits.row(b).data(), single.data(), row_bytes),
                   0)
-            << model.name() << " " << tensor::quant_mode_name(quant)
-            << " lane=" << b << " step=" << step;
+            << model.name() << " " << tensor::quant_mode_name(c.quant)
+            << " lanes=" << lanes << " lane=" << b << " step=" << step;
         next[b] = argmax(logits.row(b));
       }
     }

@@ -1,9 +1,10 @@
-// ISA-dispatch suite for the quantized/attention micro-kernels
+// ISA-dispatch suite for the GEMM/quantized/attention micro-kernels
 // (tensor::kernels). The load-bearing contract: every supported tier
-// computes *bitwise-identical* int8 GEMV results (exact int32
+// computes *bitwise-identical* fp32 GEMM results (one FMA chain per
+// element in a fixed k order) and int8 GEMV results (exact int32
 // accumulation + one shared activation quantizer + one canonical fp32
-// epilogue), so HPCGPT_ISA can force any tier without changing model
-// output. The fp32 helpers (attention, softmax, rmsnorm, silu) are only
+// epilogue), so HPCGPT_ISA can force any tier without changing either.
+// The other fp32 helpers (attention, softmax, rmsnorm, silu) are only
 // accuracy-bounded across tiers — FMA/re-association may round
 // differently — and that is asserted too, against the scalar table.
 //
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -159,6 +161,57 @@ TEST(Int8Gemv, BitwiseIdenticalAcrossTiers) {
                                s.out * sizeof(float)))
           << kernels::tier_name(tier) << " diverges at " << s.in << "x"
           << s.out;
+    }
+  }
+}
+
+TEST(Fp32Gemm, BitwiseIdenticalAcrossTiers) {
+  // Every tier runs the same per-element FMA chains, only tiled
+  // differently, so each must reproduce the scalar tier's bits: for both
+  // A layouts (row-major, and transposed in place as matmul_tn reads
+  // it), with and without accumulation, at row counts on both sides of
+  // the GEMV/tile switch and widths that leave every vector tail. A
+  // guard region after C catches an edge tile storing past the last
+  // column (GCC's ASan does not instrument masked vector stores).
+  constexpr std::size_t kGuard = 16;
+  constexpr float kSentinel = -7.25f;
+  Rng rng(14);
+  struct GemmShape {
+    std::size_t m, k, n;
+  };
+  const GemmShape shapes[] = {{1, 48, 48},   {1, 48, 512}, {2, 96, 48},
+                              {3, 17, 130},  {4, 48, 96},  {7, 48, 48},
+                              {13, 33, 1},   {17, 1, 23},  {126, 48, 48},
+                              {30, 257, 40}, {9, 64, 100}};
+  for (const GemmShape& s : shapes) {
+    const std::vector<float> a = random_row(rng, s.m * s.k);
+    const std::vector<float> b = random_row(rng, s.k * s.n);
+    const std::vector<float> c0 = random_row(rng, s.m * s.n);
+    for (const bool a_transposed : {false, true}) {
+      const std::size_t a_rs = a_transposed ? 1 : s.k;
+      const std::size_t a_cs = a_transposed ? s.m : 1;
+      for (const bool accumulate : {false, true}) {
+        std::vector<float> ref = c0;
+        kernels::table_for(kernels::IsaTier::Scalar)
+            .gemm_f32(a.data(), a_rs, a_cs, b.data(), ref.data(), s.m, s.k,
+                      s.n, accumulate);
+        for (const kernels::IsaTier tier : kernels::supported_tiers()) {
+          std::vector<float> c = c0;
+          c.resize(c0.size() + kGuard, kSentinel);
+          kernels::table_for(tier).gemm_f32(a.data(), a_rs, a_cs, b.data(),
+                                            c.data(), s.m, s.k, s.n,
+                                            accumulate);
+          EXPECT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                   ref.size() * sizeof(float)))
+              << kernels::tier_name(tier) << " diverges at " << s.m << "x"
+              << s.k << "x" << s.n << (a_transposed ? " A^T" : "")
+              << (accumulate ? " +=" : "");
+          EXPECT_EQ(std::count(c.begin() + ref.size(), c.end(), kSentinel),
+                    static_cast<std::ptrdiff_t>(kGuard))
+              << kernels::tier_name(tier) << " wrote past C at " << s.m
+              << "x" << s.k << "x" << s.n;
+        }
+      }
     }
   }
 }

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -196,6 +197,28 @@ TEST(ThreadPool, SizeMatchesRequest) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask) {
+  // Pinned to one CPU (as under `taskset -c N`), the calling thread may
+  // use one core however many the host has, so a default-sized pool
+  // starts one worker.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t cores = usable_cores();
+  const std::size_t workers = ThreadPool(0).size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(cores, 1u);
+  EXPECT_EQ(workers, 1u);
+}
+#endif
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   ThreadPool pool(4);

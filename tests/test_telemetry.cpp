@@ -611,6 +611,14 @@ TEST(Telemetry, ScrapeRacesServerShutdown) {
   });
 
   for (auto& r : results) r.get();
+  // The four answers can arrive before the scraper's first round trip;
+  // let one scrape land so that shutdown() races a scraper in its loop.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scrapes.load() == 0 && failures.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   server.shutdown();  // races the scraper by construction
   stop.store(true);
   scraper.join();

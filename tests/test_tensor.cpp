@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "hpcgpt/support/error.hpp"
 #include "hpcgpt/support/rng.hpp"
@@ -148,20 +151,99 @@ TEST(Matrix, MatmulShapeChecks) {
   EXPECT_THROW(matmul(a, b2, bad_out), InvalidArgument);
 }
 
-TEST(Matrix, LargeMatmulParallelMatchesSerialSemantics) {
-  // 200 rows exceeds the parallel grain: exercises the threaded path.
-  Rng rng(17);
-  Matrix a(200, 64), b(64, 32);
-  a.randomize(rng, 0.5f);
-  b.randomize(rng, 0.5f);
-  Matrix out(200, 32);
-  matmul(a, b, out);
-  // Spot-check a few entries against a direct dot product.
-  for (const std::size_t r : {0ul, 99ul, 199ul}) {
-    for (const std::size_t c : {0ul, 31ul}) {
-      float expected = 0.0f;
-      for (std::size_t k = 0; k < 64; ++k) expected += a.at(r, k) * b.at(k, c);
-      EXPECT_NEAR(out.at(r, c), expected, 1e-3f);
+// ------------------------------------------------ GEMM batch invariance
+
+/// One of the six GEMM entry points and how it stores its operands.
+struct GemmEntry {
+  const char* name;
+  void (*fn)(const Matrix&, const Matrix&, Matrix&);
+  bool a_transposed;  // matmul_tn*: A is stored k×m
+  bool b_transposed;  // matmul_nt*: B is stored n×k
+  bool accumulate;    // *_acc: out += A·B
+};
+
+const GemmEntry kGemmEntries[] = {
+    {"matmul", matmul, false, false, false},
+    {"matmul_acc", matmul_acc, false, false, true},
+    {"matmul_nt", matmul_nt, false, true, false},
+    {"matmul_nt_acc", matmul_nt_acc, false, true, true},
+    {"matmul_tn", matmul_tn, true, false, false},
+    {"matmul_tn_acc", matmul_tn_acc, true, false, true},
+};
+
+Matrix gaussian(Rng& rng, std::size_t rows, std::size_t cols) {
+  Matrix m(rows, cols);
+  m.randomize(rng, 1.0f);
+  return m;
+}
+
+TEST(Matrix, EveryGemmRowIsIndependentOfTheRowCount) {
+  // The fp32 GEMM contract: row i of an m-row product has the same bits
+  // as a 1-row product on row i of A (column i for matmul_tn), whatever
+  // m is, so a decode lane's logits do not depend on how many lanes or
+  // prompt rows share its GEMM. Row counts cross every tile boundary of
+  // the kernel (1–3 rows, 7-row blocks and their remainders) up to
+  // prefill sizes; shapes are the serving projections (d_model 48,
+  // d_ff 96, vocab 512) plus edge widths. Every value must also stay
+  // within the error bound of its k-step FMA chain, γ(k+1)·(|c0| +
+  // Σ|a·b|) with γ(j) = j·u / (1 - j·u), of a double-precision reference.
+  struct Shape {
+    std::size_t k, n;
+  };
+  std::vector<Shape> shapes = {{48, 48}, {48, 96}, {96, 48}, {48, 512}};
+  for (const std::size_t k : {1u, 3u, 257u}) {
+    for (const std::size_t n : {1u, 13u, 33u}) shapes.push_back({k, n});
+  }
+  constexpr double kUnit = 0x1.0p-24;
+  Rng rng(31);
+  for (const GemmEntry& e : kGemmEntries) {
+    for (const Shape& s : shapes) {
+      for (const std::size_t m :
+           {1u, 2u, 3u, 7u, 8u, 9u, 16u, 17u, 126u, 146u, 288u}) {
+        const Matrix a = e.a_transposed ? gaussian(rng, s.k, m)
+                                        : gaussian(rng, m, s.k);
+        const Matrix b = e.b_transposed ? gaussian(rng, s.n, s.k)
+                                        : gaussian(rng, s.k, s.n);
+        const Matrix c0 = e.accumulate ? gaussian(rng, m, s.n)
+                                       : Matrix(m, s.n);
+        const auto a_at = [&](std::size_t i, std::size_t p) {
+          return e.a_transposed ? a.at(p, i) : a.at(i, p);
+        };
+        const auto b_at = [&](std::size_t p, std::size_t j) {
+          return e.b_transposed ? b.at(j, p) : b.at(p, j);
+        };
+        Matrix full = c0;
+        e.fn(a, b, full);
+
+        std::size_t rows_differing = 0;
+        std::size_t out_of_bound = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+          Matrix a_row = e.a_transposed ? Matrix(s.k, 1) : Matrix(1, s.k);
+          for (std::size_t p = 0; p < s.k; ++p) a_row.flat()[p] = a_at(i, p);
+          Matrix one(1, s.n);
+          const auto c0_row = c0.row(i);
+          std::copy(c0_row.begin(), c0_row.end(), one.flat().begin());
+          e.fn(a_row, b, one);
+          rows_differing += std::memcmp(one.data(), full.row(i).data(),
+                                        s.n * sizeof(float)) != 0;
+          for (std::size_t j = 0; j < s.n; ++j) {
+            double ref = c0.at(i, j);
+            double mass = std::fabs(ref);
+            for (std::size_t p = 0; p < s.k; ++p) {
+              const double prod = static_cast<double>(a_at(i, p)) * b_at(p, j);
+              ref += prod;
+              mass += std::fabs(prod);
+            }
+            const double steps = static_cast<double>(s.k + 1);
+            const double bound = steps * kUnit / (1.0 - steps * kUnit) * mass;
+            out_of_bound += std::fabs(full.at(i, j) - ref) > bound;
+          }
+        }
+        EXPECT_EQ(rows_differing, 0u)
+            << e.name << " m=" << m << " k=" << s.k << " n=" << s.n;
+        EXPECT_EQ(out_of_bound, 0u)
+            << e.name << " m=" << m << " k=" << s.k << " n=" << s.n;
+      }
     }
   }
 }
