@@ -1,13 +1,12 @@
 // Quantized-GEMV micro-bench: the decode hot loop's matvec shapes
 // (d_model×d_model projections, d_model×d_ff MLP, d_model×vocab head)
-// timed per ISA tier and per storage format. Prints GB/s of weight
-// traffic and the speedup over an fp32 axpy baseline shaped like the
-// one-row case of the small fp32 GEMM (tensor::matmul) that
-// nn::Linear::apply_rows runs at decode. Used interactively after kernel
-// changes and as a
-// perf-smoke ctest entry (see tests/CMakeLists.txt) so the quantized
-// path is exercised — with a correctness cross-check — in sanitizer
-// lanes too.
+// timed per storage format on the active ISA tier. The fp32 column is
+// the production decode path: nn::Linear::apply_rows runs
+// tensor::matmul on one row (KernelTable::gemm_f32), so it is timed on a
+// preallocated 1×in matrix. Prints the int8 and fp16 speedups over it.
+// Used interactively after kernel changes and as a perf-smoke ctest
+// entry (see tests/CMakeLists.txt) so the quantized path is exercised —
+// with a correctness cross-check — in sanitizer lanes too.
 
 #include <algorithm>
 #include <chrono>
@@ -33,19 +32,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// fp32 baseline: the same j-major accumulate the scalar quantized kernels
-// use, shaped like the pre-quantization decode matvec.
-void gemv_f32(const float* x, const Matrix& w, float* y) {
-  const std::size_t in = w.rows();
-  const std::size_t out = w.cols();
-  for (std::size_t j = 0; j < out; ++j) y[j] = 0.0f;
-  for (std::size_t i = 0; i < in; ++i) {
-    const float xi = x[i];
-    const float* wr = w.data() + i * out;
-    for (std::size_t j = 0; j < out; ++j) y[j] += xi * wr[j];
-  }
 }
 
 struct Shape {
@@ -80,19 +66,20 @@ int main() {
   for (const Shape& s : shapes) {
     Matrix w(s.in, s.out);
     w.randomize(rng, 0.5f);
-    std::vector<float> x(s.in), y_ref(s.out), y(s.out);
-    for (auto& v : x) v = static_cast<float>(rng.next_gaussian());
+    Matrix x(1, s.in), y_ref(1, s.out);
+    for (float& v : x.flat()) v = static_cast<float>(rng.next_gaussian());
+    std::vector<float> y(s.out);
     QuantizedMatrix q8 = QuantizedMatrix::quantize(w, QuantMode::Int8);
     QuantizedMatrix q16 = QuantizedMatrix::quantize(w, QuantMode::Fp16);
-    gemv_f32(x.data(), w, y_ref.data());
+    hpcgpt::tensor::matmul(x, w, y_ref);
 
     // Correctness cross-check before timing: quantized outputs must stay
     // within coarse dynamic-quantization error of fp32.
-    q8.gemv(x, y);
+    q8.gemv(x.row(0), y);
     float max_err = 0.0f, ref_amax = 0.0f;
     for (std::size_t j = 0; j < s.out; ++j) {
-      max_err = std::max(max_err, std::fabs(y[j] - y_ref[j]));
-      ref_amax = std::max(ref_amax, std::fabs(y_ref[j]));
+      max_err = std::max(max_err, std::fabs(y[j] - y_ref.at(0, j)));
+      ref_amax = std::max(ref_amax, std::fabs(y_ref.at(0, j)));
     }
     if (max_err > 0.05f * ref_amax + 0.05f) {
       std::printf("FAIL %s: int8 max err %.4f (ref amax %.4f)\n", s.label,
@@ -102,9 +89,9 @@ int main() {
 
     const int iters = static_cast<int>(4e7 / double(s.in * s.out)) + 1;
     const double t32 =
-        bench_loop([&] { gemv_f32(x.data(), w, y.data()); }, iters);
-    const double t8 = bench_loop([&] { q8.gemv(x, y); }, iters);
-    const double t16 = bench_loop([&] { q16.gemv(x, y); }, iters);
+        bench_loop([&] { hpcgpt::tensor::matmul(x, w, y_ref); }, iters);
+    const double t8 = bench_loop([&] { q8.gemv(x.row(0), y); }, iters);
+    const double t16 = bench_loop([&] { q16.gemv(x.row(0), y); }, iters);
     const double macs = double(s.in) * double(s.out);
     std::printf(
         "%-18s fp32 %7.1f ns  int8 %7.1f ns (%.2fx, %5.1f Gmac/s)  "

@@ -1,18 +1,15 @@
 // Retrieval-engine throughput: the indexed (WAND) query path vs the
 // brute-force scan over one shared index.
 //
-//   bench_retrieval [BENCH_perf.json] [--docs N] [--queries N]
+//   bench_retrieval [--docs N] [--queries N]
 //
 // Builds a synthetic MLPerf-style knowledge base (default 10^5 records;
 // HPCGPT_FAST=1 drops to 10^4), indexes it once, then runs the same query
 // set through both engine paths, measuring per-query latency and QPS.
 // Before reporting it cross-checks that the indexed ranking is identical
 // to the scan's (ids AND scores) and exits non-zero on any mismatch, so
-// the numbers can never come from a wrong answer. When given a
-// BENCH_perf.json path it merges
-//   retrieval_qps_{scan,indexed}                   (higher is better)
-//   retrieval_p95_latency_seconds_{scan,indexed}   (lower is better)
-// into the "measured" section for hpcgpt_benchdiff gating.
+// the numbers can never come from a wrong answer. Any other argument
+// prints the usage and exits 2.
 
 #include <algorithm>
 #include <cctype>
@@ -20,13 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/kb/kb.hpp"
 #include "hpcgpt/obs/metrics.hpp"
 #include "hpcgpt/support/strings.hpp"
@@ -112,48 +106,19 @@ bool same_ranking(const PathResult& want, const PathResult& got,
   return true;
 }
 
-void merge_into(const std::string& path, const PathResult& scan,
-                const PathResult& indexed) {
-  json::Value root;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in.good()) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      root = json::parse(buffer.str());
-    } else {
-      json::Object fresh;
-      fresh["bench"] = "inference_engine_perf";
-      fresh["measured"] = json::Object{};
-      root = json::Value(std::move(fresh));
-    }
-  }
-  json::Object& top = root.as_object();
-  if (top.find("measured") == top.end() || !top["measured"].is_object()) {
-    top["measured"] = json::Object{};
-  }
-  json::Object& measured = top["measured"].as_object();
-  measured["retrieval_qps_scan"] = scan.qps;
-  measured["retrieval_qps_indexed"] = indexed.qps;
-  measured["retrieval_p95_latency_seconds_scan"] = scan.p95_seconds;
-  measured["retrieval_p95_latency_seconds_indexed"] = indexed.p95_seconds;
-  std::ofstream out(path);
-  out << root.dump_pretty() << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t n_docs = bench::fast_mode() ? 10000 : 100000;
   std::size_t n_queries = 64;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--docs") == 0 && i + 1 < argc) {
       n_docs = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc) {
       n_queries = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else {
-      json_path = argv[i];
+      std::fprintf(stderr, "usage: %s [--docs N] [--queries N]\n", argv[0]);
+      return 2;
     }
   }
 
@@ -269,11 +234,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scored),
               static_cast<unsigned long long>(skipped),
               static_cast<unsigned long long>(decoded));
-
-  if (!json_path.empty()) {
-    merge_into(json_path, scan, indexed);
-    std::printf("\nmerged retrieval_qps_* / retrieval_p95_latency_* into %s\n",
-                json_path.c_str());
-  }
   return 0;
 }

@@ -29,8 +29,7 @@ std::vector<text::TokenId> generate(Transformer& model,
 /// under greedy decoding and for any fixed sampling seed). The prompt is
 /// ingested in one batched GEMM prefill pass, then each emitted token
 /// costs one allocation-free O(T·d) decode step instead of a full
-/// O(T²·d) forward. See BM_Generate*/BM_DecodeThroughput in
-/// bench_perf_micro for the measured speedup.
+/// O(T²·d) forward.
 std::vector<text::TokenId> generate_cached(
     const Transformer& model, const std::vector<text::TokenId>& prompt_ids,
     const SampleOptions& options = {});

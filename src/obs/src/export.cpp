@@ -50,7 +50,7 @@ json::Value perfetto_trace(const TraceSink& sink,
     json::Object args;
     args["name"] = std::string(process_name);
     meta["args"] = std::move(args);
-    trace_events.push_back(std::move(meta));
+    trace_events.emplace_back(std::move(meta));
   }
   std::set<std::uint32_t> tids;
   for (const TraceEvent& e : events) tids.insert(e.thread);
@@ -63,7 +63,7 @@ json::Value perfetto_trace(const TraceSink& sink,
     json::Object args;
     args["name"] = "thread " + std::to_string(tid);
     meta["args"] = std::move(args);
-    trace_events.push_back(std::move(meta));
+    trace_events.emplace_back(std::move(meta));
   }
 
   for (const TraceEvent& e : events) {
@@ -79,7 +79,7 @@ json::Value perfetto_trace(const TraceSink& sink,
     args["span_id"] = static_cast<std::size_t>(e.span_id);
     args["parent_id"] = static_cast<std::size_t>(e.parent_id);
     o["args"] = std::move(args);
-    trace_events.push_back(std::move(o));
+    trace_events.emplace_back(std::move(o));
   }
 
   // Export header: the wraparound accounting travels with the trace so a

@@ -161,14 +161,6 @@ struct ServerStats {
                ? latency_seconds_sum / static_cast<double>(requests_served)
                : 0.0;
   }
-  /// Fraction of admissions that mapped cached prefix pages.
-  double prefix_cache_hit_rate() const {
-    const std::size_t lookups = prefix_hits + prefix_misses;
-    return lookups > 0
-               ? static_cast<double>(prefix_hits) /
-                     static_cast<double>(lookups)
-               : 0.0;
-  }
 };
 
 /// The deployment stage of Figure 1: a continuous-batching in-process

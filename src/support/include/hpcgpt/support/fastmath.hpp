@@ -17,7 +17,7 @@ namespace hpcgpt {
 /// branch-free (the clamp compiles to min/max), so compilers vectorize
 /// loops over it 8-wide. That matters: a decode step evaluates exp ~1k
 /// times, and libm's scalar exp was a measurable slice of the decode
-/// profile (see EXPERIMENTS.md A7).
+/// profile.
 inline float fast_expf(float x) {
   constexpr float kLog2e = 1.4426950408889634f;
   // Clamp the base-2 exponent so the bit trick below cannot overflow:

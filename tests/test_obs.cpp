@@ -142,7 +142,7 @@ TEST(Metrics, DefaultLatencyBoundsAreSortedAndWide) {
 TEST(Metrics, RegistrySnapshotJsonIsDeterministic) {
   // Golden snapshot: sorted keys plus integer-valued numbers printed as
   // integers make the compact dump byte-stable, so downstream tooling
-  // (BENCH_perf.json diffs, obs dump) can rely on the exact shape.
+  // (obs dump) can rely on the exact shape.
   obs::MetricsRegistry registry;
   registry.counter("req.total").add(3);
   obs::Gauge& depth = registry.gauge("queue.depth");
@@ -202,7 +202,7 @@ TEST(Trace, RingBufferWrapsKeepingNewestEvents) {
   obs::TraceSink sink(/*capacity=*/4);
   sink.enable(true);
   for (int i = 0; i < 6; ++i) {
-    sink.record({.name = "e" + std::to_string(i),
+    sink.record({.name = std::string("e") + std::to_string(i),
                  .start_seconds = static_cast<double>(i),
                  .duration_seconds = 0.5});
   }
@@ -258,7 +258,7 @@ TEST(Trace, WraparoundIsCountedAsDropped) {
       obs::MetricsRegistry::global().counter("obs.trace.dropped");
   const std::uint64_t counter_before = dropped_counter.value();
   for (int i = 0; i < 5; ++i) {
-    sink.record({.name = "e" + std::to_string(i),
+    sink.record({.name = std::string("e") + std::to_string(i),
                  .start_seconds = static_cast<double>(i),
                  .duration_seconds = 0.1});
   }

@@ -8,7 +8,7 @@
 //
 // Methodology: best-of-N wall time per mode, modes interleaved so slow
 // scheduler periods hit both equally, plus retry attempts — the standard
-// de-noising for a shared CFS box (same as bench_perf_json).
+// de-noising for a shared CFS box.
 
 #include <gtest/gtest.h>
 

@@ -241,7 +241,9 @@ TEST(Interp, MasterRunsOnThreadZeroOnly) {
   const ExecResult r = execute(p);
   EXPECT_EQ(r.scalars.at("x"), 5);
   for (const Event& e : r.trace) {
-    if (e.kind == EventKind::Write) EXPECT_EQ(e.thread, 0);
+    if (e.kind == EventKind::Write) {
+      EXPECT_EQ(e.thread, 0);
+    }
   }
 }
 

@@ -360,7 +360,7 @@ TEST(Chunker, EmptyDocumentNoChunks) {
 
 TEST(Chunker, RespectsMaxWords) {
   std::string doc;
-  for (int i = 0; i < 500; ++i) doc += "w" + std::to_string(i) + " ";
+  for (int i = 0; i < 500; ++i) doc += std::string("w") + std::to_string(i) + " ";
   ChunkOptions opt;
   opt.max_words = 100;
   opt.overlap_words = 10;
@@ -373,7 +373,7 @@ TEST(Chunker, RespectsMaxWords) {
 
 TEST(Chunker, OverlapCarriesWords) {
   std::string doc;
-  for (int i = 0; i < 250; ++i) doc += "w" + std::to_string(i) + " ";
+  for (int i = 0; i < 250; ++i) doc += std::string("w") + std::to_string(i) + " ";
   ChunkOptions opt;
   opt.max_words = 100;
   opt.overlap_words = 20;

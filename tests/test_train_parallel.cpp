@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "hpcgpt/nn/trainer.hpp"
+#include "hpcgpt/support/thread_pool.hpp"
 #include "hpcgpt/support/timer.hpp"
 
 // Concurrency smoke for the data-parallel training engine. Carries the
@@ -71,7 +71,7 @@ TEST(TrainParallel, ConcurrentWorkersTrainCleanly) {
 }
 
 TEST(TrainParallel, ThroughputAtLeastSequential) {
-  const std::size_t cores = std::thread::hardware_concurrency();
+  const std::size_t cores = usable_cores();
   if (cores < 2) {
     GTEST_SKIP() << "single-core runner: data parallelism cannot win here";
   }
