@@ -23,6 +23,7 @@
 
 #include "hpcgpt/analysis/service.hpp"
 #include "hpcgpt/drb/drb.hpp"
+#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/minilang/ast.hpp"
 #include "hpcgpt/minilang/render.hpp"
 #include "hpcgpt/support/rng.hpp"
@@ -105,7 +106,10 @@ int main(int argc, char** argv) {
     warm_best = std::min(warm_best, t.seconds());
   }
   const double warm_per_second = static_cast<double>(kFunctions) / warm_best;
-  const analysis::VerificationService::CacheStats cache = service.cache_stats();
+  const json::Value metrics(service.metrics().snapshot());
+  const auto count = [&](const char* name) {
+    return static_cast<long long>(metrics.at("counters").at(name).as_int());
+  };
 
   std::printf("bench_analysis_service: %zu-function unit, 1 edit/round\n",
               kFunctions);
@@ -113,10 +117,12 @@ int main(int argc, char** argv) {
   std::printf("analysis_per_second_warm  %10.1f\n", warm_per_second);
   std::printf("warm/cold speedup         %10.2fx\n",
               warm_per_second / cold_per_second);
-  std::printf("cache: %llu hits, %llu misses, %llu evictions, %zu entries\n",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              static_cast<unsigned long long>(cache.evictions),
-              cache.entries);
+  std::printf("cache: %lld hits, %lld misses, %lld evictions, %lld entries\n",
+              count("analysis.cache.hits"), count("analysis.cache.misses"),
+              count("analysis.cache.evictions"),
+              static_cast<long long>(metrics.at("gauges")
+                                         .at("analysis.cache.entries")
+                                         .at("value")
+                                         .as_int()));
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "hpcgpt/core/evaluation.hpp"
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/datagen/pipeline.hpp"
+#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/kb/kb.hpp"
 #include "hpcgpt/serve/server.hpp"
 #include "hpcgpt/support/timer.hpp"
@@ -92,8 +93,10 @@ int main() {
     request.prompt = q;
     pending.push_back(server.submit(std::move(request)));
   }
+  std::size_t served = 0;
   for (std::size_t i = 0; i < questions.size(); ++i) {
     const core::GenerationResult result = pending[i].get();
+    if (result.ok()) ++served;
     std::printf("  Q: %s\n  A: %s   [%zu tokens, %s, %.0f ms]\n",
                 questions[i].c_str(), result.text.c_str(),
                 result.generated_tokens,
@@ -101,9 +104,12 @@ int main() {
                 result.latency_seconds * 1e3);
   }
   server.shutdown();
-  std::printf("  served %zu requests (max queue depth %zu)\n",
-              server.stats().requests_served,
-              server.stats().max_queue_depth);
+  const json::Value metrics(server.metrics().snapshot());
+  std::printf("  served %zu requests (max queue depth %lld)\n", served,
+              static_cast<long long>(metrics.at("gauges")
+                                         .at("serve.queue.depth")
+                                         .at("max")
+                                         .as_int()));
 
   std::printf("\npipeline complete in %.1fs\n", total.seconds());
   return 0;

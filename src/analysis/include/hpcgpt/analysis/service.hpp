@@ -11,7 +11,6 @@
 #include "hpcgpt/analysis/verifier.hpp"
 #include "hpcgpt/obs/metrics.hpp"
 #include "hpcgpt/retrieval/engine.hpp"
-#include "hpcgpt/support/thread_pool.hpp"
 
 namespace hpcgpt::analysis {
 
@@ -40,8 +39,6 @@ struct ServiceOptions {
   std::size_t grounding_top_k = 2;
   /// Retrieval-score floor below which a KB chunk is considered unrelated.
   double grounding_min_score = 0.02;
-  /// Fan-out pool for cache misses; nullptr = ThreadPool::global().
-  ThreadPool* pool = nullptr;
 };
 
 /// One function of a translation unit, as source text (C- or
@@ -110,8 +107,9 @@ struct VerifyResponse {
 /// shared ThreadPool (per-function `analysis.function` spans parented
 /// under the request's `analysis.verify` span via the PR 5 trace
 /// context); hits are a hash + LRU touch + copy. The result cache is
-/// LRU-bounded with `analysis.cache.{hits,misses,evictions}` counters in
-/// the service's private registry.
+/// LRU-bounded (options().cache_capacity) with
+/// `analysis.cache.{hits,misses,evictions}` counters and the
+/// `analysis.cache.entries` gauge in the service's private registry.
 ///
 /// Reports are deterministic, so a cached copy is bitwise-identical to a
 /// fresh run — the property that makes serving cached verdicts sound.
@@ -130,19 +128,11 @@ class VerificationService {
                                 std::string name = "fn",
                                 bool explain = false);
 
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-  CacheStats cache_stats() const;
   void clear_cache();
 
   /// Private registry: analysis.requests, analysis.functions,
-  /// analysis.cache.{hits,misses,evictions}, analysis.parse_failures,
-  /// analysis.verify.seconds.
+  /// analysis.cache.{hits,misses,evictions}, the analysis.cache.entries
+  /// gauge, analysis.parse_failures, analysis.verify.seconds.
   const obs::MetricsRegistry& metrics() const { return registry_; }
   /// Mutable overload so a telemetry pipeline can attach to the service
   /// registry (the collector records its obs.collector.* self-metrics
@@ -164,7 +154,6 @@ class VerificationService {
     std::list<std::uint64_t>::iterator lru;  ///< position in lru_
   };
 
-  ThreadPool& pool() const;
   /// Cache lookup/analyze for one parsed function; `text_hash` != 0
   /// registers a text alias for parse-free warm hits.
   void process_program(const minilang::Program& program,
@@ -174,6 +163,7 @@ class VerificationService {
   /// entry's memoized copy when available (both are deterministic).
   void explain_report(std::uint64_t key, FunctionReport& out);
   void touch_locked(Entry& entry);
+  /// Evicts past the capacity and sets the entries gauge (under mutex_).
   void evict_locked();
 
   ServiceOptions options_;
@@ -186,6 +176,7 @@ class VerificationService {
   obs::Counter& evictions_;
   obs::Counter& parse_failures_;
   obs::Counter& errors_found_;
+  obs::Gauge& entries_;
   obs::Histogram& verify_seconds_;
 
   mutable std::mutex mutex_;

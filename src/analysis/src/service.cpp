@@ -9,6 +9,7 @@
 #include "hpcgpt/obs/trace.hpp"
 #include "hpcgpt/support/error.hpp"
 #include "hpcgpt/support/hash.hpp"
+#include "hpcgpt/support/thread_pool.hpp"
 #include "hpcgpt/support/timer.hpp"
 
 namespace hpcgpt::analysis {
@@ -157,6 +158,7 @@ VerificationService::VerificationService(ServiceOptions options)
       evictions_(registry_.counter("analysis.cache.evictions")),
       parse_failures_(registry_.counter("analysis.parse_failures")),
       errors_found_(registry_.counter("analysis.errors_found")),
+      entries_(registry_.gauge("analysis.cache.entries")),
       verify_seconds_(registry_.histogram("analysis.verify.seconds")) {
   if (options_.cache_capacity == 0) options_.cache_capacity = 1;
   if (options_.ground_rationales) {
@@ -166,10 +168,6 @@ VerificationService::VerificationService(ServiceOptions options)
         std::make_unique<retrieval::SearchEngine>(std::move(embedder));
     grounding_engine_->add_all(drb_category_kb());
   }
-}
-
-ThreadPool& VerificationService::pool() const {
-  return options_.pool != nullptr ? *options_.pool : ThreadPool::global();
 }
 
 void VerificationService::touch_locked(Entry& entry) {
@@ -192,6 +190,7 @@ void VerificationService::evict_locked() {
     lru_.pop_back();
     evictions_.add(1);
   }
+  entries_.set(static_cast<std::int64_t>(cache_.size()));
 }
 
 void VerificationService::process_program(const minilang::Program& program,
@@ -337,7 +336,7 @@ VerifyResponse VerificationService::verify(const VerifyRequest& request) {
   // nest under it in the trace.
   if (!pending.empty()) {
     const obs::TraceContext context = obs::current_trace_context();
-    parallel_for(pool(), 0, pending.size(), [&](std::size_t j) {
+    parallel_for(0, pending.size(), [&](std::size_t j) {
       HPCGPT_TRACE_ADOPT(context);
       const std::size_t i = pending[j];
       const FunctionInput& input = request.functions[i];
@@ -381,22 +380,12 @@ FunctionReport VerificationService::verify_program(
   return out;
 }
 
-VerificationService::CacheStats VerificationService::cache_stats() const {
-  std::lock_guard lock(mutex_);
-  CacheStats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.evictions = evictions_.value();
-  s.entries = cache_.size();
-  s.capacity = options_.cache_capacity;
-  return s;
-}
-
 void VerificationService::clear_cache() {
   std::lock_guard lock(mutex_);
   cache_.clear();
   text_index_.clear();
   lru_.clear();
+  entries_.set(0);
 }
 
 }  // namespace hpcgpt::analysis

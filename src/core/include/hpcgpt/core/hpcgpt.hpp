@@ -149,9 +149,12 @@ class HpcGpt {
   /// The exact token prompt ask() would feed the model for `question`:
   /// [BOS] question [SEP], left-clamped so `max_new_tokens` still fit in
   /// the context window. Exposed so external engines (the batching
-  /// inference server) can drive prefill/decode_step themselves.
-  std::vector<text::TokenId> prompt_ids(const std::string& question,
-                                        std::size_t max_new_tokens) const;
+  /// inference server) can drive prefill/decode_step themselves. When
+  /// `unclamped_tokens` is set it receives the length before clamping
+  /// (question_prompt_tokens), so one encode serves both.
+  std::vector<text::TokenId> prompt_ids(
+      const std::string& question, std::size_t max_new_tokens,
+      std::size_t* unclamped_tokens = nullptr) const;
 
   /// Race classification in the Table 1 format over the unified request
   /// surface: request.prompt is the code snippet, request.token_limit the

@@ -300,8 +300,10 @@ std::vector<TokenId> HpcGpt::encode_prompt(const std::string& question) const {
 }
 
 std::vector<TokenId> HpcGpt::prompt_ids(const std::string& question,
-                                        std::size_t max_new_tokens) const {
+                                        std::size_t max_new_tokens,
+                                        std::size_t* unclamped_tokens) const {
   std::vector<TokenId> ids = encode_prompt(question);
+  if (unclamped_tokens != nullptr) *unclamped_tokens = ids.size();
   const std::size_t cap = options_.config.max_seq > max_new_tokens
                               ? options_.config.max_seq - max_new_tokens
                               : 1;
@@ -319,16 +321,15 @@ GenerationResult HpcGpt::generate(const GenerationRequest& request) {
   result.id = request.id;
   const std::size_t budget =
       request.max_new_tokens > 0 ? request.max_new_tokens : 48;
-  if (request.token_limit > 0) {
-    const std::size_t unclamped = encode_prompt(request.prompt).size();
-    if (unclamped > request.token_limit) {
-      result.prompt_tokens = unclamped;
-      result.finish = FinishReason::ContextLimit;
-      result.latency_seconds = timer.seconds();
-      return result;
-    }
+  std::size_t unclamped = 0;
+  const std::vector<TokenId> ids =
+      prompt_ids(request.prompt, budget, &unclamped);
+  if (request.token_limit > 0 && unclamped > request.token_limit) {
+    result.prompt_tokens = unclamped;
+    result.finish = FinishReason::ContextLimit;
+    result.latency_seconds = timer.seconds();
+    return result;
   }
-  const std::vector<TokenId> ids = prompt_ids(request.prompt, budget);
   result.prompt_tokens = ids.size();
   nn::SampleOptions opts;
   opts.max_new_tokens = budget;

@@ -34,6 +34,16 @@ struct TransformerConfig {
   tensor::QuantMode quant = tensor::QuantMode::Fp32;
 
   std::size_t head_dim() const { return d_model / n_heads; }
+
+  /// Throws InvalidArgument unless every dimension is >= 1, n_heads
+  /// divides d_model and weight_count() fits a size_t. Transformer's
+  /// constructor runs it before allocating anything, and load_checkpoint
+  /// runs it on the untrusted header.
+  void validate() const;
+  /// Weight elements the config implies: embeddings, blocks (with their
+  /// LoRA adapters when lora_rank > 0), final norm and head. Throws
+  /// InvalidArgument when the count overflows.
+  std::size_t weight_count() const;
 };
 
 }  // namespace hpcgpt::nn

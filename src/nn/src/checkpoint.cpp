@@ -94,6 +94,19 @@ Transformer load_checkpoint(const std::string& blob) {
   c.max_seq = get_u64(blob, pos);
   c.lora_rank = get_u64(blob, pos);
   c.train_lora_only = get_u64(blob, pos) != 0;
+  // The header is untrusted: check it, and that the blob can hold the
+  // fp16 weights it implies, before allocating anything.
+  std::size_t weights = 0;
+  try {
+    c.validate();
+    weights = c.weight_count();
+  } catch (const InvalidArgument& e) {
+    throw ParseError(std::string("checkpoint: bad header: ") + e.what());
+  }
+  if (weights > (blob.size() - pos) / 2) {
+    throw ParseError("checkpoint: header implies more weights than the blob "
+                     "holds");
+  }
 
   Transformer model(c);
   const ParameterList params = model.parameters();

@@ -631,17 +631,57 @@ void DecodeState::prepare_append(std::size_t count) {
 
 // ===================================================== Transformer
 
+void TransformerConfig::validate() const {
+  require(vocab_size >= 1 && d_model >= 1 && n_heads >= 1 && n_layers >= 1 &&
+              d_ff >= 1 && max_seq >= 1,
+          "TransformerConfig: every dimension must be >= 1");
+  require(d_model % n_heads == 0,
+          "Transformer: d_model must be divisible by n_heads");
+  (void)weight_count();
+}
+
+std::size_t TransformerConfig::weight_count() const {
+  const auto mul = [](std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    require(!__builtin_mul_overflow(a, b, &out),
+            "TransformerConfig: weight count overflows");
+    return out;
+  };
+  const auto add = [](std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    require(!__builtin_add_overflow(a, b, &out),
+            "TransformerConfig: weight count overflows");
+    return out;
+  };
+  const std::size_t d = d_model;
+  // One block: two norm gains, four d×d attention projections, three
+  // d×d_ff MLP weights, and a rank-r A/B adapter pair on each of those
+  // seven linears (r·(in + out) each).
+  std::size_t block = add(mul(2, d), mul(4, mul(d, d)));
+  block = add(block, mul(3, mul(d, d_ff)));
+  block = add(block, mul(lora_rank, add(mul(11, d), mul(3, d_ff))));
+  // Token and position embeddings, the final norm gain and the head.
+  const std::size_t outer =
+      add(add(mul(vocab_size, d), mul(max_seq, d)), add(d, mul(d, vocab_size)));
+  return add(outer, mul(n_layers, block));
+}
+
+namespace {
+
+const TransformerConfig& validated(const TransformerConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
 Transformer::Transformer(const TransformerConfig& config, std::uint64_t seed)
-    : config_(config),
+    : config_(validated(config)),
       init_rng_(seed),
       tok_emb_("tok_emb", config.vocab_size, config.d_model),
       pos_emb_("pos_emb", config.max_seq, config.d_model),
       final_gain_("final_norm", 1, config.d_model),
       head_("head", config.d_model, config.vocab_size) {
-  require(config.d_model % config.n_heads == 0,
-          "Transformer: d_model must be divisible by n_heads");
-  require(config.vocab_size > 0 && config.max_seq > 0,
-          "Transformer: empty vocab or context");
   pool_ = std::make_shared<KvPagePool>(config.d_model, /*max_pages=*/0);
   const float emb_std = 0.02f;
   tok_emb_.value.randomize(init_rng_, emb_std);

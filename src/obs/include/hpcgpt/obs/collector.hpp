@@ -1,12 +1,11 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "hpcgpt/json/json.hpp"
@@ -38,7 +37,6 @@ class TimeSeriesRing {
   std::vector<Sample> samples() const;
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
 
  private:
   std::vector<Sample> ring_;
@@ -47,25 +45,15 @@ class TimeSeriesRing {
   std::size_t size_ = 0;
 };
 
-struct CollectorOptions {
-  /// Background sampling period. <= 0 disables the thread entirely:
-  /// start() becomes a no-op and the owner drives tick() by hand (how
-  /// the deterministic tests run).
-  double interval_seconds = 0.1;
-  /// Per-series ring capacity. 600 samples at the default 100 ms
-  /// interval keeps one minute of history per metric.
-  std::size_t capacity = 600;
-};
-
 /// Stage 1 of the telemetry pipeline: turns point-in-time
-/// MetricsRegistry snapshots into bounded per-metric history.
+/// MetricsRegistry snapshots into bounded per-metric history. It has no
+/// thread of its own; TelemetryPipeline's loop (or a test) calls tick().
 ///
-/// Each tick() walks registry.snapshot() and appends one sample per
+/// Each tick() walks one registry.snapshot() and appends one sample per
 /// derived series:
 ///   counters     -> "<name>"        kind counter_delta (value - previous
-///                                   cumulative, clamped to the raw value
-///                                   on counter reset, so rates are a
-///                                   division away)
+///                                   cumulative, so rates are a division
+///                                   away)
 ///   gauges       -> "<name>"        kind gauge (current level)
 ///                   "<name>.peak"   kind gauge (high-water mark)
 ///   histograms   -> "<name>.p50/.p95/.p99"  kind quantile
@@ -78,34 +66,26 @@ struct CollectorOptions {
 /// to special-case their absence.
 class MetricsCollector {
  public:
+  /// `capacity` is the per-series ring size: 600 samples at the
+  /// pipeline's default 100 ms interval keep one minute per metric.
   explicit MetricsCollector(MetricsRegistry& registry,
-                            CollectorOptions options = {});
-  ~MetricsCollector();
-  MetricsCollector(const MetricsCollector&) = delete;
-  MetricsCollector& operator=(const MetricsCollector&) = delete;
+                            std::size_t capacity = 600);
 
-  /// Spawns the sampling thread (no-op when interval_seconds <= 0 or
-  /// already running).
-  void start();
-  /// Stops and joins the thread; safe to call repeatedly.
-  void stop();
-
-  /// Takes one sample now. Also what the background thread calls, so
-  /// manual ticks interleave safely with a running collector.
-  void tick();
+  /// Takes one registry snapshot, appends its samples stamped
+  /// `unix_seconds`, and returns it, so the caller can evaluate rules on
+  /// the same data. obs.collector.tick_seconds times the snapshot plus
+  /// the ingest.
+  json::Object tick(double unix_seconds);
 
   bool has_series(std::string_view name) const;
   /// Oldest-first window for one series; empty when the series does not
   /// exist (use has_series to distinguish "unknown" from "no data yet").
   std::vector<Sample> series(std::string_view name) const;
-  std::vector<std::string> series_names() const;
   std::uint64_t ticks() const { return ticks_.value(); }
 
-  const CollectorOptions& options() const { return options_; }
-
-  /// Deterministic dump: {"interval_seconds", "capacity", "series":
-  /// {name: {"kind": ..., "samples": [[unix_seconds, value], ...]}}}
-  /// with sorted series names (json::Object is map-backed).
+  /// Deterministic dump: {"capacity", "series": {name: {"kind": ...,
+  /// "samples": [[unix_seconds, value], ...]}}} with sorted series names
+  /// (json::Object is map-backed).
   json::Object history_json() const;
 
  private:
@@ -115,15 +95,12 @@ class MetricsCollector {
     double last_cumulative = 0.0;  // counter_delta bookkeeping
   };
 
-  void ingest(const json::Object& snapshot, double unix_now);
-  void record(std::string_view name, std::string_view kind, double unix_now,
-              double value);
-  void record_delta(std::string_view name, double unix_now,
-                    double cumulative);
-  void run_loop();
+  void ingest(const json::Object& snapshot, double unix_seconds);
+  void record(std::string_view name, std::string_view kind,
+              double unix_seconds, double value);
 
   MetricsRegistry& registry_;
-  CollectorOptions options_;
+  std::size_t capacity_;
 
   Counter& ticks_;
   Counter& samples_;
@@ -132,12 +109,6 @@ class MetricsCollector {
 
   mutable std::mutex mutex_;
   std::map<std::string, Series, std::less<>> series_;
-
-  std::thread thread_;
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
 };
 
 }  // namespace hpcgpt::obs

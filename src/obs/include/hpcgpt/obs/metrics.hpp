@@ -16,11 +16,12 @@ namespace hpcgpt::obs {
 
 /// Monotonic event counter. add() is a single relaxed atomic increment,
 /// cheap enough for per-GEMM-call accounting on the inference hot path.
+/// No metric has a reset: a component that restarts gets a fresh
+/// registry, so a sampler never sees a cumulative value go backwards.
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -39,17 +40,6 @@ class Gauge {
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   std::int64_t max_value() const { return max_.load(std::memory_order_relaxed); }
-  /// Re-arms the peak tracker to the current level without touching the
-  /// live value, so a long-running server can report per-scrape-window
-  /// peaks instead of process-lifetime ones.
-  void reset_peak() {
-    max_.store(value_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  }
-  void reset() {
-    value_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -87,7 +77,6 @@ class Histogram {
   /// bound (the estimate cannot exceed what the buckets resolve). Returns
   /// 0 when the histogram is empty.
   double quantile(double q) const;
-  void reset();
 
  private:
   std::vector<double> bounds_;                       // ascending upper bounds
@@ -130,10 +119,6 @@ class MetricsRegistry {
   /// Histogram::quantile), so snapshots report latencies directly.
   json::Object snapshot() const;
   std::string snapshot_json() const;
-
-  /// Zeroes every registered metric without invalidating references to
-  /// them (registration survives, so cached pointers stay good).
-  void reset_values();
 
  private:
   mutable std::mutex mutex_;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hpcgpt/json/json.hpp"
@@ -19,20 +18,17 @@ namespace hpcgpt::obs {
 /// it weighs like Degraded when the overall status is folded.
 enum class RuleStatus { Ok, Degraded, Breached, MissingMetric };
 
-std::string_view rule_status_name(RuleStatus s);
-
 enum class Comparison { Above, Below };
 enum class Aggregation { Last, Mean, Max, Min, Sum, RatePerSecond };
-
-std::string_view aggregation_name(Aggregation a);
-std::string_view comparison_name(Comparison c);
 
 /// Threshold rule over one collector series (a gauge level, a derived
 /// quantile like "serve.ttft.seconds.p95", or a counter-delta rate).
 /// Samples inside the trailing window are folded with `aggregation`;
 /// the rule breaches when the aggregate compares `comparison` against
 /// `threshold`. `degraded_threshold` (optional, NaN = unused) marks the
-/// softer early-warning boundary crossed before the breach.
+/// softer early-warning boundary crossed before the breach. A window
+/// with no samples is Ok (insufficient data beats a false page at
+/// startup).
 struct SloRule {
   std::string name;
   std::string metric;
@@ -41,24 +37,27 @@ struct SloRule {
   Comparison comparison = Comparison::Above;
   double threshold = 0.0;
   double degraded_threshold = std::numeric_limits<double>::quiet_NaN();
-  /// Fewer in-window samples than this → Ok (insufficient data beats a
-  /// false page at startup).
-  std::size_t min_samples = 1;
 
   void validate() const;  // throws InvalidArgument
 };
 
-/// Multi-window burn-rate rule over a bad/good counter pair (e.g. shed
-/// vs completed requests). The burn rate is the fraction of bad events
-/// in the window divided by the error budget (1 - objective); burn 1.0
+/// Burn-rate rules come in two kinds that share one evaluator. Each tick
+/// reads the rule's cumulative (bad, total) event counts from the
+/// registry snapshot and keeps them in a bounded point history; the burn
+/// over a window is the bad fraction of the events between the window's
+/// start and now, divided by the error budget (1 - objective). Burn 1.0
 /// consumes budget exactly as fast as the objective allows. Breached
 /// when BOTH the fast and slow windows burn at >= `threshold` (the
 /// standard multi-window alert: fast for responsiveness, slow to ignore
-/// blips); Degraded when only one does.
+/// blips); Degraded when only one does. Events before a rule's first
+/// evaluation are its baseline, not part of any window.
+
+/// Burn rate over a bad/good counter pair (e.g. shed vs completed
+/// requests).
 struct BurnRateRule {
   std::string name;
-  std::string bad_metric;   // counter series, e.g. "serve.requests.shed"
-  std::string good_metric;  // counter series, e.g. "serve.requests.completed"
+  std::string bad_metric;   // counter, e.g. "serve.requests.shed"
+  std::string good_metric;  // counter, e.g. "serve.requests.completed"
   double objective = 0.99;  // fraction of events allowed to be good
   double fast_window_seconds = 30.0;
   double slow_window_seconds = 300.0;
@@ -67,13 +66,11 @@ struct BurnRateRule {
   void validate() const;
 };
 
-/// Burn-rate rule over a histogram's cumulative bucket counts: an
-/// observation is good when it landed in a bucket with upper bound <=
-/// threshold_seconds. Evaluated from the raw snapshot (not collector
-/// series) because it needs per-bucket detail; the monitor keeps its own
-/// cumulative (good, total) history per rule, so windowed bad-fractions
-/// recover naturally once fast observations resume — this is what lets
-/// /healthz flip 200 -> 503 -> 200 across a breach and recovery.
+/// Burn rate over a histogram's cumulative bucket counts: an observation
+/// is good when it landed in a bucket with upper bound <=
+/// threshold_seconds. Windowed bad fractions recover once fast
+/// observations resume — this is what lets /healthz flip 200 -> 503 ->
+/// 200 across a breach and recovery.
 struct LatencyBurnRule {
   std::string name;
   std::string histogram;  // e.g. "serve.ttft.seconds"
@@ -111,10 +108,11 @@ struct HealthReport {
 };
 
 /// Stage 2 of the telemetry pipeline: evaluates the declarative rule set
-/// on each collector tick. Not thread-safe — the pipeline serializes
-/// evaluate() under its own mutex. Rule definitions are validated at
-/// construction (typed InvalidArgument), missing metrics at evaluation
-/// (typed RuleStatus::MissingMetric per rule).
+/// on each tick, against the tick's registry snapshot (burn rules) and
+/// the collector's history (threshold rules). Not thread-safe — the
+/// pipeline serializes evaluate() under its own mutex. Rule definitions
+/// are validated at construction (typed InvalidArgument), missing
+/// metrics at evaluation (typed RuleStatus::MissingMetric per rule).
 class SloMonitor {
  public:
   SloMonitor(std::vector<SloRule> rules, std::vector<BurnRateRule> burn_rules,
@@ -122,36 +120,44 @@ class SloMonitor {
 
   HealthReport evaluate(const json::Object& snapshot,
                         const MetricsCollector& history, double unix_now);
-  const HealthReport& last() const { return last_; }
-  std::size_t rule_count() const {
-    return rules_.size() + burn_rules_.size() + latency_rules_.size();
-  }
 
  private:
-  struct CumulativePoint {
+  /// Cumulative event counts of one burn rule at one evaluation.
+  struct BurnPoint {
     double unix_seconds = 0.0;
-    double good = 0.0;
+    double bad = 0.0;
     double total = 0.0;
+  };
+  /// Fast- and slow-window burn multiples of one evaluation.
+  struct Burn {
+    double fast = 0.0;
+    double slow = 0.0;
   };
 
   RuleState evaluate_threshold(const SloRule& rule,
                                const MetricsCollector& history,
                                double unix_now);
   RuleState evaluate_burn(const BurnRateRule& rule,
-                          const MetricsCollector& history, double unix_now);
-  RuleState evaluate_latency_burn(const LatencyBurnRule& rule,
-                                  const json::Object& snapshot,
-                                  double unix_now);
+                          const json::Object& snapshot,
+                          std::deque<BurnPoint>& points, double unix_now);
+  RuleState evaluate_burn(const LatencyBurnRule& rule,
+                          const json::Object& snapshot,
+                          std::deque<BurnPoint>& points, double unix_now);
+  /// The one burn evaluator: appends `now` to the rule's bounded point
+  /// history, sets state.value (the fast burn) and state.status, and
+  /// returns both burns for the rule's detail string.
+  template <typename Rule>
+  static Burn burn(const Rule& rule, std::deque<BurnPoint>& points,
+                   BurnPoint now, RuleState& state);
   void finish(RuleState& state, double unix_now);
 
   std::vector<SloRule> rules_;
   std::vector<BurnRateRule> burn_rules_;
   std::vector<LatencyBurnRule> latency_rules_;
-  /// Per-latency-rule cumulative (good, total) history, bounded so a
-  /// misconfigured slow window cannot grow without limit.
-  std::map<std::string, std::deque<CumulativePoint>> latency_points_;
+  /// Point history per burn rule: the BurnRateRules first, then the
+  /// LatencyBurnRules, in configuration order.
+  std::vector<std::deque<BurnPoint>> burn_points_;
   std::map<std::string, double> first_breach_;  // sticky, by rule name
-  HealthReport last_;
 };
 
 }  // namespace hpcgpt::obs

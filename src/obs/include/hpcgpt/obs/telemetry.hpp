@@ -73,8 +73,8 @@ struct TelemetryConfig {
   /// Master switch (serve integration constructs the pipeline only when
   /// set; the CLI sets it via --metrics-port).
   bool enabled = false;
-  /// Collector tick period; <= 0 means no background thread (manual
-  /// tick(), how the deterministic tests drive the pipeline).
+  /// Pipeline tick period; <= 0 means no sampling thread (manual tick(),
+  /// how the deterministic tests drive the pipeline).
   double sample_interval_seconds = 0.1;
   std::size_t history_capacity = 600;
   /// >= 0 starts a TelemetryServer (0 = ephemeral port); < 0 runs the
@@ -87,10 +87,11 @@ struct TelemetryConfig {
 
 /// The assembled live-monitoring pipeline: collector (stage 1) + SLO
 /// monitor (stage 2) + optional HTTP exposition (stage 3) over one
-/// MetricsRegistry. Each tick samples the registry into the collector's
-/// rings and re-evaluates the rule set; the resulting HealthReport is
-/// readable at any time (health()), pushed to an optional listener, and
-/// condensed into shed_hint(), which /healthz turns into a 503.
+/// MetricsRegistry. The pipeline's loop is the registry's only sampler:
+/// each tick reads the wall clock once and takes one registry snapshot,
+/// which the collector appends to its rings and the monitor evaluates
+/// the rule set against. The resulting HealthReport is readable at any
+/// time (health()); its shed_hint is what /healthz turns into a 503.
 ///
 /// HTTP routes: /metrics (Prometheus text), /healthz (200 Ok/Degraded,
 /// 503 Breached), /snapshot (registry JSON), /history (collector series
@@ -102,9 +103,9 @@ class TelemetryPipeline {
   TelemetryPipeline(const TelemetryPipeline&) = delete;
   TelemetryPipeline& operator=(const TelemetryPipeline&) = delete;
 
-  /// Starts the collector thread and the HTTP server (each only when
-  /// configured). With a collector, the first tick runs before start()
-  /// returns. Safe to call once; tick() works without start().
+  /// Starts the sampling thread and the HTTP server (each only when
+  /// configured). With a sampling thread, the first tick runs before
+  /// start() returns. Safe to call once; tick() works without start().
   void start();
   void stop();
 
@@ -112,13 +113,8 @@ class TelemetryPipeline {
   void tick();
 
   HealthReport health() const;
-  bool shed_hint() const;
-  /// Invoked after every tick with the fresh report (on the ticking
-  /// thread, outside the pipeline lock). Set before start().
-  void set_health_listener(std::function<void(const HealthReport&)> fn);
 
   const MetricsCollector& collector() const { return collector_; }
-  const TelemetryConfig& config() const { return config_; }
   /// Bound HTTP port, or -1 when running headless.
   int http_port() const;
 
@@ -137,15 +133,13 @@ class TelemetryPipeline {
   MetricsCollector collector_;
   Counter& http_requests_;
 
-  mutable std::mutex mutex_;  // monitor_, report_, listener_
+  mutable std::mutex mutex_;  // monitor_, report_
   SloMonitor monitor_;
   HealthReport report_;
-  std::function<void(const HealthReport&)> listener_;
 
   std::unique_ptr<TelemetryServer> http_;
 
-  // The pipeline drives the sampling loop itself (rather than using the
-  // collector's thread) so every tick also re-evaluates the SLO rules.
+  // The sampling loop: every tick feeds the collector and the monitor.
   std::thread thread_;
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;

@@ -1,21 +1,10 @@
 #include "hpcgpt/obs/collector.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "hpcgpt/support/timer.hpp"
 
 namespace hpcgpt::obs {
-
-namespace {
-
-double unix_now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 TimeSeriesRing::TimeSeriesRing(std::size_t capacity) : capacity_(capacity) {
   ring_.resize(capacity_);
@@ -42,99 +31,52 @@ std::vector<Sample> TimeSeriesRing::samples() const {
 }
 
 MetricsCollector::MetricsCollector(MetricsRegistry& registry,
-                                   CollectorOptions options)
+                                   std::size_t capacity)
     : registry_(registry),
-      options_(options),
+      capacity_(capacity),
       ticks_(registry.counter("obs.collector.ticks")),
       samples_(registry.counter("obs.collector.samples")),
       samples_dropped_(registry.counter("obs.collector.samples_dropped")),
       tick_seconds_(registry.histogram("obs.collector.tick_seconds")) {}
 
-MetricsCollector::~MetricsCollector() { stop(); }
-
-void MetricsCollector::start() {
-  if (options_.interval_seconds <= 0.0 || running_) return;
-  running_ = true;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { run_loop(); });
-}
-
-void MetricsCollector::stop() {
-  if (!running_) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  running_ = false;
-}
-
-void MetricsCollector::run_loop() {
-  const auto period = std::chrono::duration<double>(options_.interval_seconds);
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  while (!stop_requested_) {
-    lock.unlock();
-    tick();
-    lock.lock();
-    stop_cv_.wait_for(lock, period, [this] { return stop_requested_; });
-  }
-}
-
-void MetricsCollector::tick() {
+json::Object MetricsCollector::tick(double unix_seconds) {
   Timer timer;
-  const json::Object snapshot = registry_.snapshot();
-  const double now = unix_now_seconds();
+  json::Object snapshot = registry_.snapshot();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ingest(snapshot, now);
+    ingest(snapshot, unix_seconds);
   }
   ticks_.add(1);
   tick_seconds_.observe(timer.seconds());
+  return snapshot;
 }
 
 void MetricsCollector::record(std::string_view name, std::string_view kind,
-                              double unix_now, double value) {
+                              double unix_seconds, double value) {
   auto it = series_.find(name);
   if (it == series_.end()) {
     it = series_
              .emplace(std::string(name),
-                      Series{std::string(kind),
-                             TimeSeriesRing(options_.capacity), 0.0})
-             .first;
-  }
-  if (it->second.ring.push(Sample{unix_now, value})) {
-    samples_.add(1);
-  } else {
-    samples_dropped_.add(1);
-  }
-}
-
-void MetricsCollector::record_delta(std::string_view name, double unix_now,
-                                    double cumulative) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_
-             .emplace(std::string(name),
-                      Series{"counter_delta", TimeSeriesRing(options_.capacity),
-                             0.0})
+                      Series{std::string(kind), TimeSeriesRing(capacity_)})
              .first;
   }
   Series& s = it->second;
-  // A cumulative value below the last observation means the counter was
-  // reset (reset_values() in tests, a restarted component): treat the raw
-  // value as the delta, the Prometheus rate() convention.
-  double delta = cumulative - s.last_cumulative;
-  if (delta < 0.0) delta = cumulative;
-  s.last_cumulative = cumulative;
-  if (s.ring.push(Sample{unix_now, delta})) {
+  if (kind == "counter_delta") {
+    // Registry counters only grow (nothing resets them), so the delta is
+    // never negative.
+    const double cumulative = value;
+    value -= s.last_cumulative;
+    s.last_cumulative = cumulative;
+  }
+  if (s.ring.push(Sample{unix_seconds, value})) {
     samples_.add(1);
   } else {
     samples_dropped_.add(1);
   }
 }
 
-void MetricsCollector::ingest(const json::Object& snapshot, double unix_now) {
+void MetricsCollector::ingest(const json::Object& snapshot,
+                              double unix_seconds) {
   const auto find_object = [&](const char* key) -> const json::Object* {
     const auto it = snapshot.find(key);
     return it != snapshot.end() && it->second.is_object()
@@ -144,25 +86,28 @@ void MetricsCollector::ingest(const json::Object& snapshot, double unix_now) {
 
   if (const json::Object* counters = find_object("counters")) {
     for (const auto& [name, value] : *counters) {
-      record_delta(name, unix_now, value.as_number());
+      record(name, "counter_delta", unix_seconds, value.as_number());
     }
   }
   if (const json::Object* gauges = find_object("gauges")) {
     for (const auto& [name, entry] : *gauges) {
-      record(name, "gauge", unix_now, entry.at("value").as_number());
-      record(name + ".peak", "gauge", unix_now, entry.at("max").as_number());
+      record(name, "gauge", unix_seconds, entry.at("value").as_number());
+      record(name + ".peak", "gauge", unix_seconds,
+             entry.at("max").as_number());
     }
   }
   if (const json::Object* histograms = find_object("histograms")) {
     for (const auto& [name, entry] : *histograms) {
-      record(name + ".p50", "quantile", unix_now,
+      record(name + ".p50", "quantile", unix_seconds,
              entry.at("p50").as_number());
-      record(name + ".p95", "quantile", unix_now,
+      record(name + ".p95", "quantile", unix_seconds,
              entry.at("p95").as_number());
-      record(name + ".p99", "quantile", unix_now,
+      record(name + ".p99", "quantile", unix_seconds,
              entry.at("p99").as_number());
-      record_delta(name + ".count", unix_now, entry.at("count").as_number());
-      record_delta(name + ".sum", unix_now, entry.at("sum").as_number());
+      record(name + ".count", "counter_delta", unix_seconds,
+             entry.at("count").as_number());
+      record(name + ".sum", "counter_delta", unix_seconds,
+             entry.at("sum").as_number());
     }
   }
 }
@@ -177,14 +122,6 @@ std::vector<Sample> MetricsCollector::series(std::string_view name) const {
   const auto it = series_.find(name);
   if (it == series_.end()) return {};
   return it->second.ring.samples();
-}
-
-std::vector<std::string> MetricsCollector::series_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, series] : series_) out.push_back(name);
-  return out;
 }
 
 json::Object MetricsCollector::history_json() const {
@@ -204,8 +141,7 @@ json::Object MetricsCollector::history_json() const {
     series_obj[name] = std::move(entry);
   }
   json::Object root;
-  root["interval_seconds"] = options_.interval_seconds;
-  root["capacity"] = options_.capacity;
+  root["capacity"] = capacity_;
   root["series"] = std::move(series_obj);
   return root;
 }

@@ -67,12 +67,6 @@ double Histogram::quantile(double q) const {
   return bounds_.empty() ? 0.0 : bounds_.back();
 }
 
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 std::span<const double> default_latency_bounds() {
   static const std::array<double, 22> kBounds = {
       1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3,
@@ -162,13 +156,6 @@ json::Object MetricsRegistry::snapshot() const {
 
 std::string MetricsRegistry::snapshot_json() const {
   return json::Value(snapshot()).dump_pretty();
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace hpcgpt::obs

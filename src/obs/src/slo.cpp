@@ -11,20 +11,18 @@ namespace hpcgpt::obs {
 
 namespace {
 
-constexpr std::size_t kMaxLatencyPoints = 8192;
+/// Bound on one burn rule's point history, so a misconfigured slow
+/// window cannot grow it without limit.
+constexpr std::size_t kMaxBurnPoints = 8192;
 
-double window_sum(const std::vector<Sample>& samples, double unix_now,
-                  double window_seconds, std::size_t* in_window) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  const double cutoff = unix_now - window_seconds;
-  for (const Sample& s : samples) {
-    if (s.unix_seconds < cutoff) continue;
-    sum += s.value;
-    ++n;
-  }
-  if (in_window != nullptr) *in_window = n;
-  return sum;
+/// Entry `name` of the snapshot's `kind` section ("counters" or
+/// "histograms"), or nullptr when the registry has never produced it.
+const json::Value* find_metric(const json::Object& snapshot, const char* kind,
+                               const std::string& name) {
+  const auto it = snapshot.find(kind);
+  return it != snapshot.end() && it->second.is_object()
+             ? it->second.find(name)
+             : nullptr;
 }
 
 std::string format_value(double v) {
@@ -32,8 +30,6 @@ std::string format_value(double v) {
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
 }
-
-}  // namespace
 
 std::string_view rule_status_name(RuleStatus s) {
   switch (s) {
@@ -60,6 +56,8 @@ std::string_view aggregation_name(Aggregation a) {
 std::string_view comparison_name(Comparison c) {
   return c == Comparison::Above ? "above" : "below";
 }
+
+}  // namespace
 
 void SloRule::validate() const {
   require(!name.empty(), "SloRule: rule name must not be empty");
@@ -143,6 +141,7 @@ SloMonitor::SloMonitor(std::vector<SloRule> rules,
   for (const SloRule& r : rules_) r.validate();
   for (const BurnRateRule& r : burn_rules_) r.validate();
   for (const LatencyBurnRule& r : latency_rules_) r.validate();
+  burn_points_.resize(burn_rules_.size() + latency_rules_.size());
 }
 
 void SloMonitor::finish(RuleState& state, double unix_now) {
@@ -188,10 +187,9 @@ RuleState SloMonitor::evaluate_threshold(const SloRule& rule,
     last_t = s.unix_seconds;
     ++n;
   }
-  if (n < rule.min_samples) {
+  if (n == 0) {
     state.status = RuleStatus::Ok;
-    state.detail = "insufficient data (" + std::to_string(n) + " of " +
-                   std::to_string(rule.min_samples) + " samples in window)";
+    state.detail = "insufficient data (no samples in window)";
     return state;
   }
 
@@ -230,119 +228,100 @@ RuleState SloMonitor::evaluate_threshold(const SloRule& rule,
   return state;
 }
 
+template <typename Rule>
+SloMonitor::Burn SloMonitor::burn(const Rule& rule,
+                                  std::deque<BurnPoint>& points,
+                                  BurnPoint now, RuleState& state) {
+  points.push_back(now);
+  const double horizon = now.unix_seconds - 2.0 * rule.slow_window_seconds;
+  while (points.size() > kMaxBurnPoints ||
+         (points.size() > 1 && points[1].unix_seconds <= horizon)) {
+    points.pop_front();
+  }
+  const auto burn_over = [&](double window) {
+    // Baseline: the most recent point at or before the window start, so
+    // the delta covers at least the requested span once history exists.
+    const double start = now.unix_seconds - window;
+    const BurnPoint* base = &points.front();
+    for (const BurnPoint& p : points) {
+      if (p.unix_seconds > start) break;
+      base = &p;
+    }
+    const double d_total = now.total - base->total;
+    if (d_total <= 0.0) return 0.0;
+    return ((now.bad - base->bad) / d_total) / (1.0 - rule.objective);
+  };
+  const Burn b{burn_over(rule.fast_window_seconds),
+               burn_over(rule.slow_window_seconds)};
+  state.value = b.fast;
+  const bool fast_hot = b.fast >= rule.threshold;
+  const bool slow_hot = b.slow >= rule.threshold;
+  state.status = fast_hot && slow_hot ? RuleStatus::Breached
+                 : (fast_hot || slow_hot) ? RuleStatus::Degraded
+                                          : RuleStatus::Ok;
+  return b;
+}
+
 RuleState SloMonitor::evaluate_burn(const BurnRateRule& rule,
-                                    const MetricsCollector& history,
+                                    const json::Object& snapshot,
+                                    std::deque<BurnPoint>& points,
                                     double unix_now) {
   RuleState state;
   state.rule = rule.name;
   state.metric = rule.bad_metric + "/" + rule.good_metric;
   state.threshold = rule.threshold;
 
-  if (!history.has_series(rule.bad_metric) ||
-      !history.has_series(rule.good_metric)) {
+  const json::Value* bad = find_metric(snapshot, "counters", rule.bad_metric);
+  const json::Value* good = find_metric(snapshot, "counters", rule.good_metric);
+  if (bad == nullptr || good == nullptr) {
     state.status = RuleStatus::MissingMetric;
     state.detail = "counter series '" + rule.bad_metric + "' and '" +
                    rule.good_metric + "' must both exist";
     return state;
   }
-  const std::vector<Sample> bad = history.series(rule.bad_metric);
-  const std::vector<Sample> good = history.series(rule.good_metric);
-  const double budget = 1.0 - rule.objective;
-
-  const auto burn_over = [&](double window) {
-    const double bad_sum = window_sum(bad, unix_now, window, nullptr);
-    const double good_sum = window_sum(good, unix_now, window, nullptr);
-    const double total = bad_sum + good_sum;
-    if (total <= 0.0) return 0.0;
-    return (bad_sum / total) / budget;
-  };
-  const double fast = burn_over(rule.fast_window_seconds);
-  const double slow = burn_over(rule.slow_window_seconds);
-  state.value = fast;
-
-  const bool fast_hot = fast >= rule.threshold;
-  const bool slow_hot = slow >= rule.threshold;
-  state.status = fast_hot && slow_hot ? RuleStatus::Breached
-                 : (fast_hot || slow_hot) ? RuleStatus::Degraded
-                                          : RuleStatus::Ok;
+  const Burn b = burn(rule, points,
+                      BurnPoint{unix_now, bad->as_number(),
+                                bad->as_number() + good->as_number()},
+                      state);
   state.detail = "burn fast(" + format_value(rule.fast_window_seconds) +
-                 "s)=" + format_value(fast) + " slow(" +
+                 "s)=" + format_value(b.fast) + " slow(" +
                  format_value(rule.slow_window_seconds) +
-                 "s)=" + format_value(slow) + " budget=" +
-                 format_value(budget);
+                 "s)=" + format_value(b.slow) + " budget=" +
+                 format_value(1.0 - rule.objective);
   return state;
 }
 
-RuleState SloMonitor::evaluate_latency_burn(const LatencyBurnRule& rule,
-                                            const json::Object& snapshot,
-                                            double unix_now) {
+RuleState SloMonitor::evaluate_burn(const LatencyBurnRule& rule,
+                                    const json::Object& snapshot,
+                                    std::deque<BurnPoint>& points,
+                                    double unix_now) {
   RuleState state;
   state.rule = rule.name;
   state.metric = rule.histogram;
   state.threshold = rule.threshold;
 
-  const json::Object* histograms = nullptr;
-  const auto hit = snapshot.find("histograms");
-  if (hit != snapshot.end() && hit->second.is_object()) {
-    histograms = &hit->second.as_object();
-  }
-  const auto entry_it =
-      histograms != nullptr ? histograms->find(rule.histogram)
-                            : json::Object::const_iterator{};
-  if (histograms == nullptr || entry_it == histograms->end()) {
+  const json::Value* hist = find_metric(snapshot, "histograms", rule.histogram);
+  if (hist == nullptr) {
     state.status = RuleStatus::MissingMetric;
     state.detail = "histogram '" + rule.histogram + "' not in snapshot";
     return state;
   }
-
   // Cumulative good/total from the bucket counts: good = observations in
   // buckets whose upper bound is <= the latency threshold.
-  const json::Object& entry = entry_it->second.as_object();
   double good = 0.0;
-  const double total = entry.at("count").as_number();
-  for (const json::Value& bucket : entry.at("buckets").as_array()) {
+  const double total = hist->at("count").as_number();
+  for (const json::Value& bucket : hist->at("buckets").as_array()) {
     const json::Value& le = bucket.at("le");
     if (le.is_string()) continue;  // +Inf overflow bucket is never "good"
     if (le.as_number() <= rule.threshold_seconds + 1e-12) {
       good += bucket.at("count").as_number();
     }
   }
-
-  std::deque<CumulativePoint>& points = latency_points_[rule.name];
-  points.push_back(CumulativePoint{unix_now, good, total});
-  const double horizon = unix_now - 2.0 * rule.slow_window_seconds;
-  while (points.size() > kMaxLatencyPoints ||
-         (points.size() > 1 && points[1].unix_seconds <= horizon)) {
-    points.pop_front();
-  }
-
-  const auto burn_over = [&](double window) {
-    // Baseline: the most recent point at or before the window start, so
-    // the delta covers at least the requested span once history exists.
-    const double start = unix_now - window;
-    const CumulativePoint* base = &points.front();
-    for (const CumulativePoint& p : points) {
-      if (p.unix_seconds > start) break;
-      base = &p;
-    }
-    const CumulativePoint& latest = points.back();
-    const double d_total = latest.total - base->total;
-    if (d_total <= 0.0) return 0.0;
-    const double d_bad = d_total - (latest.good - base->good);
-    return (d_bad / d_total) / (1.0 - rule.objective);
-  };
-  const double fast = burn_over(rule.fast_window_seconds);
-  const double slow = burn_over(rule.slow_window_seconds);
-  state.value = fast;
-
-  const bool fast_hot = fast >= rule.threshold;
-  const bool slow_hot = slow >= rule.threshold;
-  state.status = fast_hot && slow_hot ? RuleStatus::Breached
-                 : (fast_hot || slow_hot) ? RuleStatus::Degraded
-                                          : RuleStatus::Ok;
+  const Burn b =
+      burn(rule, points, BurnPoint{unix_now, total - good, total}, state);
   state.detail = "p(>" + format_value(rule.threshold_seconds) +
-                 "s) burn fast=" + format_value(fast) +
-                 " slow=" + format_value(slow) + " budget=" +
+                 "s) burn fast=" + format_value(b.fast) +
+                 " slow=" + format_value(b.slow) + " budget=" +
                  format_value(1.0 - rule.objective);
   return state;
 }
@@ -352,16 +331,20 @@ HealthReport SloMonitor::evaluate(const json::Object& snapshot,
                                   double unix_now) {
   HealthReport report;
   report.unix_seconds = unix_now;
-  report.rules.reserve(rule_count());
+  report.rules.reserve(rules_.size() + burn_rules_.size() +
+                       latency_rules_.size());
 
   for (const SloRule& rule : rules_) {
     report.rules.push_back(evaluate_threshold(rule, history, unix_now));
   }
+  std::size_t point_index = 0;
   for (const BurnRateRule& rule : burn_rules_) {
-    report.rules.push_back(evaluate_burn(rule, history, unix_now));
+    report.rules.push_back(evaluate_burn(
+        rule, snapshot, burn_points_[point_index++], unix_now));
   }
   for (const LatencyBurnRule& rule : latency_rules_) {
-    report.rules.push_back(evaluate_latency_burn(rule, snapshot, unix_now));
+    report.rules.push_back(evaluate_burn(
+        rule, snapshot, burn_points_[point_index++], unix_now));
   }
 
   for (RuleState& state : report.rules) {
@@ -384,7 +367,6 @@ HealthReport SloMonitor::evaluate(const json::Object& snapshot,
     }
     report.shed_hint = report.shed_hint || state.status == RuleStatus::Breached;
   }
-  last_ = report;
   return report;
 }
 

@@ -260,9 +260,7 @@ TelemetryPipeline::TelemetryPipeline(MetricsRegistry& registry,
                                      TelemetryConfig config)
     : registry_(registry),
       config_(std::move(config)),
-      collector_(registry,
-                 CollectorOptions{config_.sample_interval_seconds,
-                                  config_.history_capacity}),
+      collector_(registry, config_.history_capacity),
       http_requests_(registry.counter("obs.telemetry.http_requests")),
       monitor_(config_.rules, config_.burn_rules, config_.latency_rules) {}
 
@@ -270,7 +268,7 @@ TelemetryPipeline::~TelemetryPipeline() { stop(); }
 
 void TelemetryPipeline::start() {
   if (!running_ && config_.sample_interval_seconds > 0.0) {
-    // The first sample is taken here rather than on the collector thread,
+    // The first sample is taken here rather than on the sampling thread,
     // so health() and /healthz carry every rule as soon as start()
     // returns, however late the thread is first scheduled.
     tick();
@@ -309,34 +307,15 @@ void TelemetryPipeline::stop() {
 }
 
 void TelemetryPipeline::tick() {
-  collector_.tick();
-  const json::Object snapshot = registry_.snapshot();
   const double now = unix_now_seconds();
-  HealthReport fresh;
-  std::function<void(const HealthReport&)> listener;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fresh = monitor_.evaluate(snapshot, collector_, now);
-    report_ = fresh;
-    listener = listener_;
-  }
-  if (listener) listener(fresh);
+  const json::Object snapshot = collector_.tick(now);
+  std::lock_guard<std::mutex> lock(mutex_);
+  report_ = monitor_.evaluate(snapshot, collector_, now);
 }
 
 HealthReport TelemetryPipeline::health() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return report_;
-}
-
-bool TelemetryPipeline::shed_hint() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return report_.shed_hint;
-}
-
-void TelemetryPipeline::set_health_listener(
-    std::function<void(const HealthReport&)> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  listener_ = std::move(fn);
 }
 
 int TelemetryPipeline::http_port() const {
@@ -353,6 +332,7 @@ std::string TelemetryPipeline::snapshot_json() const {
 
 std::string TelemetryPipeline::history_json() const {
   json::Object root = collector_.history_json();
+  root["interval_seconds"] = config_.sample_interval_seconds;
   root["unix_seconds"] = unix_now_seconds();
   root["ticks"] = static_cast<std::size_t>(collector_.ticks());
   root["health"] = health().to_json();

@@ -134,37 +134,6 @@ class PostingIterator {
   std::uint64_t postings_decoded_ = 0;
 };
 
-/// OR-combinator: emits the union of its children's doc ids in order.
-class UnionIterator {
- public:
-  explicit UnionIterator(std::vector<PostingIterator> children);
-  bool at_end() const;
-  DocId doc() const { return doc_; }
-  /// Sum of impacts of the children positioned at doc().
-  std::uint32_t impact_sum() const;
-  void next();
-
- private:
-  void refresh();
-  std::vector<PostingIterator> children_;
-  DocId doc_ = PostingIterator::kEndDoc;
-};
-
-/// AND-combinator: emits only doc ids present in every child, using
-/// advance() leapfrogging.
-class IntersectionIterator {
- public:
-  explicit IntersectionIterator(std::vector<PostingIterator> children);
-  bool at_end() const;
-  DocId doc() const { return doc_; }
-  void next();
-
- private:
-  void align(DocId target);
-  std::vector<PostingIterator> children_;
-  DocId doc_ = PostingIterator::kEndDoc;
-};
-
 /// Incremental inverted index: an in-memory tail segment absorbs add()s
 /// (immediately searchable), seals into a compressed segment every
 /// `seal_threshold` docs, and sealed segments are merged once

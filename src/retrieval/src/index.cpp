@@ -223,75 +223,6 @@ void PostingIterator::advance(DocId target) {
   ++postings_decoded_;
 }
 
-UnionIterator::UnionIterator(std::vector<PostingIterator> children)
-    : children_(std::move(children)) {
-  refresh();
-}
-
-void UnionIterator::refresh() {
-  doc_ = PostingIterator::kEndDoc;
-  for (const PostingIterator& c : children_)
-    if (!c.at_end()) doc_ = std::min(doc_, c.doc());
-}
-
-bool UnionIterator::at_end() const { return doc_ == PostingIterator::kEndDoc; }
-
-std::uint32_t UnionIterator::impact_sum() const {
-  std::uint32_t sum = 0;
-  for (const PostingIterator& c : children_)
-    if (!c.at_end() && c.doc() == doc_) sum += c.impact();
-  return sum;
-}
-
-void UnionIterator::next() {
-  if (at_end()) return;
-  for (PostingIterator& c : children_)
-    if (!c.at_end() && c.doc() == doc_) c.next();
-  refresh();
-}
-
-IntersectionIterator::IntersectionIterator(std::vector<PostingIterator> children)
-    : children_(std::move(children)) {
-  if (children_.empty()) {
-    doc_ = PostingIterator::kEndDoc;
-    return;
-  }
-  align(0);
-}
-
-bool IntersectionIterator::at_end() const {
-  return doc_ == PostingIterator::kEndDoc;
-}
-
-// Leapfrog: keep advancing every child to the current max until all agree.
-void IntersectionIterator::align(DocId target) {
-  while (true) {
-    DocId max = target;
-    bool agree = true;
-    for (PostingIterator& c : children_) {
-      c.advance(max);
-      if (c.at_end()) {
-        doc_ = PostingIterator::kEndDoc;
-        return;
-      }
-      if (c.doc() != max) {
-        max = std::max(max, c.doc());
-        agree = false;
-      }
-    }
-    if (agree) {
-      doc_ = max;
-      return;
-    }
-    target = max;
-  }
-}
-
-void IntersectionIterator::next() {
-  if (at_end()) return;
-  align(doc_ + 1);
-}
-
 InvertedIndex::InvertedIndex(IndexOptions opts) : opts_(opts) {}
 
 void InvertedIndex::add_document(

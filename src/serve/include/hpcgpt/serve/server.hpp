@@ -92,8 +92,8 @@ struct ServeConfig {
   RagConfig rag{};
   /// Live telemetry (one section of ServeConfig): when telemetry.enabled
   /// the server runs an obs::TelemetryPipeline over its private registry —
-  /// collector ticks at telemetry.sample_interval_seconds, the SLO rules
-  /// are re-evaluated each tick, and telemetry.metrics_port >= 0 exposes
+  /// it ticks at telemetry.sample_interval_seconds, the SLO rules are
+  /// re-evaluated each tick, and telemetry.metrics_port >= 0 exposes
   /// /metrics, /healthz, /snapshot and /history over HTTP (port 0 picks
   /// an ephemeral one; see InferenceServer::telemetry()->http_port()).
   /// default_telemetry() fills in the stock serving rule set.
@@ -113,56 +113,6 @@ struct ServeConfig {
 /// set telemetry.metrics_port (0 = ephemeral) to expose it.
 obs::TelemetryConfig default_telemetry(double ttft_threshold_seconds = 0.25);
 
-/// Server statistics — a consistent snapshot view over the server's
-/// metrics registry (the registry holds the live values; stats() samples
-/// them under the server mutex so counters in one snapshot agree with
-/// each other). Rejected/shed requests are not counted as served.
-struct ServerStats {
-  std::size_t requests_served = 0;
-  std::size_t requests_rejected = 0;   ///< submitted after shutdown
-  std::size_t requests_shed = 0;       ///< can never fit the page budget
-  std::size_t requests_verified = 0;   ///< verification requests completed
-  std::size_t verifications_rejected = 0;  ///< verify submits after shutdown
-  std::size_t max_queue_depth = 0;
-  std::size_t prompt_tokens = 0;       ///< tokens ingested via prefill
-  std::size_t generated_tokens = 0;    ///< tokens emitted by decode steps
-  std::size_t batch_rounds = 0;        ///< scheduler rounds with work
-  std::size_t batch_occupancy_sum = 0; ///< Σ active streams per round
-  std::size_t peak_batch = 0;          ///< max simultaneously active streams
-  std::size_t prefix_hits = 0;         ///< admissions that reused a prefix
-  std::size_t prefix_misses = 0;       ///< admissions that prefilled cold
-  std::size_t prefix_tokens_reused = 0;  ///< prompt tokens not re-prefilled
-  std::size_t rag_augmented = 0;  ///< requests whose prompt gained context
-  std::size_t rag_skipped = 0;    ///< RAG-enabled requests left unaugmented
-  std::size_t kv_pages_in_use = 0;     ///< pool pages live at snapshot
-  double busy_seconds = 0.0;           ///< wall time in prefill/decode work
-  double latency_seconds_sum = 0.0;    ///< Σ submit→completion per request
-  /// Last SLO evaluation of the telemetry pipeline (overall Ok with no
-  /// rules when telemetry is disabled). health.shed_hint is what /healthz
-  /// turns into a 503; admission does not read it.
-  obs::HealthReport health;
-
-  /// Aggregate decode throughput while the scheduler was busy.
-  double tokens_per_second() const {
-    return busy_seconds > 0.0
-               ? static_cast<double>(generated_tokens) / busy_seconds
-               : 0.0;
-  }
-  /// Mean number of streams sharing a decode round (batching efficiency).
-  double mean_batch_occupancy() const {
-    return batch_rounds > 0
-               ? static_cast<double>(batch_occupancy_sum) /
-                     static_cast<double>(batch_rounds)
-               : 0.0;
-  }
-  /// Mean submit→completion latency per served request.
-  double mean_latency_seconds() const {
-    return requests_served > 0
-               ? latency_seconds_sum / static_cast<double>(requests_served)
-               : 0.0;
-  }
-};
-
 /// The deployment stage of Figure 1: a continuous-batching in-process
 /// inference server in front of one HPC-GPT model.
 ///
@@ -170,10 +120,11 @@ struct ServerStats {
 /// scheduler thread runs the batched inference engine: queued requests
 /// are admitted into up to `max_batch` decode lanes, each with its own
 /// paged KV session (nn::DecodeState) over one budget-capped
-/// nn::KvPagePool. Admission tokenizes the prompt, reserves worst-case
-/// pages (evicting cached prefixes under pressure, shedding requests
-/// that can never fit), and maps any cached prefix of the prompt from
-/// the radix-trie PrefixCache so only the unseen suffix is prefilled.
+/// nn::KvPagePool. submit() tokenizes the prompt on the caller's thread;
+/// admission reserves worst-case pages (evicting cached prefixes under
+/// pressure, shedding requests that can never fit) and maps any cached
+/// prefix of the prompt from the radix-trie PrefixCache so only the
+/// unseen suffix is prefilled.
 /// Fresh prompts are ingested through the GEMM prefill path and their
 /// prompt pages published back into the trie; then every round advances
 /// all live lanes by one token through a single decode_step_batch call,
@@ -186,8 +137,10 @@ struct ServerStats {
 /// resolve (not throw) with FinishReason::Rejected. Every server owns a
 /// private obs::MetricsRegistry — queue depth, admission latency, TTFT,
 /// inter-token latency, per-round occupancy, prefix-cache hits, pages in
-/// use — exported via metrics_json(); ServerStats is a thin snapshot
-/// view over it.
+/// use — exported via metrics() and metrics_json(). It is the only
+/// record of those values; its atomics are written outside the server
+/// mutex, so one snapshot is per-metric exact but need not be consistent
+/// across metrics while requests are in flight.
 class InferenceServer {
  public:
   InferenceServer(core::HpcGpt& model, ServeConfig config);
@@ -198,7 +151,10 @@ class InferenceServer {
 
   /// Enqueues a generation request. request.max_new_tokens == 0 uses the
   /// server default; request.id == 0 is replaced with a fresh server-
-  /// assigned id (echoed in the result). After shutdown() — or when the
+  /// assigned id (echoed in the result). The prompt is encoded here, on
+  /// the caller's thread; a prompt over request.token_limit resolves at
+  /// once with FinishReason::ContextLimit and its unclamped token count,
+  /// as HpcGpt::generate reports it. After shutdown() — or when the
   /// request can never fit the KV page budget — the future resolves
   /// with FinishReason::Rejected rather than throwing: check
   /// GenerationResult::ok().
@@ -229,10 +185,8 @@ class InferenceServer {
   /// The serving page pool (budget, occupancy — for tests/benches).
   const nn::KvPagePool& page_pool() const { return *pool_; }
 
-  /// Consistent snapshot of the serving counters (view over metrics()).
-  ServerStats stats() const;
-
-  /// This server's private metric registry (live values).
+  /// This server's private metric registry (live values). A request is
+  /// counted here before its future resolves.
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
   /// The live telemetry pipeline, or nullptr when config.telemetry is
@@ -249,6 +203,7 @@ class InferenceServer {
  private:
   struct Request {
     core::GenerationRequest request;
+    std::vector<text::TokenId> prompt;  ///< encoded at submit, clamped
     std::promise<core::GenerationResult> promise;
     std::chrono::steady_clock::time_point submitted;
     /// Request-scoped trace (global TraceSink enabled at submit): every
@@ -264,7 +219,6 @@ class InferenceServer {
   struct Stream {
     Request request;
     nn::DecodeState state;
-    std::vector<text::TokenId> prompt;
     std::vector<text::TokenId> out;
     std::size_t budget = 0;      ///< resolved per-request token budget
     std::size_t prefix_tokens = 0;  ///< prompt positions adopted from cache
@@ -312,13 +266,12 @@ class InferenceServer {
   };
 
   void scheduler_loop();
-  /// Admission (scheduler thread, under mutex_): tokenizes the prompt,
-  /// enforces token_limit, reserves worst-case pages (evicting cached
-  /// prefixes under pressure) and maps any cached prefix. Returns the
-  /// admitted stream, or nullptr when the request was resolved inline
-  /// (context-limit / shed) — except that when the pages are merely busy
-  /// and `can_wait` is true, `requeue` is set and `entry` is left intact
-  /// so the scheduler can park it at the queue front.
+  /// Admission (scheduler thread, outside mutex_): reserves worst-case
+  /// pages (evicting cached prefixes under pressure) and maps any cached
+  /// prefix. Returns the admitted stream, or nullptr when the request was
+  /// shed inline — except that when the pages are merely busy and
+  /// `can_wait` is true, `requeue` is set and `entry` is left intact so
+  /// the scheduler can park it at the queue front.
   std::unique_ptr<Stream> admit(Request& entry, bool can_wait,
                                 bool& requeue);
   /// Worst-case page reservation for a prompt of `prompt_tokens` that may
@@ -332,12 +285,13 @@ class InferenceServer {
   /// Commits the pending candidate token of a prefilled stream and marks
   /// it done when it hits EOS, the token budget or the context limit
   /// (recording which, as the stream's finish reason). Returns true when
-  /// the stream still needs a decode step this round.
+  /// the stream still needs a decode step.
   bool emit_pending_token(Stream& stream);
   void finish_stream(Stream& stream);
-  /// Resolves a request inline (rejected / shed / context-limit) without
-  /// occupying a lane.
-  void resolve_without_running(Request entry, core::FinishReason finish);
+  /// Resolves a request inline (shed / context-limit) without occupying
+  /// a lane; `prompt_tokens` is what the result reports.
+  void resolve_without_running(Request entry, core::FinishReason finish,
+                               std::size_t prompt_tokens = 0);
 
   core::HpcGpt& model_;
   ServeConfig config_;
@@ -349,9 +303,12 @@ class InferenceServer {
   std::shared_ptr<nn::KvPagePool> pool_;
   std::unique_ptr<PrefixCache> prefix_;  ///< scheduler-thread only
   /// Live telemetry over registry_ (telemetry.enabled only). Declared
-  /// after registry_ so it is destroyed first — the collector and HTTP
+  /// after registry_ so it is destroyed first — the sampling and HTTP
   /// threads never outlive the registry they sample.
   std::unique_ptr<obs::TelemetryPipeline> telemetry_;
+  /// Guards queue_, stopping_, next_id_, verify_inflight_ and the
+  /// serve.queue.depth gauge that mirrors queue_.size(). Every other
+  /// metric write happens outside it.
   mutable std::mutex mutex_;
   std::condition_variable available_;
   std::deque<Request> queue_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -222,7 +223,16 @@ std::future<core::GenerationResult> InferenceServer::submit(
       rag_miss = true;
     }
   }
+  // Encode on the caller's thread, once: the scheduler only reserves
+  // pages and looks up the prefix.
+  std::size_t unclamped = 0;
   Request entry;
+  entry.prompt =
+      model_.prompt_ids(request.prompt, request.max_new_tokens, &unclamped);
+  // Typed form of the old TooLong outcome: nothing is queued or
+  // ingested, and the result reports the unclamped prompt length.
+  const bool over_limit =
+      request.token_limit > 0 && unclamped > request.token_limit;
   entry.request = std::move(request);
   entry.submitted = std::chrono::steady_clock::now();
   {
@@ -236,26 +246,33 @@ std::future<core::GenerationResult> InferenceServer::submit(
       entry.submitted_seconds = sink.now_seconds();
     }
   }
+  if (rag_hit) metrics_.rag_augmented.add(1);
+  if (rag_miss) metrics_.rag_skipped.add(1);
   std::future<core::GenerationResult> future = entry.promise.get_future();
+  bool stopped = false;
   {
     std::lock_guard lock(mutex_);
-    if (rag_hit) metrics_.rag_augmented.add(1);
-    if (rag_miss) metrics_.rag_skipped.add(1);
     if (entry.request.id == 0) entry.request.id = next_id_++;
-    if (stopping_) {
-      // A request the scheduler will never see resolves (rather than
-      // throws) with the typed rejection, and is counted.
-      metrics_.rejected.add(1);
-      core::GenerationResult rejected;
-      rejected.id = entry.request.id;
-      rejected.finish = core::FinishReason::Rejected;
-      entry.promise.set_value(std::move(rejected));
-      return future;
+    stopped = stopping_;
+    if (!stopped && !over_limit) {
+      queue_.push_back(std::move(entry));
+      metrics_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
     }
-    queue_.push_back(std::move(entry));
-    metrics_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
   }
-  available_.notify_one();
+  if (stopped) {
+    // A request the scheduler will never see resolves (rather than
+    // throws) with the typed rejection, and is counted.
+    metrics_.rejected.add(1);
+    core::GenerationResult rejected;
+    rejected.id = entry.request.id;
+    rejected.finish = core::FinishReason::Rejected;
+    entry.promise.set_value(std::move(rejected));
+  } else if (over_limit) {
+    resolve_without_running(std::move(entry), core::FinishReason::ContextLimit,
+                            unclamped);
+  } else {
+    available_.notify_one();
+  }
   return future;
 }
 
@@ -263,17 +280,19 @@ std::future<analysis::VerifyResponse> InferenceServer::submit(
     analysis::VerifyRequest request) {
   auto promise = std::make_shared<std::promise<analysis::VerifyResponse>>();
   std::future<analysis::VerifyResponse> future = promise->get_future();
+  bool stopped = false;
   {
     std::lock_guard lock(mutex_);
-    if (stopping_) {
-      metrics_.verify_rejected.add(1);
-      analysis::VerifyResponse rejected;
-      rejected.unit = request.unit;
-      rejected.accepted = false;
-      promise->set_value(std::move(rejected));
-      return future;
-    }
-    ++verify_inflight_;
+    stopped = stopping_;
+    if (!stopped) ++verify_inflight_;
+  }
+  if (stopped) {
+    metrics_.verify_rejected.add(1);
+    analysis::VerifyResponse rejected;
+    rejected.unit = request.unit;
+    rejected.accepted = false;
+    promise->set_value(std::move(rejected));
+    return future;
   }
   // Capture the submitter's trace context so the pool-side serve.verify
   // span (and the service's analysis.verify under it) parents on
@@ -287,9 +306,11 @@ std::future<analysis::VerifyResponse> InferenceServer::submit(
       HPCGPT_TRACE("serve.verify");
       response = verifier_.verify(*shared);
     }
+    // Counted while verify_inflight_ still holds shutdown() off, so the
+    // server (and its registry) is alive.
+    metrics_.verified.add(1);
     {
       std::lock_guard lock(mutex_);
-      metrics_.verified.add(1);
       --verify_inflight_;
       // Notify under the lock: once it is released a waiting shutdown()
       // may destroy the server, so `this` is not touched after the scope
@@ -315,38 +336,6 @@ void InferenceServer::shutdown() {
   verify_idle_.wait(lock, [this] { return verify_inflight_ == 0; });
 }
 
-ServerStats InferenceServer::stats() const {
-  // The registry values are individually atomic; the mutex makes the
-  // *snapshot* consistent — every writer updates them under the same
-  // lock, so counters in one ServerStats agree with each other.
-  std::lock_guard lock(mutex_);
-  ServerStats s;
-  s.requests_served = metrics_.completed.value();
-  s.requests_rejected = metrics_.rejected.value();
-  s.requests_shed = metrics_.shed.value();
-  s.requests_verified = metrics_.verified.value();
-  s.verifications_rejected = metrics_.verify_rejected.value();
-  s.max_queue_depth =
-      static_cast<std::size_t>(metrics_.queue_depth.max_value());
-  s.prompt_tokens = metrics_.prompt_tokens.value();
-  s.generated_tokens = metrics_.generated_tokens.value();
-  s.batch_rounds = metrics_.rounds.value();
-  s.batch_occupancy_sum = metrics_.occupancy_sum.value();
-  s.peak_batch = static_cast<std::size_t>(metrics_.lanes.max_value());
-  s.prefix_hits = metrics_.prefix_hits.value();
-  s.prefix_misses = metrics_.prefix_misses.value();
-  s.prefix_tokens_reused = metrics_.prefix_reused.value();
-  s.rag_augmented = metrics_.rag_augmented.value();
-  s.rag_skipped = metrics_.rag_skipped.value();
-  s.kv_pages_in_use = pool_->pages_in_use();
-  s.busy_seconds = metrics_.round_seconds.sum();
-  s.latency_seconds_sum = metrics_.request_latency_seconds.sum();
-  // The pipeline has its own lock; it never takes mutex_, so sampling its
-  // report here cannot deadlock.
-  if (telemetry_ != nullptr) s.health = telemetry_->health();
-  return s;
-}
-
 std::string InferenceServer::metrics_json() const {
   json::Object root;
   root["server"] = registry_.snapshot();
@@ -368,7 +357,8 @@ std::size_t InferenceServer::pages_needed(std::size_t prompt_tokens,
 }
 
 void InferenceServer::resolve_without_running(Request entry,
-                                              core::FinishReason finish) {
+                                              core::FinishReason finish,
+                                              std::size_t prompt_tokens) {
   const double latency = seconds_since(entry.submitted);
   if (entry.trace.active()) {
     record_request_span(
@@ -386,6 +376,7 @@ void InferenceServer::resolve_without_running(Request entry,
   }
   core::GenerationResult result;
   result.id = entry.request.id;
+  result.prompt_tokens = prompt_tokens;
   result.finish = finish;
   result.latency_seconds = latency;
   entry.promise.set_value(std::move(result));
@@ -394,17 +385,8 @@ void InferenceServer::resolve_without_running(Request entry,
 std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
     Request& entry, bool can_wait, bool& requeue) {
   requeue = false;
-  const core::GenerationRequest& req = entry.request;
-  if (req.token_limit > 0 &&
-      model_.question_prompt_tokens(req.prompt) > req.token_limit) {
-    // Typed form of the old TooLong outcome: nothing is ingested, the
-    // result carries ContextLimit and no text.
-    resolve_without_running(std::move(entry), core::FinishReason::ContextLimit);
-    return nullptr;
-  }
-  const std::size_t budget = req.max_new_tokens;
-  std::vector<text::TokenId> prompt = model_.prompt_ids(req.prompt, budget);
-  const std::size_t need = pages_needed(prompt.size(), budget);
+  const std::size_t budget = entry.request.max_new_tokens;
+  const std::size_t need = pages_needed(entry.prompt.size(), budget);
   if (need > pool_->capacity()) {
     // Can never fit the page budget: shed with the typed rejection
     // instead of admitting a stream doomed to exhaust the pool.
@@ -433,14 +415,13 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
       std::move(entry), model_.model().new_decode_state(pool_));
   stream->state.set_reserved_pages(need);
   stream->budget = budget;
-  stream->prompt = std::move(prompt);
+  const std::vector<text::TokenId>& prompt = stream->request.prompt;
   if (prefix_ && stream->request.request.cache.reuse_prefix) {
     HPCGPT_TRACE_ADOPT(stream->request.trace);
     HPCGPT_TRACE("serve.prefix_lookup");
     // Cap at size-1 so a fully-cached prompt still prefills its final
     // token (prefill produces the first-token logits).
-    PrefixCache::Match match =
-        prefix_->lookup(stream->prompt, stream->prompt.size() - 1);
+    PrefixCache::Match match = prefix_->lookup(prompt, prompt.size() - 1);
     if (match.tokens > 0) {
       stream->state.adopt_prefix(match.pages, match.tokens);
       stream->prefix_tokens = match.tokens;
@@ -469,7 +450,7 @@ void InferenceServer::prefill_stream(Stream& stream) {
     // Prompt ingestion: one batched GEMM pass writes the K/V rows of the
     // non-cached suffix (state.length() positions were adopted from the
     // prefix cache) and yields the first candidate token.
-    const std::span<const text::TokenId> ids(stream.prompt);
+    const std::span<const text::TokenId> ids(stream.request.prompt);
     stream.next = argmax(
         model_.model().prefill(stream.state, ids.subspan(stream.state.length())));
     stream.prefilled = true;
@@ -530,20 +511,17 @@ void InferenceServer::finish_stream(Stream& stream) {
   }
   core::GenerationResult result;
   result.id = stream.request.request.id;
-  result.prompt_tokens = stream.prompt.size();
+  result.prompt_tokens = stream.request.prompt.size();
   result.generated_tokens = stream.out.size();
   result.finish = stream.finish;
   result.latency_seconds = latency;
   if (!stream.error) result.text = model_.tokenizer().decode(stream.out);
-  // Stats first, promise second: a client that calls stats() right after
-  // its future resolves must see its own request counted.
-  {
-    std::lock_guard lock(mutex_);
-    metrics_.completed.add(1);
-    metrics_.prompt_tokens.add(stream.prompt.size());
-    metrics_.generated_tokens.add(stream.out.size());
-    metrics_.request_latency_seconds.observe(latency);
-  }
+  // Registry first, promise second: a client that reads metrics() right
+  // after its future resolves must see its own request counted.
+  metrics_.completed.add(1);
+  metrics_.prompt_tokens.add(stream.request.prompt.size());
+  metrics_.generated_tokens.add(stream.out.size());
+  metrics_.request_latency_seconds.observe(latency);
   if (stream.error) {
     stream.request.promise.set_exception(stream.error);
   } else {
@@ -553,6 +531,7 @@ void InferenceServer::finish_stream(Stream& stream) {
 
 void InferenceServer::scheduler_loop() {
   std::vector<std::unique_ptr<Stream>> active;
+  std::deque<Request> admitting;
   for (;;) {
     {
       std::unique_lock lock(mutex_);
@@ -573,41 +552,53 @@ void InferenceServer::scheduler_loop() {
         }
       }
       // Continuous batching: top the batch up from the queue every round,
-      // not just when it empties. Admission tokenizes, reserves pages and
-      // maps cached prefixes; a request whose pages are busy parks at the
-      // queue front until a lane retires.
-      const auto now = std::chrono::steady_clock::now();
-      while (!queue_.empty() && active.size() < config_.max_batch) {
-        Request entry = std::move(queue_.front());
+      // not just when it empties. Only the dequeue happens under the lock.
+      while (!queue_.empty() &&
+             active.size() + admitting.size() < config_.max_batch) {
+        admitting.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        bool requeue = false;
-        std::unique_ptr<Stream> stream =
-            admit(entry, /*can_wait=*/!active.empty(), requeue);
-        if (requeue) {
-          queue_.push_front(std::move(entry));
-          break;
-        }
-        if (!stream) continue;  // resolved inline (shed / context-limit)
-        metrics_.admission_seconds.observe(
-            std::chrono::duration<double>(now - stream->request.submitted)
-                .count());
-        if (stream->request.trace.active()) {
-          // Queue-wait span: submit → lane admission, child of the
-          // request root.
-          record_request_span("serve.queue", stream->request.submitted_seconds,
-                              obs::TraceSink::global().now_seconds() -
-                                  stream->request.submitted_seconds,
-                              stream->request.trace);
-        }
-        active.push_back(std::move(stream));
       }
       metrics_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-      if (active.empty()) {
+      if (active.empty() && admitting.empty()) {
         if (stopping_) return;
         continue;
       }
-      metrics_.lanes.set(static_cast<std::int64_t>(active.size()));
     }
+
+    // Admission reserves pages and maps cached prefixes. A request whose
+    // pages are busy goes back to the queue front, with the ones taken
+    // behind it, until a lane retires.
+    const auto now = std::chrono::steady_clock::now();
+    while (!admitting.empty()) {
+      bool requeue = false;
+      std::unique_ptr<Stream> stream =
+          admit(admitting.front(), /*can_wait=*/!active.empty(), requeue);
+      if (requeue) {
+        std::lock_guard lock(mutex_);
+        queue_.insert(queue_.begin(),
+                      std::make_move_iterator(admitting.begin()),
+                      std::make_move_iterator(admitting.end()));
+        metrics_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+        admitting.clear();
+        break;
+      }
+      admitting.pop_front();
+      if (!stream) continue;  // shed inline
+      metrics_.admission_seconds.observe(
+          std::chrono::duration<double>(now - stream->request.submitted)
+              .count());
+      if (stream->request.trace.active()) {
+        // Queue-wait span: submit → lane admission, child of the request
+        // root.
+        record_request_span("serve.queue", stream->request.submitted_seconds,
+                            obs::TraceSink::global().now_seconds() -
+                                stream->request.submitted_seconds,
+                            stream->request.trace);
+      }
+      active.push_back(std::move(stream));
+    }
+    if (active.empty()) continue;
+    metrics_.lanes.set(static_cast<std::int64_t>(active.size()));
 
     // One scheduler round: fresh lanes get their prompt ingested through
     // the GEMM prefill (independent sessions over read-only weights, so
@@ -635,7 +626,7 @@ void InferenceServer::scheduler_loop() {
         if (stream->prefilled && !stream->published) {
           stream->published = true;
           if (stream->request.request.cache.share_prefix && !stream->error) {
-            prefix_->insert(stream->prompt, stream->state);
+            prefix_->insert(stream->request.prompt, stream->state);
           }
         }
       }
@@ -645,7 +636,12 @@ void InferenceServer::scheduler_loop() {
     round_states_.clear();
     round_tokens_.clear();
     for (auto& stream : active) {
-      if (stream->done || !emit_pending_token(*stream)) continue;
+      // A fresh lane emits its prefill token here; a running lane emitted
+      // its last decoded token in the round that decoded it.
+      if (stream->done ||
+          (stream->out.empty() && !emit_pending_token(*stream))) {
+        continue;
+      }
       round_lanes_.push_back(stream.get());
       round_states_.push_back(&stream->state);
       round_tokens_.push_back(stream->next);
@@ -684,6 +680,12 @@ void InferenceServer::scheduler_loop() {
           }
         }
       }
+      // Emit the decoded tokens now, so a lane that finishes retires in
+      // this round and its slot is free for the next admission: lanes
+      // admitted one round apart then realign into pairs of prefills.
+      for (Stream* lane : round_lanes_) {
+        if (!lane->done) emit_pending_token(*lane);
+      }
     }
     const double round_seconds = round_timer.seconds();
 
@@ -699,7 +701,6 @@ void InferenceServer::scheduler_loop() {
       active.erase(std::remove(active.begin(), active.end(), nullptr),
                    active.end());
     }
-    std::lock_guard lock(mutex_);
     metrics_.rounds.add(1);
     metrics_.occupancy_sum.add(active.size() + retired);
     metrics_.round_occupancy.observe(

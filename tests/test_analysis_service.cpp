@@ -17,6 +17,7 @@
 #include "hpcgpt/analysis/service.hpp"
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/drb/drb.hpp"
+#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/minilang/ast.hpp"
 #include "hpcgpt/minilang/fingerprint.hpp"
 #include "hpcgpt/minilang/parse.hpp"
@@ -82,6 +83,21 @@ bool reports_identical(const Report& a, const Report& b) {
   return a.saw_parallel_loop == b.saw_parallel_loop &&
          a.saw_parallel_region == b.saw_parallel_region &&
          a.statements == b.statements && a.summary() == b.summary();
+}
+
+/// A counter of `registry`, read from a snapshot.
+std::size_t counter(const obs::MetricsRegistry& registry, const char* name) {
+  const json::Value snapshot(registry.snapshot());
+  return static_cast<std::size_t>(snapshot.at("counters").at(name).as_int());
+}
+
+/// The service's cached reports (the analysis.cache.entries gauge).
+std::size_t cache_entries(const VerificationService& service) {
+  const json::Value snapshot(service.metrics().snapshot());
+  return static_cast<std::size_t>(snapshot.at("gauges")
+                                      .at("analysis.cache.entries")
+                                      .at("value")
+                                      .as_int());
 }
 
 // ------------------------------------------------------------- fingerprints
@@ -154,10 +170,9 @@ TEST(VerificationService, IncrementalReanalyzesOnlyTheEditedFunction) {
   for (std::size_t i = 0; i < second.functions.size(); ++i) {
     EXPECT_EQ(second.functions[i].cache_hit, i != 7) << "function " << i;
   }
-  const VerificationService::CacheStats stats = service.cache_stats();
-  EXPECT_EQ(stats.hits, 19u);
-  EXPECT_EQ(stats.misses, 21u);
-  EXPECT_EQ(stats.entries, 21u);
+  EXPECT_EQ(counter(service.metrics(), "analysis.cache.hits"), 19u);
+  EXPECT_EQ(counter(service.metrics(), "analysis.cache.misses"), 21u);
+  EXPECT_EQ(cache_entries(service), 21u);
 }
 
 TEST(VerificationService, WhitespaceRenameAndFlavorEditsStillHit) {
@@ -177,10 +192,9 @@ TEST(VerificationService, WhitespaceRenameAndFlavorEditsStillHit) {
       source_of(vector_add(), Flavor::Fortran), "fortran"));
   EXPECT_TRUE(fortran.functions[0].cache_hit);
 
-  const VerificationService::CacheStats stats = service.cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(counter(service.metrics(), "analysis.cache.misses"), 1u);
+  EXPECT_EQ(counter(service.metrics(), "analysis.cache.hits"), 2u);
+  EXPECT_EQ(cache_entries(service), 1u);
 }
 
 TEST(VerificationService, AstEntryPointSharesCacheWithTextRequests) {
@@ -206,7 +220,7 @@ TEST(VerificationService, ParseFailureIsReportedNotCached) {
   EXPECT_FALSE(r.functions[1].parsed);
   EXPECT_FALSE(r.functions[1].parse_error.empty());
   EXPECT_FALSE(r.functions[1].has_errors());  // no verdict for unparsed code
-  EXPECT_EQ(service.cache_stats().entries, 1u);
+  EXPECT_EQ(cache_entries(service), 1u);
   EXPECT_NE(r.summary().find("unparsable"), std::string::npos);
 }
 
@@ -219,9 +233,8 @@ TEST(VerificationService, LruEvictionKeepsRecentEntries) {
   // Touch f1 so f2 is the least recently used.
   (void)service.verify(VerifyRequest::single(source_of(salted(1)), "f1"));
   (void)service.verify(VerifyRequest::single(source_of(salted(3)), "f3"));
-  VerificationService::CacheStats stats = service.cache_stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(counter(service.metrics(), "analysis.cache.evictions"), 1u);
+  EXPECT_EQ(cache_entries(service), 2u);
   // f1 survived, f2 was evicted (miss on re-verify).
   EXPECT_TRUE(service.verify(VerifyRequest::single(source_of(salted(1)), "f1"))
                   .functions[0]
@@ -403,7 +416,7 @@ TEST(VerificationService, ConcurrentVerifyIsSafeAndConsistent) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(service.cache_stats().entries, 8u);
+  EXPECT_EQ(cache_entries(service), 8u);
 }
 
 // ----------------------------------------------------------------- serving
@@ -437,14 +450,13 @@ TEST(ServeVerify, TypedVerificationRequestsServeAlongsideGeneration) {
   EXPECT_TRUE(g.get().ok());
 
   server.shutdown();
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_verified, 2u);
-  EXPECT_EQ(stats.verifications_rejected, 0u);
-  EXPECT_EQ(stats.requests_served, 1u);
+  EXPECT_EQ(counter(server.metrics(), "serve.verify.completed"), 2u);
+  EXPECT_EQ(counter(server.metrics(), "serve.verify.rejected"), 0u);
+  EXPECT_EQ(counter(server.metrics(), "serve.requests.completed"), 1u);
   // The co-hosted service's registry is part of the server's obs surface.
   EXPECT_NE(server.metrics_json().find("analysis.cache.hits"),
             std::string::npos);
-  EXPECT_EQ(server.verifier().cache_stats().entries, 2u);
+  EXPECT_EQ(cache_entries(server.verifier()), 2u);
 }
 
 TEST(ServeVerify, SubmitAfterShutdownResolvesRejected) {
@@ -458,7 +470,7 @@ TEST(ServeVerify, SubmitAfterShutdownResolvesRejected) {
   EXPECT_FALSE(r.accepted);
   EXPECT_TRUE(r.functions.empty());
   EXPECT_EQ(r.unit, "late-unit");
-  EXPECT_EQ(server.stats().verifications_rejected, 1u);
+  EXPECT_EQ(counter(server.metrics(), "serve.verify.rejected"), 1u);
 }
 
 }  // namespace

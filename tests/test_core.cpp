@@ -3,6 +3,7 @@
 #include "hpcgpt/core/evaluation.hpp"
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/datagen/pipeline.hpp"
+#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/kb/kb.hpp"
 #include "hpcgpt/serve/server.hpp"
 
@@ -248,7 +249,8 @@ TEST(Serve, ServerAnswersConcurrentRequests) {
     EXPECT_TRUE(f.get().ok());
   }
   server.shutdown();
-  EXPECT_EQ(server.stats().requests_served, 8u);
+  const json::Value metrics(server.metrics().snapshot());
+  EXPECT_EQ(metrics.at("counters").at("serve.requests.completed").as_int(), 8);
 }
 
 TEST(Serve, SubmitAfterShutdownIsTypedRejected) {

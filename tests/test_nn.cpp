@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -501,6 +502,35 @@ TEST(Checkpoint, RejectsCorruptedBlobs) {
   std::string wrong_magic = blob;
   wrong_magic[0] = 'X';
   EXPECT_THROW(load_checkpoint(wrong_magic), ParseError);
+
+  // Hostile headers are typed errors, raised before anything is
+  // allocated: zero heads (d_model % n_heads would divide by zero) and a
+  // vocabulary whose weights the blob cannot hold (the allocation would
+  // exhaust memory).
+  const auto with_field = [&](std::size_t field, std::uint64_t value) {
+    std::string out = blob;
+    const std::size_t at = std::strlen("hpcgpt-ckpt-v1") + 8 * field;
+    for (std::size_t i = 0; i < 8; ++i) {
+      out[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    return out;
+  };
+  EXPECT_THROW(load_checkpoint(with_field(2, 0)), ParseError);  // n_heads
+  EXPECT_THROW(load_checkpoint(with_field(0, 1000000000000ull)),
+               ParseError);  // vocab_size
+
+  // The payload bound counts exactly the weights the model holds, LoRA
+  // adapters included.
+  TransformerConfig lora = tiny_config();
+  lora.lora_rank = 2;
+  for (const TransformerConfig& c : {tiny_config(), lora}) {
+    Transformer m(c, 1);
+    std::size_t weights = 0;
+    for (const Parameter* p : m.parameters()) {
+      weights += p->value.rows() * p->value.cols();
+    }
+    EXPECT_EQ(c.weight_count(), weights);
+  }
 }
 
 TEST(Checkpoint, FileRoundTrip) {

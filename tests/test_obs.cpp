@@ -28,8 +28,6 @@ TEST(Metrics, CounterAccumulatesAndResets) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Metrics, GaugeTracksPeak) {
@@ -39,25 +37,6 @@ TEST(Metrics, GaugeTracksPeak) {
   g.set(2);
   EXPECT_EQ(g.value(), 2);
   EXPECT_EQ(g.max_value(), 7);
-  g.reset();
-  EXPECT_EQ(g.max_value(), 0);
-}
-
-TEST(Metrics, GaugeResetPeakRearmsToCurrentValue) {
-  // reset_peak() re-arms the high-water mark to the live value without
-  // touching it — per-scrape-window peaks for long-running servers.
-  obs::Gauge g;
-  g.set(9);
-  g.set(4);
-  EXPECT_EQ(g.max_value(), 9);
-  g.reset_peak();
-  EXPECT_EQ(g.value(), 4);
-  EXPECT_EQ(g.max_value(), 4);
-  g.set(6);
-  EXPECT_EQ(g.max_value(), 6);
-  g.set(1);
-  g.reset_peak();
-  EXPECT_EQ(g.max_value(), 1);
 }
 
 TEST(Metrics, HistogramBucketBoundariesAreInclusiveUpperBounds) {
@@ -161,19 +140,6 @@ TEST(Metrics, RegistrySnapshotJsonIsDeterministic) {
             "{\"count\":1,\"le\":\"inf\"}],"
             "\"count\":2,\"mean\":2,\"p50\":1,\"p95\":2,\"p99\":2,"
             "\"sum\":4}}}");
-}
-
-TEST(Metrics, RegistryResetKeepsReferencesValid) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("x");
-  obs::Histogram& h = registry.histogram("y");
-  c.add(5);
-  h.observe(0.5);
-  registry.reset_values();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.add(1);  // cached references survive a reset
-  EXPECT_EQ(registry.counter("x").value(), 1u);
 }
 
 TEST(Metrics, RegistryIsThreadSafeUnderConcurrentUse) {

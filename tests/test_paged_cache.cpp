@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "hpcgpt/core/hpcgpt.hpp"
+#include "hpcgpt/json/json.hpp"
 #include "hpcgpt/nn/kv_cache.hpp"
 #include "hpcgpt/nn/transformer.hpp"
 #include "hpcgpt/serve/prefix_cache.hpp"
@@ -213,6 +214,12 @@ TEST(PagedTrie, MidChunkDivergenceSplitsNodeAndBothPromptsHit) {
 
 // ---- admission control ------------------------------------------------
 
+/// One counter of the server's registry, read from a snapshot.
+std::size_t counter(const serve::InferenceServer& server, const char* name) {
+  const json::Value snapshot(server.metrics().snapshot());
+  return static_cast<std::size_t>(snapshot.at("counters").at(name).as_int());
+}
+
 TEST(PagedServe, NeverFittingRequestIsShedAsTypedRejected) {
   core::HpcGpt model = make_model();
   serve::ServeConfig config;
@@ -230,8 +237,8 @@ TEST(PagedServe, NeverFittingRequestIsShedAsTypedRejected) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.finish, core::FinishReason::Rejected);
   server.shutdown();
-  EXPECT_EQ(server.stats().requests_shed, 1u);
-  EXPECT_EQ(server.stats().requests_served, 0u);
+  EXPECT_EQ(counter(server, "serve.requests.shed"), 1u);
+  EXPECT_EQ(counter(server, "serve.requests.completed"), 0u);
   EXPECT_EQ(server.page_pool().pages_in_use(), 0u);
   EXPECT_EQ(server.page_pool().pages_reserved(), 0u);
 }
@@ -266,8 +273,8 @@ TEST(PagedServe, QueueWaitsForPagesInsteadOfShedding) {
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   server.shutdown();
-  EXPECT_EQ(server.stats().requests_served, 3u);
-  EXPECT_EQ(server.stats().requests_shed, 0u);
+  EXPECT_EQ(counter(server, "serve.requests.completed"), 3u);
+  EXPECT_EQ(counter(server, "serve.requests.shed"), 0u);
   EXPECT_EQ(server.page_pool().pages_in_use(), 0u);
   EXPECT_EQ(server.page_pool().pages_reserved(), 0u);
 }

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -242,60 +241,6 @@ TEST(PostingIterators, AdvanceSkipsBlocksAndLandsOnFirstDocAtLeastTarget) {
 
   // Unknown term: immediately exhausted.
   EXPECT_TRUE(index.iterator(9999).at_end());
-}
-
-TEST(PostingIterators, UnionAndIntersectionMatchNaiveSetOps) {
-  Rng rng(0x5e7);
-  const std::size_t n_docs = 400;
-  std::vector<std::set<retrieval::DocId>> term_docs(3);
-  std::vector<std::vector<std::pair<retrieval::TermId, std::uint8_t>>> docs(
-      n_docs);
-  for (std::size_t d = 0; d < n_docs; ++d) {
-    for (retrieval::TermId t = 0; t < 3; ++t) {
-      if (rng.next_below(10) < 3) {
-        docs[d].emplace_back(t, std::uint8_t{1});
-        term_docs[t].insert(static_cast<retrieval::DocId>(d));
-      }
-    }
-  }
-  retrieval::IndexOptions opts;
-  opts.block_size = 8;
-  opts.seal_threshold = 128;  // mix sealed segments and tail
-  auto index = build_index(docs, opts);
-
-  std::set<retrieval::DocId> want_union;
-  std::set<retrieval::DocId> want_isect;
-  for (retrieval::DocId d = 0; d < n_docs; ++d) {
-    bool any = false;
-    bool all = true;
-    for (retrieval::TermId t = 0; t < 3; ++t) {
-      const bool has = term_docs[t].count(d) > 0;
-      any = any || has;
-      all = all && has;
-    }
-    if (any) want_union.insert(d);
-    if (all) want_isect.insert(d);
-  }
-
-  auto children = [&] {
-    std::vector<retrieval::PostingIterator> its;
-    for (retrieval::TermId t = 0; t < 3; ++t) its.push_back(index.iterator(t));
-    return its;
-  };
-  std::vector<retrieval::DocId> got_union;
-  for (retrieval::UnionIterator u(children()); !u.at_end(); u.next()) {
-    got_union.push_back(u.doc());
-    EXPECT_GT(u.impact_sum(), 0u);
-  }
-  EXPECT_EQ(got_union,
-            std::vector<retrieval::DocId>(want_union.begin(), want_union.end()));
-
-  std::vector<retrieval::DocId> got_isect;
-  for (retrieval::IntersectionIterator a(children()); !a.at_end(); a.next()) {
-    got_isect.push_back(a.doc());
-  }
-  EXPECT_EQ(got_isect,
-            std::vector<retrieval::DocId>(want_isect.begin(), want_isect.end()));
 }
 
 TEST(PostingIterators, CompressedRoundTripAcrossBlockSizes) {

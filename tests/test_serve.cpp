@@ -1,15 +1,15 @@
-// Serving-layer tests: the continuous-batching scheduler, the ServerStats
-// accessor under concurrency (regression for the unsynchronized-snapshot
-// race), the admission-window batching knob, and the typed
-// GenerationRequest/GenerationResult surface (per-request budgets, finish
-// reasons, rejection after shutdown, metrics_json). These run under
-// -DHPCGPT_SANITIZE=thread in the perf-smoke lane, where the stats hammer
-// is an actual race detector workload.
+// Serving-layer tests: the continuous-batching scheduler, registry
+// snapshots under concurrency, the admission-window batching knob, and
+// the typed GenerationRequest/GenerationResult surface (per-request
+// budgets, token limits, finish reasons, rejection after shutdown,
+// metrics_json). These run in the tsan lane (`ctest --preset tsan`),
+// where the snapshot hammer is an actual race detector workload.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,6 +36,40 @@ core::HpcGpt& shared_model() {
 
 const std::string kQuestion = "Does this loop have a data race?";
 
+/// One snapshot of a server's registry, the only record of its serving
+/// counters, gauge peaks and histogram sums.
+class Snapshot {
+ public:
+  explicit Snapshot(const serve::InferenceServer& server)
+      : root_(server.metrics().snapshot()) {}
+
+  std::size_t counter(const char* name) const {
+    return static_cast<std::size_t>(root_.at("counters").at(name).as_int());
+  }
+  std::size_t peak(const char* name) const {
+    return static_cast<std::size_t>(
+        root_.at("gauges").at(name).at("max").as_int());
+  }
+  double sum(const char* name) const {
+    return root_.at("histograms").at(name).at("sum").as_number();
+  }
+  std::size_t served() const { return counter("serve.requests.completed"); }
+  std::size_t generated() const { return counter("serve.tokens.generated"); }
+  std::size_t rounds() const { return counter("serve.rounds.count"); }
+  std::size_t peak_lanes() const { return peak("serve.batch.lanes"); }
+  /// Wall time the scheduler spent in rounds.
+  double busy_seconds() const { return sum("serve.round.seconds"); }
+  double mean_batch_occupancy() const {
+    return rounds() > 0 ? static_cast<double>(
+                              counter("serve.rounds.occupancy_sum")) /
+                              static_cast<double>(rounds())
+                        : 0.0;
+  }
+
+ private:
+  json::Value root_;
+};
+
 std::future<core::GenerationResult> submit_question(
     serve::InferenceServer& server, std::size_t max_new_tokens = 0) {
   core::GenerationRequest request;
@@ -45,12 +79,11 @@ std::future<core::GenerationResult> submit_question(
 }
 
 TEST(Serve, StatsSnapshotIsConsistentUnderConcurrentSubmits) {
-  // Regression for the ServerStats race: stats() used to copy the struct
-  // without taking the server mutex, so a reader could observe a torn
-  // snapshot while the scheduler was updating the counters. Hammer
-  // submit() and stats() from several threads; under TSan this is a
-  // data-race probe, and in any build the monotonic-counter checks below
-  // catch torn or out-of-thin-air values.
+  // Hammer submit() and registry snapshots from several threads; under
+  // TSan this is a data-race probe, and in any build the monotonic-
+  // counter checks below catch torn or out-of-thin-air values. Metric
+  // writes happen outside the server lock, so only each counter on its
+  // own is checked, not how counters relate within one snapshot.
   serve::InferenceServer server(
       shared_model(),
       serve::ServeConfig{.max_batch = 4, .max_new_tokens = 6});
@@ -63,16 +96,14 @@ TEST(Serve, StatsSnapshotIsConsistentUnderConcurrentSubmits) {
       std::size_t last_served = 0;
       std::size_t last_generated = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const serve::ServerStats st = server.stats();
+        const Snapshot st(server);
         // Counters only grow; a torn read shows up as a regression.
-        if (st.requests_served < last_served ||
-            st.generated_tokens < last_generated ||
-            st.batch_occupancy_sum < st.batch_rounds ||
-            st.peak_batch > 4) {
+        if (st.served() < last_served || st.generated() < last_generated ||
+            st.peak_lanes() > 4) {
           ++violations;
         }
-        last_served = st.requests_served;
-        last_generated = st.generated_tokens;
+        last_served = st.served();
+        last_generated = st.generated();
       }
     });
   }
@@ -90,14 +121,16 @@ TEST(Serve, StatsSnapshotIsConsistentUnderConcurrentSubmits) {
   server.shutdown();
 
   EXPECT_EQ(violations.load(), 0);
-  const serve::ServerStats st = server.stats();
-  EXPECT_EQ(st.requests_served, kRequests);
-  EXPECT_GE(st.peak_batch, 1u);
-  EXPECT_LE(st.peak_batch, 4u);
-  EXPECT_GT(st.generated_tokens, 0u);
-  EXPECT_GT(st.busy_seconds, 0.0);
-  EXPECT_GT(st.tokens_per_second(), 0.0);
-  EXPECT_GT(st.mean_latency_seconds(), 0.0);
+  const Snapshot st(server);
+  EXPECT_EQ(st.served(), kRequests);
+  EXPECT_GE(st.peak_lanes(), 1u);
+  EXPECT_LE(st.peak_lanes(), 4u);
+  EXPECT_GT(st.generated(), 0u);
+  EXPECT_GT(st.busy_seconds(), 0.0);
+  EXPECT_GT(static_cast<double>(st.generated()) / st.busy_seconds(), 0.0);
+  EXPECT_GT(st.sum("serve.request.latency_seconds") /
+                static_cast<double>(st.served()),
+            0.0);
   EXPECT_GE(st.mean_batch_occupancy(), 1.0);
 }
 
@@ -113,10 +146,10 @@ TEST(Serve, ContinuousBatchingKeepsQueueDraining) {
   for (auto& f : futures) (void)f.get();
   server.shutdown();
 
-  const serve::ServerStats st = server.stats();
-  EXPECT_EQ(st.requests_served, 6u);
-  EXPECT_EQ(st.peak_batch, 2u);
-  EXPECT_GT(st.batch_rounds, 0u);
+  const Snapshot st(server);
+  EXPECT_EQ(st.served(), 6u);
+  EXPECT_EQ(st.peak_lanes(), 2u);
+  EXPECT_GT(st.rounds(), 0u);
   // Every round carried at least one stream, at most two.
   EXPECT_GE(st.mean_batch_occupancy(), 1.0);
   EXPECT_LE(st.mean_batch_occupancy(), 2.0 + 1e-9);
@@ -135,16 +168,16 @@ TEST(Serve, AdmissionWindowFillsTheFirstBatch) {
   for (auto& f : futures) (void)f.get();
   server.shutdown();
 
-  const serve::ServerStats st = server.stats();
-  EXPECT_EQ(st.requests_served, 4u);
-  EXPECT_EQ(st.peak_batch, 4u);
+  const Snapshot st(server);
+  EXPECT_EQ(st.served(), 4u);
+  EXPECT_EQ(st.peak_lanes(), 4u);
   // All four lanes were admitted before the first round, so occupancy
   // stays maximal until the streams retire together.
   EXPECT_GE(st.mean_batch_occupancy(), 4.0 - 1e-9);
 }
 
 TEST(Serve, StatsAfterShutdownAreFinal) {
-  serve::ServerStats st;
+  std::optional<Snapshot> st;
   {
     serve::InferenceServer server(
         shared_model(),
@@ -154,18 +187,17 @@ TEST(Serve, StatsAfterShutdownAreFinal) {
     (void)f1.get();
     (void)f2.get();
     server.shutdown();
-    st = server.stats();
+    st.emplace(server);
   }
-  EXPECT_EQ(st.requests_served, 2u);
-  EXPECT_GT(st.prompt_tokens, 0u);
-  EXPECT_GT(st.latency_seconds_sum, 0.0);
+  EXPECT_EQ(st->served(), 2u);
+  EXPECT_GT(st->counter("serve.tokens.prompt"), 0u);
+  EXPECT_GT(st->sum("serve.request.latency_seconds"), 0.0);
 }
 
 TEST(Serve, TypedResultsAccountingMatchesServerStats) {
   // The per-request accounting in GenerationResult and the aggregate
-  // ServerStats view over the metrics registry must describe the same
-  // run: summed token counts equal, ids unique and nonzero, latencies
-  // within the aggregate sum.
+  // metrics registry must describe the same run: summed token counts
+  // equal, ids unique and nonzero, latencies within the aggregate sum.
   serve::InferenceServer server(
       shared_model(),
       serve::ServeConfig{.max_batch = 3, .max_new_tokens = 10});
@@ -178,7 +210,7 @@ TEST(Serve, TypedResultsAccountingMatchesServerStats) {
   results.reserve(kRequests);
   for (auto& f : futures) results.push_back(f.get());
   server.shutdown();
-  const serve::ServerStats st = server.stats();
+  const Snapshot st(server);
 
   std::size_t prompt_sum = 0;
   std::size_t generated_sum = 0;
@@ -198,10 +230,10 @@ TEST(Serve, TypedResultsAccountingMatchesServerStats) {
     latency_sum += r.latency_seconds;
   }
   EXPECT_EQ(ids.size(), kRequests);
-  EXPECT_EQ(st.requests_served, kRequests);
-  EXPECT_EQ(st.prompt_tokens, prompt_sum);
-  EXPECT_EQ(st.generated_tokens, generated_sum);
-  EXPECT_NEAR(st.latency_seconds_sum, latency_sum, 1e-6);
+  EXPECT_EQ(st.served(), kRequests);
+  EXPECT_EQ(st.counter("serve.tokens.prompt"), prompt_sum);
+  EXPECT_EQ(st.generated(), generated_sum);
+  EXPECT_NEAR(st.sum("serve.request.latency_seconds"), latency_sum, 1e-6);
 }
 
 TEST(Serve, PerRequestBudgetOverridesServerDefault) {
@@ -224,6 +256,28 @@ TEST(Serve, PerRequestBudgetOverridesServerDefault) {
   EXPECT_GE(wide_result.generated_tokens, tight_result.generated_tokens);
 }
 
+TEST(Serve, TokenLimitResultMatchesGenerate) {
+  // A prompt over its token limit resolves at submit, without a lane, and
+  // reports what HpcGpt::generate reports: ContextLimit and the unclamped
+  // prompt length.
+  core::GenerationRequest request;
+  request.prompt = kQuestion;
+  request.max_new_tokens = 4;
+  request.token_limit = 1;
+  const core::GenerationResult want = shared_model().generate(request);
+  serve::InferenceServer server(shared_model(),
+                                serve::ServeConfig{.max_batch = 1});
+  const core::GenerationResult got = server.submit(request).get();
+  server.shutdown();
+  EXPECT_EQ(want.finish, core::FinishReason::ContextLimit);
+  EXPECT_EQ(got.finish, want.finish);
+  EXPECT_EQ(got.prompt_tokens, want.prompt_tokens);
+  EXPECT_GT(got.prompt_tokens, 1u);
+  EXPECT_EQ(got.generated_tokens, 0u);
+  EXPECT_TRUE(got.text.empty());
+  EXPECT_EQ(Snapshot(server).served(), 1u);
+}
+
 TEST(Serve, SubmitAfterShutdownResolvesRejected) {
   serve::InferenceServer server(shared_model(),
                                 serve::ServeConfig{.max_batch = 1});
@@ -237,9 +291,9 @@ TEST(Serve, SubmitAfterShutdownResolvesRejected) {
   EXPECT_EQ(result.id, 1234u);
   EXPECT_TRUE(result.text.empty());
   EXPECT_EQ(result.generated_tokens, 0u);
-  const serve::ServerStats st = server.stats();
-  EXPECT_EQ(st.requests_rejected, 1u);
-  EXPECT_EQ(st.requests_served, 0u);
+  const Snapshot st(server);
+  EXPECT_EQ(st.counter("serve.requests.rejected"), 1u);
+  EXPECT_EQ(st.served(), 0u);
 }
 
 TEST(Serve, MetricsJsonExposesServerAndProcessRegistries) {
@@ -318,9 +372,9 @@ TEST(Serve, RagPreStageAugmentsRelevantPromptsOnly) {
   (void)server.submit(std::move(irrelevant)).get();
   server.shutdown();
 
-  const serve::ServerStats st = server.stats();
-  EXPECT_EQ(st.rag_augmented, 1u);
-  EXPECT_EQ(st.rag_skipped, 1u);
+  const Snapshot st(server);
+  EXPECT_EQ(st.counter("serve.rag.augmented"), 1u);
+  EXPECT_EQ(st.counter("serve.rag.skipped"), 1u);
 }
 
 TEST(Serve, RagEnabledWithoutEngineIsRejectedAtConstruction) {

@@ -1,12 +1,13 @@
 // Live-telemetry-pipeline tests: the time-series collector (delta
-// semantics, counter-reset clamping, the zero-capacity drop accounting,
-// deterministic history dumps), the SLO monitor (typed missing-metric
-// handling, threshold transitions, multi-window latency burn with sticky
-// first-breach timestamps), the HTTP exposition server (routes, 404s,
-// /healthz flipping 200 -> 503 -> 200 across a breach), the `hpcgpt top`
-// frame renderer, and the serve integration (scrapes racing shutdown,
-// concurrent scrape-while-serving — a TSan workload in the sanitize
-// lane).
+// semantics, the zero-capacity drop accounting, deterministic history
+// dumps), the SLO monitor (typed missing-metric handling, threshold
+// transitions, multi-window burn rates with sticky first-breach
+// timestamps), the pipeline's sampling loop, the HTTP exposition server
+// (routes, 404s, /healthz flipping 200 -> 503 -> 200 across a breach),
+// the `hpcgpt top` frame renderer, and the serve integration (scrapes
+// racing shutdown, concurrent scrape-while-serving — a TSan workload in
+// the tsan lane). Collector and monitor tests hand the same synthetic
+// time to tick() and evaluate().
 
 #include <gtest/gtest.h>
 
@@ -66,16 +67,15 @@ TEST(Collector, DerivesDeltaGaugeAndQuantileSeries) {
   obs::Histogram& lat =
       registry.histogram("lat", std::array<double, 2>{0.1, 1.0});
 
-  obs::MetricsCollector collector(
-      registry, obs::CollectorOptions{/*interval=*/-1.0, /*capacity=*/16});
+  obs::MetricsCollector collector(registry, /*capacity=*/16);
   reqs.add(10);
   depth.set(4);
   depth.set(2);
   lat.observe(0.05);
-  collector.tick();
+  collector.tick(1000.0);
   reqs.add(5);
   depth.set(7);
-  collector.tick();
+  collector.tick(1001.0);
 
   // Counter -> per-tick deltas (the first delta is the full cumulative).
   const std::vector<obs::Sample> deltas = collector.series("reqs");
@@ -106,29 +106,11 @@ TEST(Collector, DerivesDeltaGaugeAndQuantileSeries) {
   EXPECT_EQ(collector.ticks(), 2u);
 }
 
-TEST(Collector, CounterResetClampsDeltaToRawValue) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("c");
-  obs::MetricsCollector collector(
-      registry, obs::CollectorOptions{-1.0, 16});
-  c.add(10);
-  collector.tick();
-  c.reset();  // restarted component: cumulative goes backwards
-  c.add(3);
-  collector.tick();
-  const std::vector<obs::Sample> deltas = collector.series("c");
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_DOUBLE_EQ(deltas[0].value, 10.0);
-  // The Prometheus rate() convention: on reset the raw value is the delta.
-  EXPECT_DOUBLE_EQ(deltas[1].value, 3.0);
-}
-
 TEST(Collector, ZeroCapacityCountsDropsAsFirstClassCounter) {
   obs::MetricsRegistry registry;
   registry.counter("c").add(1);
-  obs::MetricsCollector collector(
-      registry, obs::CollectorOptions{-1.0, /*capacity=*/0});
-  collector.tick();
+  obs::MetricsCollector collector(registry, /*capacity=*/0);
+  collector.tick(1000.0);
   EXPECT_EQ(collector.ticks(), 1u);
   EXPECT_TRUE(collector.series("c").empty());
 
@@ -158,16 +140,14 @@ TEST(Collector, HistoryJsonIsDeterministic) {
   registry.counter("b").add(2);
   registry.counter("a").add(1);
   registry.gauge("z").set(3);
-  obs::MetricsCollector collector(
-      registry, obs::CollectorOptions{-1.0, 8});
-  collector.tick();
+  obs::MetricsCollector collector(registry, /*capacity=*/8);
+  collector.tick(1000.0);
 
   const std::string first = json::Value(collector.history_json()).dump();
   const std::string second = json::Value(collector.history_json()).dump();
   EXPECT_EQ(first, second);  // byte-stable between reads
 
   const json::Value parsed = json::parse(first);
-  EXPECT_DOUBLE_EQ(parsed.at("interval_seconds").as_number(), -1.0);
   EXPECT_EQ(parsed.at("capacity").as_int(), 8);
   const json::Object& series = parsed.at("series").as_object();
   ASSERT_NE(series.find("a"), series.end());
@@ -176,22 +156,6 @@ TEST(Collector, HistoryJsonIsDeterministic) {
   const json::Array& samples = series.at("a").at("samples").as_array();
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_DOUBLE_EQ(samples[0].as_array()[1].as_number(), 1.0);
-}
-
-TEST(Collector, BackgroundThreadTicksAtInterval) {
-  obs::MetricsRegistry registry;
-  registry.counter("c").add(1);
-  obs::MetricsCollector collector(
-      registry, obs::CollectorOptions{/*interval=*/0.005, 64});
-  collector.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (collector.ticks() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  collector.stop();
-  EXPECT_GE(collector.ticks(), 3u);
-  EXPECT_FALSE(collector.series("c").empty());
 }
 
 // ---------------------------------------------------------- SLO monitor
@@ -237,8 +201,8 @@ TEST(Slo, MissingMetricIsTypedPerRuleStatus) {
   // or a crash — and weigh like Degraded overall without raising the
   // shed hint.
   obs::MetricsRegistry registry;
-  obs::MetricsCollector collector(registry, obs::CollectorOptions{-1.0, 8});
-  collector.tick();
+  obs::MetricsCollector collector(registry, /*capacity=*/8);
+  const json::Object snapshot = collector.tick(1000.0);
 
   obs::SloRule threshold;
   threshold.name = "r.threshold";
@@ -253,7 +217,7 @@ TEST(Slo, MissingMetricIsTypedPerRuleStatus) {
 
   obs::SloMonitor monitor({threshold}, {burn}, {latency});
   const obs::HealthReport report =
-      monitor.evaluate(registry.snapshot(), collector, 1000.0);
+      monitor.evaluate(snapshot, collector, 1000.0);
   ASSERT_EQ(report.rules.size(), 3u);
   for (const obs::RuleState& rule : report.rules) {
     EXPECT_EQ(rule.status, obs::RuleStatus::MissingMetric) << rule.rule;
@@ -267,7 +231,7 @@ TEST(Slo, MissingMetricIsTypedPerRuleStatus) {
 TEST(Slo, ThresholdRuleWalksOkDegradedBreachedAndKeepsFirstBreach) {
   obs::MetricsRegistry registry;
   obs::Gauge& depth = registry.gauge("queue.depth");
-  obs::MetricsCollector collector(registry, obs::CollectorOptions{-1.0, 64});
+  obs::MetricsCollector collector(registry, /*capacity=*/64);
 
   obs::SloRule rule;
   rule.name = "slo.queue";
@@ -281,8 +245,7 @@ TEST(Slo, ThresholdRuleWalksOkDegradedBreachedAndKeepsFirstBreach) {
 
   const auto status_for = [&](double level, double unix_now) {
     depth.set(static_cast<std::int64_t>(level));
-    collector.tick();
-    return monitor.evaluate(registry.snapshot(), collector, unix_now);
+    return monitor.evaluate(collector.tick(unix_now), collector, unix_now);
   };
 
   EXPECT_EQ(status_for(1, 1000.0).rules[0].status, obs::RuleStatus::Ok);
@@ -307,7 +270,7 @@ TEST(Slo, LatencyBurnBreachesAndRecoversAcrossWindows) {
   obs::MetricsRegistry registry;
   obs::Histogram& ttft = registry.histogram(
       "ttft", std::array<double, 3>{0.1, 0.25, 1.0});
-  obs::MetricsCollector collector(registry, obs::CollectorOptions{-1.0, 64});
+  obs::MetricsCollector collector(registry, /*capacity=*/64);
 
   obs::LatencyBurnRule rule;
   rule.name = "slo.ttft";
@@ -319,8 +282,7 @@ TEST(Slo, LatencyBurnBreachesAndRecoversAcrossWindows) {
   obs::SloMonitor monitor({}, {}, {rule});
 
   const auto evaluate = [&](double unix_now) {
-    collector.tick();
-    return monitor.evaluate(registry.snapshot(), collector, unix_now);
+    return monitor.evaluate(collector.tick(unix_now), collector, unix_now);
   };
 
   // No traffic yet: burn 0, Ok.
@@ -354,7 +316,7 @@ TEST(Slo, BurnRateRuleReadsCounterDeltas) {
   obs::MetricsRegistry registry;
   obs::Counter& bad = registry.counter("req.shed");
   obs::Counter& good = registry.counter("req.done");
-  obs::MetricsCollector collector(registry, obs::CollectorOptions{-1.0, 64});
+  obs::MetricsCollector collector(registry, /*capacity=*/64);
 
   obs::BurnRateRule rule;
   rule.name = "slo.shed";
@@ -365,28 +327,22 @@ TEST(Slo, BurnRateRuleReadsCounterDeltas) {
   rule.slow_window_seconds = 600.0;
   obs::SloMonitor monitor({}, {rule}, {});
 
+  const auto evaluate = [&](double unix_now) {
+    return monitor.evaluate(collector.tick(unix_now), collector, unix_now);
+  };
+
   // Zero traffic: burn 0 (no division by zero), Ok.
-  collector.tick();
-  EXPECT_EQ(monitor.evaluate(registry.snapshot(), collector, 1000.0)
-                .rules[0]
-                .status,
-            obs::RuleStatus::Ok);
+  EXPECT_EQ(evaluate(1000.0).rules[0].status, obs::RuleStatus::Ok);
 
   // 100% shed traffic burns 1.0/0.01 = 100x in both windows.
   bad.add(50);
-  collector.tick();
-  const obs::HealthReport report =
-      monitor.evaluate(registry.snapshot(), collector, 1001.0);
+  const obs::HealthReport report = evaluate(1001.0);
   EXPECT_EQ(report.rules[0].status, obs::RuleStatus::Breached);
   EXPECT_GE(report.rules[0].value, 100.0 - 1e-9);
 
   // Healthy traffic dilutes the window below threshold again.
   good.add(100000);
-  collector.tick();
-  EXPECT_EQ(monitor.evaluate(registry.snapshot(), collector, 1002.0)
-                .rules[0]
-                .status,
-            obs::RuleStatus::Ok);
+  EXPECT_EQ(evaluate(1002.0).rules[0].status, obs::RuleStatus::Ok);
 }
 
 // --------------------------------------------------- pipeline over HTTP
@@ -409,9 +365,6 @@ TEST(Telemetry, HealthzFlips200To503To200AcrossABreach) {
   config.latency_rules.push_back(rule);
 
   obs::TelemetryPipeline pipeline(registry, std::move(config));
-  std::atomic<int> listener_calls{0};
-  pipeline.set_health_listener(
-      [&](const obs::HealthReport&) { listener_calls.fetch_add(1); });
   pipeline.start();
   ASSERT_GT(pipeline.http_port(), 0);
   const std::string base =
@@ -424,7 +377,7 @@ TEST(Telemetry, HealthzFlips200To503To200AcrossABreach) {
   // A burst of slow TTFTs breaches the burn rule on the next tick.
   for (int i = 0; i < 20; ++i) ttft.observe(0.9);
   pipeline.tick();
-  EXPECT_TRUE(pipeline.shed_hint());
+  EXPECT_TRUE(pipeline.health().shed_hint);
   const obs::HttpResult breached = obs::http_get(base + "/healthz");
   EXPECT_EQ(breached.status, 503);
   EXPECT_NE(breached.body.find("\"shed_hint\":true"), std::string::npos);
@@ -435,9 +388,8 @@ TEST(Telemetry, HealthzFlips200To503To200AcrossABreach) {
   for (int i = 0; i < 200; ++i) ttft.observe(0.05);
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   pipeline.tick();
-  EXPECT_FALSE(pipeline.shed_hint());
+  EXPECT_FALSE(pipeline.health().shed_hint);
   EXPECT_EQ(obs::http_get(base + "/healthz").status, 200);
-  EXPECT_GE(listener_calls.load(), 3);
   pipeline.stop();
 }
 
@@ -470,6 +422,7 @@ TEST(Telemetry, HttpRoutesServeExpositionAndHistory) {
   const obs::HttpResult history = obs::http_get(base + "/history");
   EXPECT_EQ(history.status, 200);
   const json::Value hist = json::parse(history.body);
+  EXPECT_DOUBLE_EQ(hist.at("interval_seconds").as_number(), -1.0);
   EXPECT_TRUE(hist.at("series").is_object());
   EXPECT_TRUE(hist.at("health").is_object());
   ASSERT_NE(hist.at("series").as_object().find("req.total"),
@@ -481,6 +434,27 @@ TEST(Telemetry, HttpRoutesServeExpositionAndHistory) {
   EXPECT_EQ(missing.status, 404);
   EXPECT_NE(missing.body.find("/metrics"), std::string::npos);
   pipeline.stop();
+}
+
+TEST(Telemetry, PipelineTicksAtInterval) {
+  // The pipeline's loop is the registry's only sampler: started at a
+  // 5 ms interval, it ticks on its own.
+  obs::MetricsRegistry registry;
+  registry.counter("c").add(1);
+  obs::TelemetryConfig config;
+  config.sample_interval_seconds = 0.005;
+  config.history_capacity = 64;
+  obs::TelemetryPipeline pipeline(registry, std::move(config));
+  pipeline.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pipeline.collector().ticks() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  pipeline.stop();
+  EXPECT_GE(pipeline.collector().ticks(), 3u);
+  EXPECT_FALSE(pipeline.collector().series("c").empty());
 }
 
 // ------------------------------------------------------- top dashboard
@@ -668,9 +642,8 @@ TEST(Telemetry, ConcurrentScrapeWhileServingIsRaceFree) {
   for (auto& t : scrapers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // The server's stats surface carries the live health report.
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.health.rules.size(), 3u);
+  // The pipeline carries the live health report of all three rules.
+  EXPECT_EQ(server.telemetry()->health().rules.size(), 3u);
   server.shutdown();
 }
 

@@ -466,8 +466,11 @@ int cmd_serve(const Args& args) {
   // old submit-then-get loop serialized every request). Answers still
   // print in submission order — the FIFO drain below preserves it.
   std::deque<std::future<core::GenerationResult>> inflight;
+  std::size_t served = 0;
   const auto drain_front = [&] {
-    std::printf("%s\n", inflight.front().get().text.c_str());
+    const core::GenerationResult result = inflight.front().get();
+    if (result.ok()) ++served;
+    std::printf("%s\n", result.text.c_str());
     std::fflush(stdout);
     inflight.pop_front();
   };
@@ -481,7 +484,7 @@ int cmd_serve(const Args& args) {
   }
   while (!inflight.empty()) drain_front();
   server.shutdown();
-  std::printf("served %zu requests\n", server.stats().requests_served);
+  std::printf("served %zu requests\n", served);
   if (args.options.count("metrics") > 0) {
     std::printf("%s\n", server.metrics_json().c_str());
   }
@@ -623,13 +626,19 @@ int cmd_verify_serve(const Args& args) {
       std::fflush(stdout);
     }
   }
-  const analysis::VerificationService::CacheStats cs = service.cache_stats();
-  std::printf("cache: %llu hits, %llu misses, %llu evictions, %zu/%zu "
+  const json::Value metrics(service.metrics().snapshot());
+  const auto count = [&](const char* name) {
+    return static_cast<long long>(metrics.at("counters").at(name).as_int());
+  };
+  std::printf("cache: %lld hits, %lld misses, %lld evictions, %lld/%zu "
               "entries\n",
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.misses),
-              static_cast<unsigned long long>(cs.evictions), cs.entries,
-              cs.capacity);
+              count("analysis.cache.hits"), count("analysis.cache.misses"),
+              count("analysis.cache.evictions"),
+              static_cast<long long>(metrics.at("gauges")
+                                         .at("analysis.cache.entries")
+                                         .at("value")
+                                         .as_int()),
+              service.options().cache_capacity);
   if (args.options.count("metrics") > 0) {
     std::printf("%s\n", service.metrics_json().c_str());
   }
