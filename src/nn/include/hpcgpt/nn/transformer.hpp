@@ -163,7 +163,13 @@ class TransformerBlock {
   tensor::Matrix in1_, normed1_;
   std::vector<float> inv_rms1_;
   tensor::Matrix q_, k_, v_;
-  std::vector<tensor::Matrix> probs_;  // per head, T×T
+  // The sequence's K/V in KvPagePool's page layout, ⌈T/16⌉ pages that
+  // the attention kernels read through kv_pages_.
+  std::vector<float> kv_buf_;
+  std::vector<float*> kv_pages_;
+  // Softmax numerators e of each causal row, row-major (n_heads·T) × T:
+  // row h·T + t holds head h's e[0..t]; backward normalizes p = e / Σe.
+  std::vector<float> probs_;
   tensor::Matrix attn_concat_;
   tensor::Matrix in2_, normed2_;
   std::vector<float> inv_rms2_;
@@ -178,6 +184,8 @@ class TransformerBlock {
   tensor::Matrix d_normed_sum_, d_normed_tmp_;        // Linear backward dx
   tensor::Matrix d_resid_;                            // rmsnorm backward dx
   tensor::Matrix d_attn_concat_, dq_, dk_, dv_;       // attention backward
+  std::vector<float> dkv_buf_;                        // dK/dV, page layout
+  std::vector<float*> dkv_pages_;
   std::vector<float> dprobs_;                         // one row at a time
 };
 
@@ -289,8 +297,11 @@ class Transformer {
   void zero_grad();
 
  private:
-  tensor::Matrix embed(const std::vector<text::TokenId>& ids) const;
-  tensor::Matrix forward_hidden(const std::vector<text::TokenId>& ids);
+  /// Writes the token + position embeddings of `ids` into `x`.
+  void embed(const std::vector<text::TokenId>& ids, tensor::Matrix& x) const;
+  /// Runs the training forward into the hidden_in_/hidden_out_ caches
+  /// and returns hidden_out_.
+  const tensor::Matrix& forward_hidden(const std::vector<text::TokenId>& ids);
   /// out = tok_emb[id] + pos_emb[pos], reading fp32 or fp16 storage
   /// depending on quant_mode_.
   void add_embed_row(text::TokenId id, std::size_t pos,
@@ -313,8 +324,7 @@ class Transformer {
   Linear head_;         // d × vocab
 
   // training caches
-  std::vector<text::TokenId> cached_ids_;
-  tensor::Matrix hidden_in_;   // pre-final-norm activations
+  tensor::Matrix hidden_in_;   // residual stream; pre-final-norm at the end
   tensor::Matrix hidden_out_;  // post-final-norm activations
   std::vector<float> final_inv_rms_;
   // training scratch, reused across steps like the block-level buffers

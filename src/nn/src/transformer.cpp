@@ -109,6 +109,95 @@ float silu_grad(float x) {
   return s * (1.0f + x * (1.0f - s));
 }
 
+constexpr std::size_t kPage = KvPagePool::kPageSize;
+
+/// Sizes `buf` as the ⌈positions / kPage⌉ pages of a KvPagePool-layout
+/// cache of width d and points `pages` at them. Growing the buffer may
+/// move it, so the pointers are rebuilt on every call.
+void layout_pages(std::vector<float>& buf, std::vector<float*>& pages,
+                  std::size_t d, std::size_t positions) {
+  const std::size_t page_floats = 2 * d * kPage;
+  const std::size_t n_pages = (positions + kPage - 1) / kPage;
+  buf.resize(n_pages * page_floats);
+  pages.resize(n_pages);
+  for (std::size_t p = 0; p < n_pages; ++p) {
+    pages[p] = buf.data() + p * page_floats;
+  }
+}
+
+/// Transpose-scatters rows [r0, r0 + n) of k and v into positions
+/// [pos0, pos0 + n) of a paged K/V cache, a page run at a time: within a
+/// page, feature i's slots for positions [lo, hi) are the contiguous run
+/// page[i·kPage + lo%kPage ...], and the V slab starts at d·kPage.
+void scatter_kv(const Matrix& k, const Matrix& v, std::size_t r0,
+                std::size_t n, std::size_t pos0, float* const* pages) {
+  const std::size_t d = k.cols();
+  for (std::size_t t = 0; t < n;) {
+    const std::size_t pos = pos0 + t;
+    float* page = pages[pos / kPage];
+    const std::size_t slot = pos % kPage;
+    const std::size_t run = std::min(n - t, kPage - slot);
+    for (std::size_t i = 0; i < d; ++i) {
+      float* __restrict kc = page + i * kPage + slot;
+      float* __restrict vc = kc + d * kPage;
+      for (std::size_t j = 0; j < run; ++j) {
+        kc[j] = k.at(r0 + t + j, i);
+        vc[j] = v.at(r0 + t + j, i);
+      }
+    }
+    t += run;
+  }
+}
+
+/// The inverse of scatter_kv over positions [0, n) and rows [0, n).
+void gather_kv(const float* const* pages, std::size_t n, Matrix& k,
+               Matrix& v) {
+  const std::size_t d = k.cols();
+  for (std::size_t t = 0; t < n; t += kPage) {
+    const float* page = pages[t / kPage];
+    const std::size_t run = std::min(n - t, kPage);
+    for (std::size_t i = 0; i < d; ++i) {
+      const float* kc = page + i * kPage;
+      const float* vc = kc + d * kPage;
+      for (std::size_t j = 0; j < run; ++j) {
+        k.at(t + j, i) = kc[j];
+        v.at(t + j, i) = vc[j];
+      }
+    }
+  }
+}
+
+/// Causal attention of `rows` consecutive query positions, the first at
+/// `pos0`, over one layer's paged K/V cache (feature-major within a page,
+/// stride kPage; V slab at d·kPage): row r attends over positions
+/// [0, pos0 + r + 1). q and out are row-major with d_model columns. Heads
+/// run outer and rows inner; row r of head h leaves its softmax
+/// numerators at probs + (h·rows + r)·probs_stride, so stride 0 reuses
+/// one row of pos0 + rows floats (inference) and a stride of pos0 + rows
+/// keeps every row (training's backward reads them). Both passes run
+/// unit-stride over positions within each page.
+void paged_attention(const TransformerConfig& config, const float* q,
+                     std::size_t rows, std::size_t pos0, float* const* pages,
+                     float* __restrict probs, std::size_t probs_stride,
+                     float* out) {
+  const std::size_t d = config.d_model;
+  const std::size_t hd = config.head_dim();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  for (std::size_t h = 0; h < config.n_heads; ++h) {
+    const std::size_t off = h * hd;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t len = pos0 + r + 1;
+      float* row = probs + (h * rows + r) * probs_stride;
+      kt.attn_scores_paged(q + r * d + off, scale, pages, off * kPage, hd,
+                           len, row);
+      const float inv = kt.softmax_row(row, len);
+      kt.attn_values_paged(row, inv, pages, d * kPage + off * kPage, hd,
+                           len, out + r * d + off);
+    }
+  }
+}
+
 }  // namespace
 
 // ===================================================== TransformerBlock
@@ -215,8 +304,7 @@ std::size_t TransformerBlock::weight_memory_bytes() const {
 
 void TransformerBlock::forward(Matrix& x) {
   const std::size_t seq = x.rows();
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const std::size_t d = config_.d_model;
 
   // --- attention sub-layer ---
   in1_ = x;
@@ -225,43 +313,24 @@ void TransformerBlock::forward(Matrix& x) {
   wk_.forward(normed1_, k_);
   wv_.forward(normed1_, v_);
 
-  probs_.resize(config_.n_heads);
-  for (Matrix& p : probs_) ensure_shape(p, seq, seq);
-  ensure_shape(attn_concat_, seq, config_.d_model);
-  for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    Matrix& p = probs_[h];
-    for (std::size_t t = 0; t < seq; ++t) {
-      // causal scores with running max for a stable softmax
-      float max_score = -1e30f;
-      for (std::size_t s = 0; s <= t; ++s) {
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < hd; ++i) {
-          dot += q_.at(t, off + i) * k_.at(s, off + i);
-        }
-        dot *= scale;
-        p.at(t, s) = dot;
-        max_score = std::max(max_score, dot);
-      }
-      float denom = 0.0f;
-      for (std::size_t s = 0; s <= t; ++s) {
-        const float e = fast_expf(p.at(t, s) - max_score);
-        p.at(t, s) = e;
-        denom += e;
-      }
-      const float inv = 1.0f / denom;
-      for (std::size_t s = 0; s <= t; ++s) p.at(t, s) *= inv;
-      for (std::size_t s = t + 1; s < seq; ++s) p.at(t, s) = 0.0f;
-      // weighted sum of values
-      for (std::size_t i = 0; i < hd; ++i) {
-        float acc = 0.0f;
-        for (std::size_t s = 0; s <= t; ++s) {
-          acc += p.at(t, s) * v_.at(s, off + i);
-        }
-        attn_concat_.at(t, off + i) = acc;
-      }
-    }
+  // Inference's attention loop over the sequence's K/V in page layout;
+  // each row's softmax numerators stay in probs_ for backward.
+  layout_pages(kv_buf_, kv_pages_, d, seq);
+  scatter_kv(k_, v_, 0, seq, 0, kv_pages_.data());
+  // Reserved for twice the length (at most max_seq) and grown within
+  // that, so varying packed lengths reallocate rarely: reallocating at
+  // every new length fragments the heap, and finetune_epoch's peak RSS
+  // read 3-7 MiB higher.
+  if (probs_.capacity() < config_.n_heads * seq * seq) {
+    const std::size_t cap = std::min(2 * seq, config_.max_seq);
+    probs_.reserve(config_.n_heads * cap * cap);
   }
+  if (probs_.size() < config_.n_heads * seq * seq) {
+    probs_.resize(config_.n_heads * seq * seq);
+  }
+  ensure_shape(attn_concat_, seq, d);
+  paged_attention(config_, q_.data(), seq, 0, kv_pages_.data(),
+                  probs_.data(), seq, attn_concat_.data());
 
   wo_.forward(attn_concat_, attn_out_);
   x = in1_;
@@ -285,6 +354,7 @@ void TransformerBlock::forward(Matrix& x) {
 
 void TransformerBlock::backward(Matrix& dx) {
   const std::size_t seq = dx.rows();
+  const std::size_t d = config_.d_model;
   const std::size_t hd = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
@@ -309,44 +379,81 @@ void TransformerBlock::backward(Matrix& dx) {
   // --- attention sub-layer backward ---
   wo_.backward(dx, d_attn_concat_);
 
-  // dq/dk/dv accumulate across heads and rows: zero the reused storage.
-  ensure_shape(dq_, seq, config_.d_model);
-  ensure_shape(dk_, seq, config_.d_model);
-  ensure_shape(dv_, seq, config_.d_model);
-  dq_.zero();
-  dk_.zero();
-  dv_.zero();
+  // Per head h and row t, over positions s ≤ t, with p = e / Σe the
+  // forward's softmax row and dO = d_attn_concat_ (head h's slice):
+  //   dP[s] = ⟨dO[t], V[s]⟩          scores kernel on the V slab
+  //   dS[s] = p[s]·(dP[s] − ⟨dP, p⟩)·scale
+  //   dQ[t] = Σ_s dS[s]·K[s]         values kernel on the K slab
+  //   dK[s] += dS[s]·Q[t], dV[s] += p[s]·dO[t]
+  // dK/dV accumulate in page layout and are transposed out once.
+  ensure_shape(dq_, seq, d);
+  ensure_shape(dk_, seq, d);
+  ensure_shape(dv_, seq, d);
+  layout_pages(dkv_buf_, dkv_pages_, d, seq);
+  std::fill(dkv_buf_.begin(), dkv_buf_.end(), 0.0f);
   if (dprobs_.size() < seq) dprobs_.resize(seq);
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  const float* const* kv = kv_pages_.data();
   for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    const Matrix& p = probs_[h];
+    const std::size_t k_off = h * hd * kPage;
+    const std::size_t v_off = d * kPage + k_off;
     for (std::size_t t = 0; t < seq; ++t) {
-      // dprobs[t][s] = <d_attn_concat[t]_h, v[s]_h> ; dv accumulation
-      float dp_dot_p = 0.0f;
-      // first pass: compute dprobs and the softmax-correction inner product
-      float* __restrict dprobs = dprobs_.data();
-      for (std::size_t s = 0; s <= t; ++s) {
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < hd; ++i) {
-          dot += d_attn_concat_.at(t, off + i) * v_.at(s, off + i);
+      const std::size_t len = t + 1;
+      const float* __restrict e = probs_.data() + (h * seq + t) * seq;
+      const float* d_out = d_attn_concat_.row(t).data() + h * hd;
+      const float* q_t = q_.row(t).data() + h * hd;
+      float* __restrict ds = dprobs_.data();
+      kt.attn_scores_paged(d_out, 1.0f, kv, v_off, hd, len, ds);
+
+      // Σe and ⟨dP, e⟩ in 16 partial sums each, a fixed order that
+      // vectorizes without reassociation.
+      constexpr std::size_t kLanes = 16;
+      float sum_part[kLanes] = {};
+      float dot_part[kLanes] = {};
+      std::size_t s = 0;
+      for (; s + kLanes <= len; s += kLanes) {
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          sum_part[j] += e[s + j];
+          dot_part[j] += e[s + j] * ds[s + j];
         }
-        dprobs[s] = dot;
-        dp_dot_p += dot * p.at(t, s);
       }
-      for (std::size_t s = 0; s <= t; ++s) {
-        const float pts = p.at(t, s);
-        // dv[s] += p[t][s] * d_attn_concat[t]
+      for (std::size_t j = 0; s + j < len; ++j) {
+        sum_part[j] += e[s + j];
+        dot_part[j] += e[s + j] * ds[s + j];
+      }
+      float sum = 0.0f;
+      float dot = 0.0f;
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        sum += sum_part[j];
+        dot += dot_part[j];
+      }
+      const float inv = 1.0f / sum;
+      const float centre = dot * inv;  // ⟨dP, p⟩
+      const float ds_scale = inv * scale;
+      for (std::size_t j = 0; j < len; ++j) {
+        ds[j] = e[j] * ds_scale * (ds[j] - centre);
+      }
+      kt.attn_values_paged(ds, 1.0f, kv, k_off, hd, len,
+                           dq_.row(t).data() + h * hd);
+
+      // Rank-1 updates, unit-stride over each page's positions.
+      for (std::size_t base = 0; base < len; base += kPage) {
+        const std::size_t n = std::min(kPage, len - base);
+        float* page = dkv_pages_[base / kPage];
         for (std::size_t i = 0; i < hd; ++i) {
-          dv_.at(s, off + i) += pts * d_attn_concat_.at(t, off + i);
-        }
-        const float dscore = pts * (dprobs[s] - dp_dot_p) * scale;
-        for (std::size_t i = 0; i < hd; ++i) {
-          dq_.at(t, off + i) += dscore * k_.at(s, off + i);
-          dk_.at(s, off + i) += dscore * q_.at(t, off + i);
+          const float qi = q_t[i];
+          const float oi = d_out[i] * inv;
+          float* __restrict dk = page + k_off + i * kPage;
+          float* __restrict dv = page + v_off + i * kPage;
+          for (std::size_t j = 0; j < n; ++j) {
+            dk[j] += ds[base + j] * qi;
+            dv[j] += e[base + j] * oi;
+          }
         }
       }
     }
   }
+  gather_kv(dkv_pages_.data(), seq, dk_, dv_);
 
   wq_.backward(dq_, d_normed_sum_);
   wk_.backward(dk_, d_normed_tmp_);
@@ -398,39 +505,10 @@ void project_rows(const Matrix& x, BatchScratch& s,
   }
 }
 
-/// Causal attention of `rows` consecutive query positions, the first at
-/// `pos0`, over one layer's paged K/V cache (feature-major within a page,
-/// stride kPageSize; V slab at d·kPageSize): row r attends over positions
-/// [0, pos0 + r + 1). q and out are row-major with d_model columns; probs
-/// holds at least pos0 + rows floats. Heads run outer and rows inner.
-/// Both passes run unit-stride over positions within each page.
-void paged_attention(const TransformerConfig& config, const float* q,
-                     std::size_t rows, std::size_t pos0, float* const* pages,
-                     float* __restrict probs, float* out) {
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t d = config.d_model;
-  const std::size_t hd = config.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t h = 0; h < config.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t len = pos0 + r + 1;
-      kt.attn_scores_paged(q + r * d + off, scale, pages, off * kPage, hd,
-                           len, probs);
-      const float inv = kt.softmax_row(probs, len);
-      kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
-                           len, out + r * d + off);
-    }
-  }
-}
-
 }  // namespace
 
 void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
                              std::size_t layer, BatchScratch& s) const {
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t d = config_.d_model;
   const std::size_t rows = x.rows();
   const std::size_t seg = rows / states.size();
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
@@ -442,9 +520,7 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
   project_rows(s.normed, s, {{wq_, s.q}, {wk_, s.k_new}, {wv_, s.v_new}});
 
   // Attention is per segment: each session attends over its own pages at
-  // its own horizon. Its K/V rows go in first, transpose-scattered a page
-  // run at a time: within a page, feature i's slots for positions
-  // [lo, hi) are the contiguous run page[i·kPage + lo%kPage ...].
+  // its own horizon, after its K/V rows are scattered in.
   // (Measured alternatives for prompts — per-head GEMM via
   // matmul/matmul_nt, and 4-wide feature unrolling — both lose at these
   // shapes: the causal horizons average T/2, so dispatch and packing
@@ -453,23 +529,9 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
     float* const* pages = states[b]->page_ptrs_[layer].data();
     const std::size_t pos0 = states[b]->length_;
     const std::size_t r0 = b * seg;
-    for (std::size_t t = 0; t < seg;) {
-      const std::size_t pos = pos0 + t;
-      float* page = pages[pos / kPage];
-      const std::size_t slot = pos % kPage;
-      const std::size_t run = std::min(seg - t, kPage - slot);
-      for (std::size_t i = 0; i < d; ++i) {
-        float* __restrict kc = page + i * kPage + slot;
-        float* __restrict vc = kc + d * kPage;
-        for (std::size_t j = 0; j < run; ++j) {
-          kc[j] = s.k_new.at(r0 + t + j, i);
-          vc[j] = s.v_new.at(r0 + t + j, i);
-        }
-      }
-      t += run;
-    }
+    scatter_kv(s.k_new, s.v_new, r0, seg, pos0, pages);
     paged_attention(config_, s.q.row(r0).data(), seg, pos0, pages,
-                    s.probs.data(), s.attn.row(r0).data());
+                    s.probs.data(), 0, s.attn.row(r0).data());
   }
   wo_.apply_rows(s.attn, s.proj);
   tensor::add_inplace(x, s.proj);
@@ -585,7 +647,6 @@ void DecodeState::adopt_prefix(
           "DecodeState::adopt_prefix: session not empty");
   require(pages.size() == n_layers_,
           "DecodeState::adopt_prefix: layer count mismatch");
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t need = (tokens + kPage - 1) / kPage;
   for (std::size_t l = 0; l < n_layers_; ++l) {
     require(pages[l].size() >= need,
@@ -602,7 +663,6 @@ void DecodeState::adopt_prefix(
 
 void DecodeState::prepare_append(std::size_t count) {
   require(count > 0, "DecodeState::prepare_append: zero count");
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t first_page = length_ / kPage;
   const std::size_t last_page = (length_ + count - 1) / kPage;
   for (std::size_t l = 0; l < n_layers_; ++l) {
@@ -801,33 +861,33 @@ void Transformer::add_embed_row(text::TokenId id, std::size_t pos,
   }
 }
 
-Matrix Transformer::embed(const std::vector<text::TokenId>& ids) const {
+void Transformer::embed(const std::vector<text::TokenId>& ids,
+                        Matrix& x) const {
   require(!ids.empty(), "Transformer: empty sequence");
   require(ids.size() <= config_.max_seq,
           "Transformer: sequence exceeds max_seq (token limit)");
-  Matrix x(ids.size(), config_.d_model);
+  ensure_shape(x, ids.size(), config_.d_model);
   for (std::size_t t = 0; t < ids.size(); ++t) {
     const auto id = ids[t];
     require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
             "Transformer: token id out of range");
     add_embed_row(id, t, x.row(t));
   }
-  return x;
 }
 
-Matrix Transformer::forward_hidden(const std::vector<text::TokenId>& ids) {
-  cached_ids_ = ids;
-  Matrix x = embed(ids);
-  for (auto& block : blocks_) block->forward(x);
-  hidden_in_ = x;
+const Matrix& Transformer::forward_hidden(
+    const std::vector<text::TokenId>& ids) {
+  // The residual stream runs in hidden_in_ itself, so a warmed step
+  // allocates nothing here.
+  embed(ids, hidden_in_);
+  for (auto& block : blocks_) block->forward(hidden_in_);
   rmsnorm_forward(final_gain_, hidden_in_, hidden_out_, final_inv_rms_);
   return hidden_out_;
 }
 
 Matrix Transformer::logits(const std::vector<text::TokenId>& ids) {
-  forward_hidden(ids);
   Matrix out;
-  head_.forward(hidden_out_, out);
+  head_.forward(forward_hidden(ids), out);
   return out;
 }
 
@@ -938,8 +998,7 @@ LossResult Transformer::train_step(
   require(quant_mode_ == tensor::QuantMode::Fp32,
           "train_step: model is quantized (inference only) — training "
           "requires fp32 weights");
-  forward_hidden(ids);
-  head_.forward(hidden_out_, logit_mat_);
+  head_.forward(forward_hidden(ids), logit_mat_);
 
   // Cross-entropy + dlogits in one pass. dlogits_ is reused scratch and
   // rows with masked targets are skipped below, so zero it up front.

@@ -1,7 +1,6 @@
 #include "hpcgpt/tensor/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "hpcgpt/obs/metrics.hpp"
@@ -51,8 +50,8 @@ Matrix Matrix::from_half(std::size_t rows, std::size_t cols,
 
 namespace {
 
-// Rows per task of softmax_rows' parallel_for: the small attention
-// matrices of the test configs stay on the calling thread.
+// Rows per task of softmax_rows' parallel_for: short logit matrices
+// stay on the calling thread.
 constexpr std::size_t kRowGrain = 16;
 
 void check_inner(std::size_t a, std::size_t b, const char* what) {
@@ -171,17 +170,12 @@ void hadamard_inplace(Matrix& target, const Matrix& factor) {
 }
 
 void softmax_rows(Matrix& m) {
-  // Row-parallel: each row is independent.
+  // Row-parallel: each row is independent. The exponentials are the
+  // attention softmax's kernel (fast_expf, vectorized per ISA tier).
+  const kernels::KernelTable& kt = kernels::active();
   parallel_for(0, m.rows(), [&](std::size_t r) {
     auto row = m.row(r);
-    float max_val = row[0];
-    for (const float x : row) max_val = std::max(max_val, x);
-    // Separate exp and sum passes: the fused loop carries a float
-    // reduction that blocks vectorization of the exp.
-    for (float& x : row) x = std::exp(x - max_val);
-    float sum = 0.0f;
-    for (const float x : row) sum += x;
-    const float inv = 1.0f / sum;
+    const float inv = kt.softmax_row(row.data(), row.size());
     for (float& x : row) x *= inv;
   }, kRowGrain);
 }

@@ -1,9 +1,10 @@
-// Steady-state decode makes no heap allocation. This binary replaces the
-// global operator new with a counting one, warms a model's page pool and
-// the decode scratch, then counts allocations over a window of decode
-// steps: decode_step lane by lane and decode_step_batch over all lanes,
-// at 1 and 4 lanes (and 16 for decode_step_batch), for fp32 and int8
-// weights.
+// Steady-state decode and training make no heap allocation. This binary
+// replaces the global operator new with a counting one, warms a model's
+// page pool and the decode scratch, then counts allocations over a
+// window of decode steps: decode_step lane by lane and decode_step_batch
+// over all lanes, at 1 and 4 lanes (and 16 for decode_step_batch), for
+// fp32 and int8 weights. It also counts one warmed train_step at 37
+// tokens (three KV pages) and at 288, the full packing length.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/support/rng.hpp"
+#include "hpcgpt/support/thread_pool.hpp"
 
 namespace {
 
@@ -129,6 +131,39 @@ TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
   for (const std::size_t lanes : {1u, 4u, 16u}) {
     EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
         << lanes << " lane(s)";
+  }
+}
+
+/// operator new calls of one train_step over `len` random tokens, after
+/// kWarmupSteps unmeasured steps of the same length size the training
+/// scratch. Runs under the ParallelInlineGuard a trainer shard holds.
+std::size_t train_step_allocations(nn::Transformer& m, std::size_t len) {
+  ParallelInlineGuard inline_guard;
+  const std::size_t vocab = m.config().vocab_size;
+  Rng rng(len);
+  std::vector<text::TokenId> ids(len);
+  for (auto& id : ids) {
+    id = static_cast<text::TokenId>(4 + rng.next_below(vocab - 4));
+  }
+  std::vector<std::int32_t> targets(len, -1);
+  for (std::size_t t = 0; t + 1 < len; ++t) targets[t] = ids[t + 1];
+  for (std::size_t i = 0; i < kWarmupSteps; ++i) m.train_step(ids, targets);
+  g_allocations.store(0);
+  g_counting.store(true);
+  m.train_step(ids, targets);
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+TEST(TrainStepAlloc, WarmedStepIsAllocationFree) {
+  core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
+  spec.pretrain_steps = 0;
+  core::HpcGpt model(spec, shared_tokenizer());
+  // 37 tokens end in a partial third KV page; 288 is max_seq, the length
+  // packed fine-tuning trains at.
+  for (const std::size_t len : {37u, 288u}) {
+    EXPECT_EQ(train_step_allocations(model.model(), len), 0u)
+        << len << " tokens";
   }
 }
 

@@ -11,6 +11,7 @@
 #include "hpcgpt/nn/sampler.hpp"
 #include "hpcgpt/nn/transformer.hpp"
 #include "hpcgpt/support/error.hpp"
+#include "hpcgpt/tensor/kernels.hpp"
 
 namespace hpcgpt::nn {
 namespace {
@@ -40,6 +41,28 @@ std::vector<std::int32_t> shifted_targets(const std::vector<TokenId>& ids) {
   for (std::size_t i = 0; i + 1 < ids.size(); ++i) t[i] = ids[i + 1];
   return t;
 }
+
+/// tiny_config with room for multi_page_ids() and a few decode steps.
+TransformerConfig multi_page_config() {
+  TransformerConfig c = tiny_config();
+  c.max_seq = 40;
+  return c;
+}
+
+/// 37 tokens: three 16-position KV pages, the last one partial.
+std::vector<TokenId> multi_page_ids() {
+  std::vector<TokenId> ids(37);
+  for (std::size_t t = 0; t < ids.size(); ++t) {
+    ids[t] = static_cast<TokenId>((t * 7 + 3) % 16);
+  }
+  return ids;
+}
+
+/// Restores the kernel tier that was active at construction.
+struct TierGuard {
+  tensor::kernels::IsaTier entry = tensor::kernels::active().tier;
+  ~TierGuard() { tensor::kernels::set_active_tier(entry); }
+};
 
 // ------------------------------------------------------------ shapes
 
@@ -94,9 +117,9 @@ TEST(Transformer, CausalityFuturePositionsDoNotAffectPast) {
 /// numerical (f(w+h)-f(w-h))/2h on a sample of coordinates of every
 /// parameter tensor. This validates the entire manual backprop chain
 /// (embeddings, RMSNorm, attention, SwiGLU, head, cross-entropy).
-TEST(Transformer, GradientsMatchFiniteDifferences) {
-  Transformer model(tiny_config(), 123);
-  const auto ids = ids_of({1, 4, 2, 7, 3, 7});
+void expect_gradients_match_finite_differences(
+    const TransformerConfig& config, const std::vector<TokenId>& ids) {
+  Transformer model(config, 123);
   const auto targets = shifted_targets(ids);
 
   model.zero_grad();
@@ -120,6 +143,21 @@ TEST(Transformer, GradientsMatchFiniteDifferences) {
                   5e-3 * std::max(1.0, std::abs(numeric)))
           << p->name << "[" << i << "]";
     }
+  }
+}
+
+// Attention runs on the paged kernels, so every tier is checked: within
+// one page (6 tokens) and across three pages with a partial tail.
+TEST(Transformer, GradientsMatchFiniteDifferences) {
+  TierGuard guard;
+  for (const tensor::kernels::IsaTier tier :
+       tensor::kernels::supported_tiers()) {
+    ASSERT_TRUE(tensor::kernels::set_active_tier(tier));
+    SCOPED_TRACE(tensor::kernels::tier_name(tier));
+    expect_gradients_match_finite_differences(tiny_config(),
+                                              ids_of({1, 4, 2, 7, 3, 7}));
+    expect_gradients_match_finite_differences(multi_page_config(),
+                                              multi_page_ids());
   }
 }
 
@@ -372,8 +410,8 @@ TEST(DecodeCache, StepLogitsMatchFullForward) {
 }
 
 TEST(DecodeCache, PrefillMatchesFullForward) {
-  Transformer model(tiny_config(), 91);
-  const auto ids = ids_of({1, 4, 2, 7, 3});
+  Transformer model(multi_page_config(), 91);
+  const auto ids = multi_page_ids();
   const auto full = model.logits(ids);
   DecodeState state = model.new_decode_state();
   const std::span<const float> last = model.prefill(state, ids);
