@@ -40,6 +40,10 @@ class Linear {
   /// Folds the LoRA product into W (for cheap inference after training).
   void merge_lora();
 
+  /// A copy of the layer's weights, trainable flags and LoRA adapter,
+  /// without its activation caches.
+  Linear replica() const;
+
   /// Stateless application y = x·W (+ LoRA term) over all rows of `x`
   /// via the GEMM — the projection of the inference forward. It neither
   /// reads nor writes the training caches, so it is safe to call

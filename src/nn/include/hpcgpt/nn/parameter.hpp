@@ -42,8 +42,8 @@ std::size_t parameter_count(const ParameterList& params,
 /// gradients become plain float arrays that reduce with memcpy-speed
 /// loops, and the optimizer runs one fused pass over a single span
 /// instead of a per-tensor loop. The element order is registration
-/// order, so gathers from structurally identical models (replicas built
-/// from the same config) line up index-for-index.
+/// order, so gathers from structurally identical models (a model and its
+/// replicas) line up index-for-index.
 class FlatParamView {
  public:
   FlatParamView() = default;

@@ -60,13 +60,14 @@ struct TrainStats {
 ///
 /// Each optimizer step shards a micro-batch contiguously across workers;
 /// worker 0 runs on the calling thread against the master model, workers
-/// 1..W-1 run on a dedicated pool against per-worker replicas (Transformer
-/// holds per-instance activation caches, so concurrent train_step on one
-/// model would race). Every worker accumulates into its own gradient
-/// buffer over a FlatParamView, the buffers reduce with a fixed-order
-/// binary tree (deterministic: the sum never depends on thread timing),
-/// and a single fused Adam pass updates the flat master values, which are
-/// then broadcast back to the replicas. Inside a shard the tensor kernels
+/// 1..W-1 run on a dedicated pool against per-worker replicas, copies of
+/// the master (Transformer::replica; a Transformer holds per-instance
+/// activation caches, so concurrent train_step on one model would race).
+/// Every worker accumulates into its own gradient buffer over a
+/// FlatParamView, the buffers reduce with a fixed-order binary tree
+/// (deterministic: the sum never depends on thread timing), and a single
+/// fused Adam pass updates the flat master values, which are then
+/// broadcast back to the replicas. Inside a shard the tensor kernels
 /// run inline (ParallelInlineGuard): one replica per core beats
 /// re-fanning each GEMM across the global pool.
 ///

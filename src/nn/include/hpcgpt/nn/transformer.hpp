@@ -34,7 +34,7 @@ struct BatchScratch {
   tensor::Matrix gate;    // SwiGLU gate lanes      (rows × d_ff)
   tensor::Matrix up;      // SwiGLU up lanes        (rows × d_ff)
   tensor::Matrix logits;  // head output            (rows × vocab)
-  std::vector<float> probs;  // attention weights, one row at a time
+  std::vector<float> probs;  // attention weights, one tile of rows at a time
   // int8 models: each normed row quantized once, shared by the sibling
   // projections that read it (wq/wk/wv, then gate/up).
   std::vector<std::int8_t> qx;   // rows × padded d_model
@@ -125,6 +125,10 @@ class TransformerBlock {
   void merge_lora();
   void collect_parameters(ParameterList& out);
 
+  /// A copy of the block's configuration and parameters (values,
+  /// trainable flags, LoRA adapters), without its activation caches.
+  std::unique_ptr<TransformerBlock> replica() const;
+
   /// Quantizes all seven projections to `mode` (see Linear::quantize);
   /// the rmsnorm gains stay fp32 (they are d_model-sized vectors).
   void quantize(tensor::QuantMode mode);
@@ -177,8 +181,9 @@ class TransformerBlock {
 
   // ---- training scratch (BatchScratch-style reuse) ----
   // forward/backward temporaries that keep their storage across train
-  // steps: packed sequences repeat the same shapes, so after the first
-  // step the whole train path runs without per-call tensor allocations.
+  // steps. Packed lengths change from step to step, so every cache is
+  // reshaped within its capacity (Matrix::resize): once a step at the
+  // longest length has run, the train path makes no allocation.
   tensor::Matrix attn_out_, mlp_out_;                 // forward
   tensor::Matrix d_swiglu_, d_gate_pre_, d_up_;       // MLP backward
   tensor::Matrix d_normed_sum_, d_normed_tmp_;        // Linear backward dx
@@ -186,7 +191,7 @@ class TransformerBlock {
   tensor::Matrix d_attn_concat_, dq_, dk_, dv_;       // attention backward
   std::vector<float> dkv_buf_;                        // dK/dV, page layout
   std::vector<float*> dkv_pages_;
-  std::vector<float> dprobs_;                         // one row at a time
+  std::vector<float> dprobs_;                         // one tile of rows
 };
 
 /// Result of a training forward+backward step on one sequence.
@@ -209,6 +214,11 @@ class Transformer {
 
   /// All parameters in deterministic order (for the optimizer/checkpoint).
   ParameterList parameters();
+
+  /// A data-parallel training replica: this model's configuration and
+  /// parameters (values, trainable flags, LoRA adapters) copied bitwise,
+  /// with its own empty caches and page pool. Draws no random numbers.
+  std::unique_ptr<Transformer> replica() const;
 
   /// Attaches LoRA adapters per config_.lora_rank to the attention and MLP
   /// projections; freezes base weights when config_.train_lora_only.
@@ -306,6 +316,10 @@ class Transformer {
   /// depending on quant_mode_.
   void add_embed_row(text::TokenId id, std::size_t pos,
                      std::span<float> out) const;
+
+  struct ReplicaTag {};
+  /// replica()'s constructor.
+  Transformer(const Transformer& master, ReplicaTag);
 
   TransformerConfig config_;
   Rng init_rng_;

@@ -39,18 +39,14 @@ void Linear::forward(const Matrix& x, Matrix& y) {
     cached_x_ = Matrix();
     return;
   }
-  // Shape-checked reuse (cf. apply_rows): the training loop calls this
-  // with persistent scratch every step and matmul overwrites, so steps
-  // over repeating sequence lengths allocate nothing here.
-  if (y.rows() != x.rows() || y.cols() != out_features()) {
-    y = Matrix(x.rows(), out_features());
-  }
+  // The training loop calls this with persistent scratch every step and
+  // matmul overwrites, so a step within the largest length seen so far
+  // allocates nothing here (cf. apply_rows).
+  y.resize(x.rows(), out_features());
   matmul(x, weight_.value, y);
   cached_x_ = x;
   if (lora_rank_ > 0) {
-    if (cached_xa_.rows() != x.rows() || cached_xa_.cols() != lora_rank_) {
-      cached_xa_ = Matrix(x.rows(), lora_rank_);
-    }
+    cached_xa_.resize(x.rows(), lora_rank_);
     matmul(x, lora_a_.value, cached_xa_);
     Matrix lora_out(x.rows(), out_features());
     matmul(cached_xa_, lora_b_.value, lora_out);
@@ -67,9 +63,7 @@ void Linear::backward(const Matrix& dy, Matrix& dx) {
   if (weight_.trainable) {
     matmul_tn_acc(cached_x_, dy, weight_.grad);  // dW += x^T dy
   }
-  if (dx.rows() != cached_x_.rows() || dx.cols() != in_features()) {
-    dx = Matrix(cached_x_.rows(), in_features());
-  }
+  dx.resize(cached_x_.rows(), in_features());
   matmul_nt(dy, weight_.value, dx);  // dx = dy W^T
 
   if (lora_rank_ > 0) {
@@ -95,13 +89,10 @@ void Linear::apply_rows(const Matrix& x, Matrix& y) const {
     qweight_.matmul(x, y);
     return;
   }
-  // Reuse the caller's buffer when the shape already matches: the decode
-  // loop calls this with persistent scratch matrices every step, and
-  // matmul overwrites, so skipping the reallocation makes steady-state
-  // decode allocation-free.
-  if (y.rows() != x.rows() || y.cols() != out_features()) {
-    y = Matrix(x.rows(), out_features());
-  }
+  // Reuse the caller's buffer: the decode loop calls this with
+  // persistent scratch matrices every step, and matmul overwrites, so
+  // steady-state decode allocates nothing here.
+  y.resize(x.rows(), out_features());
   matmul(x, weight_.value, y);
   if (lora_rank_ > 0) {
     Matrix xa(x.rows(), lora_rank_);
@@ -111,6 +102,18 @@ void Linear::apply_rows(const Matrix& x, Matrix& y) const {
     tensor::scale_inplace(lora_out, lora_scale_);
     tensor::add_inplace(y, lora_out);
   }
+}
+
+Linear Linear::replica() const {
+  Linear out;
+  out.weight_ = weight_;
+  out.lora_a_ = lora_a_;
+  out.lora_b_ = lora_b_;
+  out.lora_rank_ = lora_rank_;
+  out.lora_scale_ = lora_scale_;
+  out.qweight_ = qweight_;
+  out.qmode_ = qmode_;
+  return out;
 }
 
 void Linear::merge_lora() {

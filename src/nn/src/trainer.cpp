@@ -89,22 +89,8 @@ void Trainer::ensure_workers() {
     replicas_.clear();
     replica_views_.clear();
     for (std::size_t w = 1; w < workers_; ++w) {
-      // The replica seed is irrelevant: every value is copied from the
-      // master below. Construction from master's config reproduces the
-      // exact parameter structure (LoRA attaches in the constructor when
-      // config.lora_rank > 0, with identical trainable flags).
-      auto replica = std::make_unique<Transformer>(model_.config(), 1);
-      ParameterList src = model_.parameters();
-      ParameterList dst = replica->parameters();
-      require(src.size() == dst.size(),
-              "Trainer: replica parameter count mismatch");
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        require(src[i]->count() == dst[i]->count(),
-                "Trainer: replica parameter shape mismatch");
-        dst[i]->value = src[i]->value;
-        dst[i]->trainable = src[i]->trainable;
-      }
-      replica_views_.emplace_back(dst);
+      std::unique_ptr<Transformer> replica = model_.replica();
+      replica_views_.emplace_back(replica->parameters());
       replicas_.push_back(std::move(replica));
     }
   }
@@ -114,10 +100,10 @@ void Trainer::ensure_workers() {
   worker_grads_.resize(workers_);
   for (auto& g : worker_grads_) g.resize(master_view_.size());
   flat_values_.resize(master_view_.size());
-  // Replicas may be stale if the master moved since the last epoch
-  // (rebuilds copy everything, but a reused trainer only syncs trainable
-  // values after each step): re-broadcast before training.
-  if (!replicas_.empty()) {
+  // Reused replicas may be stale if the master moved since the last epoch
+  // (a reused trainer only syncs trainable values after each step):
+  // re-broadcast before training. Fresh replicas are copies already.
+  if (!rebuild && !replicas_.empty()) {
     master_view_.gather_values(flat_values_);
     broadcast_values();
   }

@@ -49,19 +49,11 @@ InferenceMetrics& inference_metrics() {
   return m;
 }
 
-/// Shape-checked reuse for training scratch: reallocates only when the
-/// shape changes, so steps over repeating sequence lengths (packed
-/// batches pin them near max_seq) run allocation-free. Contents are NOT
-/// cleared — callers either overwrite every element or zero explicitly.
-void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
-}
-
 /// normed[t] = x[t] * inv_rms[t] ⊙ gain ; inv_rms[t] = (mean(x[t]²)+eps)^-½
 void rmsnorm_forward(const Parameter& gain, const Matrix& x, Matrix& normed,
                      std::vector<float>& inv_rms) {
   const std::size_t d = x.cols();
-  ensure_shape(normed, x.rows(), d);
+  normed.resize(x.rows(), d);
   inv_rms.assign(x.rows(), 0.0f);
   const float* g = gain.value.data();
   for (std::size_t t = 0; t < x.rows(); ++t) {
@@ -80,7 +72,7 @@ void rmsnorm_backward(Parameter& gain, const Matrix& x,
                       const std::vector<float>& inv_rms,
                       const Matrix& dnormed, Matrix& dx) {
   const std::size_t d = x.cols();
-  ensure_shape(dx, x.rows(), d);
+  dx.resize(x.rows(), d);
   const float* g = gain.value.data();
   float* dg = gain.grad.data();
   for (std::size_t t = 0; t < x.rows(); ++t) {
@@ -110,6 +102,7 @@ float silu_grad(float x) {
 }
 
 constexpr std::size_t kPage = KvPagePool::kPageSize;
+constexpr std::size_t kTile = tensor::kernels::kAttnTileRows;
 
 /// Sizes `buf` as the ⌈positions / kPage⌉ pages of a KvPagePool-layout
 /// cache of width d and points `pages` at them. Growing the buffer may
@@ -171,14 +164,15 @@ void gather_kv(const float* const* pages, std::size_t n, Matrix& k,
 /// `pos0`, over one layer's paged K/V cache (feature-major within a page,
 /// stride kPage; V slab at d·kPage): row r attends over positions
 /// [0, pos0 + r + 1). q and out are row-major with d_model columns. Heads
-/// run outer and rows inner; row r of head h leaves its softmax
-/// numerators at probs + (h·rows + r)·probs_stride, so stride 0 reuses
-/// one row of pos0 + rows floats (inference) and a stride of pos0 + rows
-/// keeps every row (training's backward reads them). Both passes run
-/// unit-stride over positions within each page.
+/// run outer; each head's rows run in tiles of up to kTile, so the kernels
+/// load each K/V page once per tile. Each row's softmax numerators take
+/// probs_stride floats (at least pos0 + rows): with `keep_probs`, row r of
+/// head h stays at probs + (h·rows + r)·probs_stride for training's
+/// backward; otherwise every tile reuses the first kTile rows
+/// (inference).
 void paged_attention(const TransformerConfig& config, const float* q,
                      std::size_t rows, std::size_t pos0, float* const* pages,
-                     float* __restrict probs, std::size_t probs_stride,
+                     float* probs, std::size_t probs_stride, bool keep_probs,
                      float* out) {
   const std::size_t d = config.d_model;
   const std::size_t hd = config.head_dim();
@@ -186,14 +180,19 @@ void paged_attention(const TransformerConfig& config, const float* q,
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
   for (std::size_t h = 0; h < config.n_heads; ++h) {
     const std::size_t off = h * hd;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t len = pos0 + r + 1;
-      float* row = probs + (h * rows + r) * probs_stride;
-      kt.attn_scores_paged(q + r * d + off, scale, pages, off * kPage, hd,
-                           len, row);
-      const float inv = kt.softmax_row(row, len);
-      kt.attn_values_paged(row, inv, pages, d * kPage + off * kPage, hd,
-                           len, out + r * d + off);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+      const std::size_t n = std::min(kTile, rows - r0);
+      const std::size_t len0 = pos0 + r0 + 1;
+      float* tile = probs + (keep_probs ? (h * rows + r0) * probs_stride : 0);
+      kt.attn_scores_paged(q + r0 * d + off, d, scale, pages, off * kPage, hd,
+                           len0, n, tile, probs_stride);
+      float inv[kTile];
+      for (std::size_t r = 0; r < n; ++r) {
+        inv[r] = kt.softmax_row(tile + r * probs_stride, len0 + r);
+      }
+      kt.attn_values_paged(tile, probs_stride, inv, pages,
+                           d * kPage + off * kPage, hd, len0, n,
+                           out + r0 * d + off, d);
     }
   }
 }
@@ -283,6 +282,21 @@ void TransformerBlock::collect_parameters(ParameterList& out) {
   w_down_.collect_parameters(out);
 }
 
+std::unique_ptr<TransformerBlock> TransformerBlock::replica() const {
+  auto out = std::make_unique<TransformerBlock>();
+  out->config_ = config_;
+  out->norm1_gain_ = norm1_gain_;
+  out->wq_ = wq_.replica();
+  out->wk_ = wk_.replica();
+  out->wv_ = wv_.replica();
+  out->wo_ = wo_.replica();
+  out->norm2_gain_ = norm2_gain_;
+  out->w_gate_ = w_gate_.replica();
+  out->w_up_ = w_up_.replica();
+  out->w_down_ = w_down_.replica();
+  return out;
+}
+
 void TransformerBlock::quantize(tensor::QuantMode mode) {
   wq_.quantize(mode);
   wk_.quantize(mode);
@@ -328,9 +342,10 @@ void TransformerBlock::forward(Matrix& x) {
   if (probs_.size() < config_.n_heads * seq * seq) {
     probs_.resize(config_.n_heads * seq * seq);
   }
-  ensure_shape(attn_concat_, seq, d);
+  attn_concat_.resize(seq, d);
   paged_attention(config_, q_.data(), seq, 0, kv_pages_.data(),
-                  probs_.data(), seq, attn_concat_.data());
+                  probs_.data(), seq, /*keep_probs=*/true,
+                  attn_concat_.data());
 
   wo_.forward(attn_concat_, attn_out_);
   x = in1_;
@@ -341,7 +356,7 @@ void TransformerBlock::forward(Matrix& x) {
   rmsnorm_forward(norm2_gain_, in2_, normed2_, inv_rms2_);
   w_gate_.forward(normed2_, gate_pre_);
   w_up_.forward(normed2_, up_);
-  ensure_shape(swiglu_, seq, config_.d_ff);
+  swiglu_.resize(seq, config_.d_ff);
   for (std::size_t t = 0; t < seq; ++t) {
     for (std::size_t j = 0; j < config_.d_ff; ++j) {
       swiglu_.at(t, j) = silu(gate_pre_.at(t, j)) * up_.at(t, j);
@@ -360,8 +375,8 @@ void TransformerBlock::backward(Matrix& dx) {
 
   // --- MLP sub-layer backward ---
   w_down_.backward(dx, d_swiglu_);
-  ensure_shape(d_gate_pre_, seq, config_.d_ff);
-  ensure_shape(d_up_, seq, config_.d_ff);
+  d_gate_pre_.resize(seq, config_.d_ff);
+  d_up_.resize(seq, config_.d_ff);
   for (std::size_t t = 0; t < seq; ++t) {
     for (std::size_t j = 0; j < config_.d_ff; ++j) {
       const float g = gate_pre_.at(t, j);
@@ -384,73 +399,70 @@ void TransformerBlock::backward(Matrix& dx) {
   //   dP[s] = ⟨dO[t], V[s]⟩          scores kernel on the V slab
   //   dS[s] = p[s]·(dP[s] − ⟨dP, p⟩)·scale
   //   dQ[t] = Σ_s dS[s]·K[s]         values kernel on the K slab
-  //   dK[s] += dS[s]·Q[t], dV[s] += p[s]·dO[t]
-  // dK/dV accumulate in page layout and are transposed out once.
-  ensure_shape(dq_, seq, d);
-  ensure_shape(dk_, seq, d);
-  ensure_shape(dv_, seq, d);
+  //   dK[s] += dS[s]·Q[t], dV[s] += p[s]·dO[t]   rank-1 kernel
+  // The kernels take the rows in tiles of up to kTile, like the forward,
+  // and the rank-1 kernel applies a tile's rows in ascending t, the order
+  // of a row-by-row loop. dK/dV accumulate in page layout and are
+  // transposed out once.
+  dq_.resize(seq, d);
+  dk_.resize(seq, d);
+  dv_.resize(seq, d);
   layout_pages(dkv_buf_, dkv_pages_, d, seq);
   std::fill(dkv_buf_.begin(), dkv_buf_.end(), 0.0f);
-  if (dprobs_.size() < seq) dprobs_.resize(seq);
+  if (dprobs_.size() < kTile * seq) dprobs_.resize(kTile * seq);
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
   const float* const* kv = kv_pages_.data();
+  float ones[kTile];
+  std::fill(ones, ones + kTile, 1.0f);
   for (std::size_t h = 0; h < config_.n_heads; ++h) {
     const std::size_t k_off = h * hd * kPage;
     const std::size_t v_off = d * kPage + k_off;
-    for (std::size_t t = 0; t < seq; ++t) {
-      const std::size_t len = t + 1;
-      const float* __restrict e = probs_.data() + (h * seq + t) * seq;
-      const float* d_out = d_attn_concat_.row(t).data() + h * hd;
-      const float* q_t = q_.row(t).data() + h * hd;
-      float* __restrict ds = dprobs_.data();
-      kt.attn_scores_paged(d_out, 1.0f, kv, v_off, hd, len, ds);
+    for (std::size_t t0 = 0; t0 < seq; t0 += kTile) {
+      const std::size_t n = std::min(kTile, seq - t0);
+      const std::size_t len0 = t0 + 1;
+      const float* e0 = probs_.data() + (h * seq + t0) * seq;
+      const float* d_out = d_attn_concat_.row(t0).data() + h * hd;
+      float* ds0 = dprobs_.data();
+      kt.attn_scores_paged(d_out, d, 1.0f, kv, v_off, hd, len0, n, ds0, seq);
 
-      // Σe and ⟨dP, e⟩ in 16 partial sums each, a fixed order that
-      // vectorizes without reassociation.
-      constexpr std::size_t kLanes = 16;
-      float sum_part[kLanes] = {};
-      float dot_part[kLanes] = {};
-      std::size_t s = 0;
-      for (; s + kLanes <= len; s += kLanes) {
-        for (std::size_t j = 0; j < kLanes; ++j) {
+      float inv[kTile];
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t len = len0 + r;
+        const float* __restrict e = e0 + r * seq;
+        float* __restrict ds = ds0 + r * seq;
+        // Σe and ⟨dP, e⟩ in 16 partial sums each, a fixed order that
+        // vectorizes without reassociation.
+        constexpr std::size_t kLanes = 16;
+        float sum_part[kLanes] = {};
+        float dot_part[kLanes] = {};
+        std::size_t s = 0;
+        for (; s + kLanes <= len; s += kLanes) {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            sum_part[j] += e[s + j];
+            dot_part[j] += e[s + j] * ds[s + j];
+          }
+        }
+        for (std::size_t j = 0; s + j < len; ++j) {
           sum_part[j] += e[s + j];
           dot_part[j] += e[s + j] * ds[s + j];
         }
-      }
-      for (std::size_t j = 0; s + j < len; ++j) {
-        sum_part[j] += e[s + j];
-        dot_part[j] += e[s + j] * ds[s + j];
-      }
-      float sum = 0.0f;
-      float dot = 0.0f;
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        sum += sum_part[j];
-        dot += dot_part[j];
-      }
-      const float inv = 1.0f / sum;
-      const float centre = dot * inv;  // ⟨dP, p⟩
-      const float ds_scale = inv * scale;
-      for (std::size_t j = 0; j < len; ++j) {
-        ds[j] = e[j] * ds_scale * (ds[j] - centre);
-      }
-      kt.attn_values_paged(ds, 1.0f, kv, k_off, hd, len,
-                           dq_.row(t).data() + h * hd);
-
-      // Rank-1 updates, unit-stride over each page's positions.
-      for (std::size_t base = 0; base < len; base += kPage) {
-        const std::size_t n = std::min(kPage, len - base);
-        float* page = dkv_pages_[base / kPage];
-        for (std::size_t i = 0; i < hd; ++i) {
-          const float qi = q_t[i];
-          const float oi = d_out[i] * inv;
-          float* __restrict dk = page + k_off + i * kPage;
-          float* __restrict dv = page + v_off + i * kPage;
-          for (std::size_t j = 0; j < n; ++j) {
-            dk[j] += ds[base + j] * qi;
-            dv[j] += e[base + j] * oi;
-          }
+        float sum = 0.0f;
+        float dot = 0.0f;
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          sum += sum_part[j];
+          dot += dot_part[j];
+        }
+        inv[r] = 1.0f / sum;
+        const float centre = dot * inv[r];  // ⟨dP, p⟩
+        const float ds_scale = inv[r] * scale;
+        for (std::size_t j = 0; j < len; ++j) {
+          ds[j] = e[j] * ds_scale * (ds[j] - centre);
         }
       }
+      kt.attn_values_paged(ds0, seq, ones, kv, k_off, hd, len0, n,
+                           dq_.row(t0).data() + h * hd, d);
+      kt.attn_rank1_paged(ds0, e0, seq, q_.row(t0).data() + h * hd, d_out, d,
+                          inv, dkv_pages_.data(), k_off, v_off, hd, len0, n);
     }
   }
   gather_kv(dkv_pages_.data(), seq, dk_, dv_);
@@ -531,7 +543,8 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
     const std::size_t r0 = b * seg;
     scatter_kv(s.k_new, s.v_new, r0, seg, pos0, pages);
     paged_attention(config_, s.q.row(r0).data(), seg, pos0, pages,
-                    s.probs.data(), 0, s.attn.row(r0).data());
+                    s.probs.data(), pos0 + seg, /*keep_probs=*/false,
+                    s.attn.row(r0).data());
   }
   wo_.apply_rows(s.attn, s.proj);
   tensor::add_inplace(x, s.proj);
@@ -551,12 +564,12 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
 void BatchScratch::ensure(const TransformerConfig& config, std::size_t rows) {
   // x/normed/attn are written row by row, so they must be pre-sized; the
   // GEMM outputs size themselves.
-  if (x.rows() != rows || x.cols() != config.d_model) {
-    x = tensor::Matrix(rows, config.d_model);
-    normed = tensor::Matrix(rows, config.d_model);
-    attn = tensor::Matrix(rows, config.d_model);
+  x.resize(rows, config.d_model);
+  normed.resize(rows, config.d_model);
+  attn.resize(rows, config.d_model);
+  if (probs.size() < kTile * config.max_seq) {
+    probs.assign(kTile * config.max_seq, 0.0f);
   }
-  if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
 }
 
 // ===================================================== DecodeState
@@ -763,6 +776,26 @@ Transformer::Transformer(const TransformerConfig& config, std::uint64_t seed)
   }
 }
 
+Transformer::Transformer(const Transformer& master, ReplicaTag)
+    : config_(master.config_),
+      init_rng_(master.init_rng_),
+      quant_mode_(master.quant_mode_),
+      pool_(std::make_shared<KvPagePool>(master.config_.d_model,
+                                         /*max_pages=*/0)),
+      tok_emb_(master.tok_emb_),
+      pos_emb_(master.pos_emb_),
+      tok_emb_h_(master.tok_emb_h_),
+      pos_emb_h_(master.pos_emb_h_),
+      final_gain_(master.final_gain_),
+      head_(master.head_.replica()) {
+  blocks_.reserve(master.blocks_.size());
+  for (const auto& block : master.blocks_) blocks_.push_back(block->replica());
+}
+
+std::unique_ptr<Transformer> Transformer::replica() const {
+  return std::unique_ptr<Transformer>(new Transformer(*this, ReplicaTag{}));
+}
+
 ParameterList Transformer::parameters() {
   ParameterList out;
   out.push_back(&tok_emb_);
@@ -866,7 +899,7 @@ void Transformer::embed(const std::vector<text::TokenId>& ids,
   require(!ids.empty(), "Transformer: empty sequence");
   require(ids.size() <= config_.max_seq,
           "Transformer: sequence exceeds max_seq (token limit)");
-  ensure_shape(x, ids.size(), config_.d_model);
+  x.resize(ids.size(), config_.d_model);
   for (std::size_t t = 0; t < ids.size(); ++t) {
     const auto id = ids[t];
     require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
@@ -984,7 +1017,7 @@ std::span<const float> Transformer::prefill(
   // feeds the next token through decode_step), so the head runs on that
   // one row, into the session's scratch where the returned span lives.
   BatchScratch& out = state.scratch_;
-  ensure_shape(out.normed, 1, config_.d_model);
+  out.normed.resize(1, config_.d_model);
   rmsnorm_row(final_gain_, scratch.x.row(ids.size() - 1), out.normed.row(0));
   head_.apply_rows(out.normed, out.logits);
   return out.logits.row(0);
@@ -1002,7 +1035,7 @@ LossResult Transformer::train_step(
 
   // Cross-entropy + dlogits in one pass. dlogits_ is reused scratch and
   // rows with masked targets are skipped below, so zero it up front.
-  ensure_shape(dlogits_, logit_mat_.rows(), logit_mat_.cols());
+  dlogits_.resize(logit_mat_.rows(), logit_mat_.cols());
   dlogits_.zero();
   tensor::softmax_rows(logit_mat_);  // logit_mat_ now holds probabilities
   std::size_t counted = 0;

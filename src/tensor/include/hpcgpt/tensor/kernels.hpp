@@ -42,6 +42,10 @@ std::optional<IsaTier> parse_tier(std::string_view name);
 /// whole vector chunks and only the last, partial page needs a tail.
 inline constexpr std::size_t kKvPageSize = 16;
 
+/// The most consecutive causal query rows one call of the paged attention
+/// kernels takes (a tile; see KernelTable::attn_scores_paged).
+inline constexpr std::size_t kAttnTileRows = 4;
+
 /// One tier's kernel set. All pointers are always non-null (a tier that
 /// lacks a fast variant of some kernel carries the scalar one).
 struct KernelTable {
@@ -85,25 +89,57 @@ struct KernelTable {
                    std::size_t out, float* y);
 
   // --- paged fp32 attention helpers -------------------------------------
-  // The decode loop's other hot spot, against the block-paged KV cache:
-  // position s lives in slot s % kKvPageSize of pages[s / kKvPageSize],
-  // and within a page feature i's slots start at offset
-  // page_off + i·kKvPageSize (feature-major with stride kKvPageSize).
+  // Causal attention against the block-paged KV cache, for inference and
+  // training alike: position s lives in slot s % kKvPageSize of
+  // pages[s / kKvPageSize], and within a page feature i's slots start at
+  // offset page_off + i·kKvPageSize (feature-major with stride
+  // kKvPageSize). Every page holds all kKvPageSize slots.
+  //
+  // Each call takes a tile of `rows` consecutive causal query rows,
+  // 1 ≤ rows ≤ kAttnTileRows: row r covers positions [0, len0 + r), and
+  // row r of a row-major operand x starts at x + r·stride. A tile loads
+  // each K/V page, and each dK/dV page slice, once for all its rows.
+  // Every row gets exactly the bits a tile of one gives it, so how rows
+  // are tiled never changes a result (test_kernels.cpp, memcmp); a decode
+  // step is a tile of one.
+  //
   // These are float kernels: results are identical across calls within
   // one tier (what the one inference forward's bitwise contracts need)
   // but may differ between tiers by accumulation order / FMA rounding,
   // like any fp32 re-association — test_kernels.cpp bounds each tier
   // against the scalar one on multi-page caches.
 
-  /// probs[s] = Σ_i (q[i] · scale) · K[s] over a paged K cache.
-  void (*attn_scores_paged)(const float* q, float scale,
-                            const float* const* pages, std::size_t page_off,
-                            std::size_t hd, std::size_t len, float* probs);
+  /// probs_r[s] = Σ_i (q_r[i] · scale) · K[s] for s < len0 + r, over a
+  /// paged K cache; q_r = q + r·q_stride, probs_r = probs + r·probs_stride.
+  void (*attn_scores_paged)(const float* q, std::size_t q_stride,
+                            float scale, const float* const* pages,
+                            std::size_t page_off, std::size_t hd,
+                            std::size_t len0, std::size_t rows, float* probs,
+                            std::size_t probs_stride);
 
-  /// out[i] = inv · Σ_s probs[s] · V[s] over a paged V cache.
-  void (*attn_values_paged)(const float* probs, float inv,
-                            const float* const* pages, std::size_t page_off,
-                            std::size_t hd, std::size_t len, float* out);
+  /// out_r[i] = inv[r] · Σ_{s < len0 + r} probs_r[s] · V[s] over a paged V
+  /// cache; probs_r = probs + r·probs_stride, out_r = out + r·out_stride.
+  void (*attn_values_paged)(const float* probs, std::size_t probs_stride,
+                            const float* inv, const float* const* pages,
+                            std::size_t page_off, std::size_t hd,
+                            std::size_t len0, std::size_t rows, float* out,
+                            std::size_t out_stride);
+
+  /// Attention backward's rank-1 updates of a paged dK/dV buffer (dK slab
+  /// at k_off, dV slab at v_off): for r = 0, 1, …, rows-1 in that order
+  /// and every s < len0 + r,
+  ///   dK[s][i] += ds_r[s] · q_r[i]
+  ///   dV[s][i] += e_r[s] · (d_out_r[i] · inv[r])
+  /// with ds_r/e_r = ds/e + r·p_stride and q_r/d_out_r = q/d_out +
+  /// r·q_stride. The SIMD tiers fuse each update into one FMA; the scalar
+  /// tier's multiply-add fuses wherever the build's flags let it.
+  void (*attn_rank1_paged)(const float* ds, const float* e,
+                           std::size_t p_stride, const float* q,
+                           const float* d_out, std::size_t q_stride,
+                           const float* inv, float* const* pages,
+                           std::size_t k_off, std::size_t v_off,
+                           std::size_t hd, std::size_t len0,
+                           std::size_t rows);
 
   /// In-place softmax numerator over probs[0..len): probs[s] ←
   /// fast_expf(probs[s] - max). Returns 1/Σ so callers can fold the

@@ -36,6 +36,16 @@ class Matrix {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
+  /// Reshapes to rows×cols within the storage's capacity: shrinking, and
+  /// growing back up to the largest shape held before, allocate nothing.
+  /// Element values are unspecified afterwards; callers overwrite every
+  /// element or zero() first.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Sets every element to `value`.
   void fill(float value);
   /// Sets every element to zero (keeps shape).

@@ -4,13 +4,15 @@
 // window of decode steps: decode_step lane by lane and decode_step_batch
 // over all lanes, at 1 and 4 lanes (and 16 for decode_step_batch), for
 // fp32 and int8 weights. It also counts one warmed train_step at 37
-// tokens (three KV pages) and at 288, the full packing length.
+// tokens (three KV pages) and at 288, the full packing length, and steps
+// at new, shorter lengths after a 288-token one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <new>
 #include <span>
 #include <vector>
@@ -134,23 +136,45 @@ TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
   }
 }
 
-/// operator new calls of one train_step over `len` random tokens, after
-/// kWarmupSteps unmeasured steps of the same length size the training
-/// scratch. Runs under the ParallelInlineGuard a trainer shard holds.
-std::size_t train_step_allocations(nn::Transformer& m, std::size_t len) {
-  ParallelInlineGuard inline_guard;
-  const std::size_t vocab = m.config().vocab_size;
+/// A train_step's inputs: `len` random tokens and their next tokens.
+struct TrainSample {
+  std::vector<text::TokenId> ids;
+  std::vector<std::int32_t> targets;
+};
+
+TrainSample train_sample(std::size_t vocab, std::size_t len) {
   Rng rng(len);
-  std::vector<text::TokenId> ids(len);
-  for (auto& id : ids) {
+  TrainSample sample{std::vector<text::TokenId>(len),
+                     std::vector<std::int32_t>(len, -1)};
+  for (auto& id : sample.ids) {
     id = static_cast<text::TokenId>(4 + rng.next_below(vocab - 4));
   }
-  std::vector<std::int32_t> targets(len, -1);
-  for (std::size_t t = 0; t + 1 < len; ++t) targets[t] = ids[t + 1];
-  for (std::size_t i = 0; i < kWarmupSteps; ++i) m.train_step(ids, targets);
+  for (std::size_t t = 0; t + 1 < len; ++t) {
+    sample.targets[t] = sample.ids[t + 1];
+  }
+  return sample;
+}
+
+/// operator new calls of one train_step at each of `lens`, in order,
+/// after kWarmupSteps unmeasured steps at `warm_len` size the training
+/// scratch. Runs under the ParallelInlineGuard a trainer shard holds.
+std::size_t train_step_allocations(nn::Transformer& m, std::size_t warm_len,
+                                   std::initializer_list<std::size_t> lens) {
+  ParallelInlineGuard inline_guard;
+  const std::size_t vocab = m.config().vocab_size;
+  const TrainSample warm = train_sample(vocab, warm_len);
+  std::vector<TrainSample> measured;
+  for (const std::size_t len : lens) {
+    measured.push_back(train_sample(vocab, len));
+  }
+  for (std::size_t i = 0; i < kWarmupSteps; ++i) {
+    m.train_step(warm.ids, warm.targets);
+  }
   g_allocations.store(0);
   g_counting.store(true);
-  m.train_step(ids, targets);
+  for (const TrainSample& sample : measured) {
+    m.train_step(sample.ids, sample.targets);
+  }
   g_counting.store(false);
   return g_allocations.load();
 }
@@ -162,9 +186,15 @@ TEST(TrainStepAlloc, WarmedStepIsAllocationFree) {
   // 37 tokens end in a partial third KV page; 288 is max_seq, the length
   // packed fine-tuning trains at.
   for (const std::size_t len : {37u, 288u}) {
-    EXPECT_EQ(train_step_allocations(model.model(), len), 0u)
+    EXPECT_EQ(train_step_allocations(model.model(), len, {len}), 0u)
         << len << " tokens";
   }
+  // Packed lengths differ from step to step: once a step at the longest
+  // length has sized the caches, steps at new, shorter lengths (and back
+  // at the longest) reshape them within their capacity.
+  EXPECT_EQ(train_step_allocations(model.model(), 288, {271, 150, 37, 288}),
+            0u)
+      << "new lengths after a 288-token step";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,6 +21,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hpcgpt/support/rng.hpp"
@@ -299,31 +301,205 @@ TEST_F(Fp32KernelTiers, AttentionScoresAndValues) {
       const std::vector<float> q = random_row(rng, hd);
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
+      const float inv = 0.5f;
+
       std::vector<float> probs_ref(len);
-      scalar.attn_scores_paged(q.data(), scale, pages.data(), 0, hd, len,
-                               probs_ref.data());
+      scalar.attn_scores_paged(q.data(), hd, scale, pages.data(), 0, hd, len,
+                               1, probs_ref.data(), len);
       std::vector<float> out_ref(hd);
-      scalar.attn_values_paged(probs_ref.data(), 0.5f, pages.data(), v_off,
-                               hd, len, out_ref.data());
+      scalar.attn_values_paged(probs_ref.data(), len, &inv, pages.data(),
+                               v_off, hd, len, 1, out_ref.data(), hd);
 
       for (const kernels::IsaTier tier : kernels::supported_tiers()) {
         ASSERT_TRUE(kernels::set_active_tier(tier));
         const kernels::KernelTable& kt = kernels::active();
         std::vector<float> probs(len);
-        kt.attn_scores_paged(q.data(), scale, pages.data(), 0, hd, len,
-                             probs.data());
+        kt.attn_scores_paged(q.data(), hd, scale, pages.data(), 0, hd, len, 1,
+                             probs.data(), len);
         for (std::size_t s = 0; s < len; ++s) {
           ASSERT_NEAR(probs[s], probs_ref[s],
                       1e-5f * static_cast<float>(hd) + 1e-5f)
               << kt.name << " hd=" << hd << " len=" << len << " s=" << s;
         }
         std::vector<float> out(hd);
-        kt.attn_values_paged(probs_ref.data(), 0.5f, pages.data(), v_off, hd,
-                             len, out.data());
+        kt.attn_values_paged(probs_ref.data(), len, &inv, pages.data(), v_off,
+                             hd, len, 1, out.data(), hd);
         for (std::size_t i = 0; i < hd; ++i) {
           ASSERT_NEAR(out[i], out_ref[i],
                       1e-5f * static_cast<float>(len) + 1e-5f)
               << kt.name << " hd=" << hd << " len=" << len << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+/// Operands of the three paged attention entries for a run of `n`
+/// consecutive causal rows, the first of length len0, over ⌈(len0+n-1)/16⌉
+/// random pages (K slab at offset 0, V slab at hd·kKvPageSize). Row
+/// strides are deliberately wider than the rows.
+struct AttentionRun {
+  std::size_t hd, len0, n, len_max, q_stride, p_stride;
+  std::vector<float> q, d_out, ds, e, inv;
+  std::vector<std::vector<float>> storage;  // the pages
+
+  AttentionRun(Rng& rng, std::size_t hd_, std::size_t len0_, std::size_t n_)
+      : hd(hd_),
+        len0(len0_),
+        n(n_),
+        len_max(len0_ + n_ - 1),
+        q_stride(hd_ + 3),
+        p_stride(len0_ + n_ + 5),
+        q(random_row(rng, n_ * q_stride)),
+        d_out(random_row(rng, n_ * q_stride)),
+        ds(random_row(rng, n_ * p_stride)),
+        e(random_row(rng, n_ * p_stride)),
+        inv(random_row(rng, n_)) {
+    const std::size_t kPage = kernels::kKvPageSize;
+    for (std::size_t p = 0; p * kPage < len_max; ++p) {
+      storage.push_back(random_row(rng, 2 * hd * kPage));
+    }
+  }
+
+  std::vector<const float*> pages() const {
+    std::vector<const float*> out;
+    for (const auto& page : storage) out.push_back(page.data());
+    return out;
+  }
+};
+
+TEST_F(Fp32KernelTiers, AttentionTilesMatchOneRowCallsBitwise) {
+  // The tile contract of the paged attention entries: on every tier, a
+  // run of n causal rows cut into tiles of up to kAttnTileRows gives
+  // every row exactly the bits of n tiles of one. Runs start at length 1,
+  // inside the first page (5), across a page boundary (14 → 17) and past
+  // two (30); n = 5 and 7 end in a shorter tile. hd = 7 takes the
+  // kernels' leftover-feature paths. Outputs start from a sentinel and
+  // are compared whole, so a row that wrote past its own length (or the
+  // rank-1 update past the run) fails too.
+  constexpr std::size_t kPage = kernels::kKvPageSize;
+  constexpr std::size_t kTile = kernels::kAttnTileRows;
+  constexpr float kSentinel = -7.25f;
+  Rng rng(17);
+  for (const std::size_t hd : {7u, 8u, 12u, 16u, 48u, 80u}) {
+    for (const std::size_t len0 : {1u, 5u, 14u, 30u}) {
+      for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u}) {
+        const AttentionRun run(rng, hd, len0, n);
+        const std::vector<const float*> pages = run.pages();
+        const std::size_t v_off = hd * kPage;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+        const std::size_t out_stride = hd + 2;
+        for (const kernels::IsaTier tier : kernels::supported_tiers()) {
+          ASSERT_TRUE(kernels::set_active_tier(tier));
+          const kernels::KernelTable& kt = kernels::active();
+          const auto where = [&] {
+            return std::string(kt.name) + " hd=" + std::to_string(hd) +
+                   " len0=" + std::to_string(len0) +
+                   " n=" + std::to_string(n);
+          };
+          // Runs `entry(r0, rows)` over the run, in tiles of `tile` rows.
+          const auto tiled = [&](std::size_t tile, const auto& entry) {
+            for (std::size_t r0 = 0; r0 < n; r0 += tile) {
+              entry(r0, std::min(tile, n - r0));
+            }
+          };
+
+          std::vector<float> probs_tile(n * run.p_stride, kSentinel);
+          std::vector<float> probs_one = probs_tile;
+          for (auto [tile, probs] : {std::pair{kTile, &probs_tile},
+                                     std::pair{std::size_t{1}, &probs_one}}) {
+            tiled(tile, [&](std::size_t r0, std::size_t rows) {
+              kt.attn_scores_paged(run.q.data() + r0 * run.q_stride,
+                                   run.q_stride, scale, pages.data(), 0, hd,
+                                   len0 + r0, rows,
+                                   probs->data() + r0 * run.p_stride,
+                                   run.p_stride);
+            });
+          }
+          EXPECT_EQ(0, std::memcmp(probs_tile.data(), probs_one.data(),
+                                   probs_tile.size() * sizeof(float)))
+              << "scores " << where();
+
+          std::vector<float> out_tile(n * out_stride, kSentinel);
+          std::vector<float> out_one = out_tile;
+          for (auto [tile, out] : {std::pair{kTile, &out_tile},
+                                   std::pair{std::size_t{1}, &out_one}}) {
+            tiled(tile, [&](std::size_t r0, std::size_t rows) {
+              kt.attn_values_paged(run.e.data() + r0 * run.p_stride,
+                                   run.p_stride, run.inv.data() + r0,
+                                   pages.data(), v_off, hd, len0 + r0, rows,
+                                   out->data() + r0 * out_stride, out_stride);
+            });
+          }
+          EXPECT_EQ(0, std::memcmp(out_tile.data(), out_one.data(),
+                                   out_tile.size() * sizeof(float)))
+              << "values " << where();
+
+          // The rank-1 update accumulates into random page contents; the
+          // slots past the run's longest row must keep theirs.
+          std::vector<std::vector<float>> grad_tile = run.storage;
+          std::vector<std::vector<float>> grad_one = run.storage;
+          for (auto [tile, grad] : {std::pair{kTile, &grad_tile},
+                                    std::pair{std::size_t{1}, &grad_one}}) {
+            std::vector<float*> grad_pages;
+            for (auto& page : *grad) grad_pages.push_back(page.data());
+            tiled(tile, [&](std::size_t r0, std::size_t rows) {
+              kt.attn_rank1_paged(run.ds.data() + r0 * run.p_stride,
+                                  run.e.data() + r0 * run.p_stride,
+                                  run.p_stride,
+                                  run.q.data() + r0 * run.q_stride,
+                                  run.d_out.data() + r0 * run.q_stride,
+                                  run.q_stride, run.inv.data() + r0,
+                                  grad_pages.data(), 0, v_off, hd,
+                                  len0 + r0, rows);
+            });
+          }
+          for (std::size_t p = 0; p < grad_tile.size(); ++p) {
+            EXPECT_EQ(0, std::memcmp(grad_tile[p].data(), grad_one[p].data(),
+                                     grad_tile[p].size() * sizeof(float)))
+                << "rank-1 " << where() << " page " << p;
+            for (std::size_t i = 0; i < 2 * hd; ++i) {
+              for (std::size_t slot = 0; slot < kPage; ++slot) {
+                if (p * kPage + slot < run.len_max) continue;
+                ASSERT_EQ(grad_tile[p][i * kPage + slot],
+                          run.storage[p][i * kPage + slot])
+                    << "rank-1 wrote past the run, " << where();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Fp32KernelTiers, AttentionRank1MatchesScalar) {
+  // The rank-1 update is elementwise (one multiply-add per row and
+  // element), so tiers differ at most by FMA rounding.
+  constexpr std::size_t kPage = kernels::kKvPageSize;
+  Rng rng(18);
+  const kernels::KernelTable& scalar =
+      kernels::table_for(kernels::IsaTier::Scalar);
+  for (const std::size_t hd : {8u, 12u, 80u}) {
+    const AttentionRun run(rng, hd, 14, kernels::kAttnTileRows);
+    const auto apply = [&](const kernels::KernelTable& kt) {
+      std::vector<std::vector<float>> grad = run.storage;
+      std::vector<float*> grad_pages;
+      for (auto& page : grad) grad_pages.push_back(page.data());
+      kt.attn_rank1_paged(run.ds.data(), run.e.data(), run.p_stride,
+                          run.q.data(), run.d_out.data(), run.q_stride,
+                          run.inv.data(), grad_pages.data(), 0, hd * kPage,
+                          hd, run.len0, run.n);
+      return grad;
+    };
+    const std::vector<std::vector<float>> ref = apply(scalar);
+    for (const kernels::IsaTier tier : kernels::supported_tiers()) {
+      ASSERT_TRUE(kernels::set_active_tier(tier));
+      const std::vector<std::vector<float>> got = apply(kernels::active());
+      for (std::size_t p = 0; p < ref.size(); ++p) {
+        for (std::size_t j = 0; j < ref[p].size(); ++j) {
+          ASSERT_NEAR(got[p][j], ref[p][j], 1e-5f * std::fabs(ref[p][j]) + 1e-5f)
+              << kernels::tier_name(tier) << " hd=" << hd << " page " << p;
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -295,6 +296,52 @@ TEST(Transformer, MergeLoraPreservesLogits) {
   const auto after = model.logits(ids);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(after.flat()[i], before.flat()[i], 1e-3f);
+  }
+}
+
+TEST(Transformer, ReplicaIsABitwiseCopy) {
+  // A data-parallel replica copies the master instead of drawing a fresh
+  // init: values, trainable flags and LoRA adapters match bitwise, and a
+  // training step on it gives the master's loss and gradients.
+  for (const bool lora : {false, true}) {
+    TransformerConfig c = tiny_config();
+    if (lora) {
+      c.lora_rank = 2;
+      c.train_lora_only = true;
+    }
+    Transformer master(c, 5);
+    Adam opt(AdamConfig{.learning_rate = 5e-3f});
+    const auto ids = ids_of({1, 2, 3, 4, 5, 6, 7});
+    const auto targets = shifted_targets(ids);
+    for (int step = 0; step < 3; ++step) {  // move off the initial values
+      master.zero_grad();
+      master.train_step(ids, targets);
+      opt.step(master.parameters());
+    }
+
+    const std::unique_ptr<Transformer> replica = master.replica();
+    const ParameterList mp = master.parameters();
+    const ParameterList rp = replica->parameters();
+    ASSERT_EQ(mp.size(), rp.size()) << "lora=" << lora;
+    for (std::size_t i = 0; i < mp.size(); ++i) {
+      EXPECT_EQ(mp[i]->name, rp[i]->name);
+      EXPECT_EQ(mp[i]->trainable, rp[i]->trainable) << mp[i]->name;
+      ASSERT_TRUE(mp[i]->value.same_shape(rp[i]->value)) << mp[i]->name;
+      EXPECT_EQ(0, std::memcmp(mp[i]->value.data(), rp[i]->value.data(),
+                               mp[i]->count() * sizeof(float)))
+          << mp[i]->name << " lora=" << lora;
+    }
+
+    master.zero_grad();
+    replica->zero_grad();
+    const LossResult a = master.train_step(ids, targets);
+    const LossResult b = replica->train_step(ids, targets);
+    EXPECT_EQ(0, std::memcmp(&a.loss, &b.loss, sizeof a.loss));
+    for (std::size_t i = 0; i < mp.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(mp[i]->grad.data(), rp[i]->grad.data(),
+                               mp[i]->count() * sizeof(float)))
+          << mp[i]->name << " lora=" << lora;
+    }
   }
 }
 
