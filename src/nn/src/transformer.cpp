@@ -166,17 +166,16 @@ void gather_kv(const float* const* pages, std::size_t n, Matrix& k,
 /// [0, pos0 + r + 1). q and out are row-major with d_model columns. Heads
 /// run outer; each head's rows run in tiles of up to kTile, so the kernels
 /// load each K/V page once per tile. Each row's softmax numerators take
-/// probs_stride floats (at least pos0 + rows): with `keep_probs`, row r of
-/// head h stays at probs + (h·rows + r)·probs_stride for training's
-/// backward; otherwise every tile reuses the first kTile rows
-/// (inference).
+/// pos0 + rows floats: with `keep_probs`, row r of head h stays at
+/// probs + (h·rows + r)·(pos0 + rows) for training's backward; otherwise
+/// every tile reuses the first kTile rows (inference).
 void paged_attention(const TransformerConfig& config, const float* q,
                      std::size_t rows, std::size_t pos0, float* const* pages,
-                     float* probs, std::size_t probs_stride, bool keep_probs,
-                     float* out) {
+                     float* probs, bool keep_probs, float* out) {
   const std::size_t d = config.d_model;
   const std::size_t hd = config.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const std::size_t probs_stride = pos0 + rows;
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
   for (std::size_t h = 0; h < config.n_heads; ++h) {
     const std::size_t off = h * hd;
@@ -344,8 +343,7 @@ void TransformerBlock::forward(Matrix& x) {
   }
   attn_concat_.resize(seq, d);
   paged_attention(config_, q_.data(), seq, 0, kv_pages_.data(),
-                  probs_.data(), seq, /*keep_probs=*/true,
-                  attn_concat_.data());
+                  probs_.data(), /*keep_probs=*/true, attn_concat_.data());
 
   wo_.forward(attn_concat_, attn_out_);
   x = in1_;
@@ -543,7 +541,7 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
     const std::size_t r0 = b * seg;
     scatter_kv(s.k_new, s.v_new, r0, seg, pos0, pages);
     paged_attention(config_, s.q.row(r0).data(), seg, pos0, pages,
-                    s.probs.data(), pos0 + seg, /*keep_probs=*/false,
+                    s.probs.data(), /*keep_probs=*/false,
                     s.attn.row(r0).data());
   }
   wo_.apply_rows(s.attn, s.proj);

@@ -97,8 +97,9 @@ struct KernelTable {
   //
   // Each call takes a tile of `rows` consecutive causal query rows,
   // 1 ≤ rows ≤ kAttnTileRows: row r covers positions [0, len0 + r), and
-  // row r of a row-major operand x starts at x + r·stride. A tile loads
-  // each K/V page, and each dK/dV page slice, once for all its rows.
+  // row r of a row-major operand x starts at x + r·stride. The AVX-512
+  // tier loads each K/V page, and each dK/dV page slice, once for all of
+  // a tile's rows; the scalar, NEON and AVX2 tiers loop the rows.
   // Every row gets exactly the bits a tile of one gives it, so how rows
   // are tiled never changes a result (test_kernels.cpp, memcmp); a decode
   // step is a tile of one.
@@ -131,8 +132,9 @@ struct KernelTable {
   ///   dK[s][i] += ds_r[s] · q_r[i]
   ///   dV[s][i] += e_r[s] · (d_out_r[i] · inv[r])
   /// with ds_r/e_r = ds/e + r·p_stride and q_r/d_out_r = q/d_out +
-  /// r·q_stride. The SIMD tiers fuse each update into one FMA; the scalar
-  /// tier's multiply-add fuses wherever the build's flags let it.
+  /// r·q_stride. The AVX-512 tier fuses each update into one FMA; the
+  /// other tiers share one loop whose multiply-add fuses wherever the
+  /// build's flags let it.
   void (*attn_rank1_paged)(const float* ds, const float* e,
                            std::size_t p_stride, const float* q,
                            const float* d_out, std::size_t q_stride,

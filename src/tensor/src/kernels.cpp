@@ -372,28 +372,17 @@ __attribute__((target("avx2,fma,f16c"))) void gemv_f16_f16c(
   }
 }
 
-// AVX2+FMA attention helpers. The K/V pages are feature-major (unit
-// stride over positions), so the position loop vectorizes directly; the
-// head_dim loop stays outer with one broadcast per feature. Pages are
-// kKvPageSize (16) positions, so an 8-wide chunk grid (s = 0, 8, 16, …)
-// lines up with page starts: a row's positions below ⌊len/8⌋·8 take
-// vector chunks and the rest a scalar tail. A tile shares the loads of
-// the chunks its rows have in common and finishes each row on its own,
-// in that row's order.
-
 /// Features whose scaled queries (scores) or d_out·inv products (rank-1)
-/// a tile precomputes once per call. The SIMD scores chains also stop at
-/// this bound: four accumulators cover the first ⌊min(hd, kMaxHd)/4⌋·4
+/// a kernel precomputes once per call. The SIMD scores chains also stop
+/// at this bound: four accumulators cover the first ⌊min(hd, kMaxHd)/4⌋·4
 /// features, and the remaining features fold into the first, in order.
 constexpr std::size_t kMaxHd = 64;
 
-/// The slot of position s within its page, `off` floats into the page.
-inline const float* page_slot(const float* const* pages, std::size_t off,
-                              std::size_t s) {
-  return pages[s / kKvPageSize] + off + s % kKvPageSize;
-}
-
 static_assert(kAttnTileRows == 4, "the tile entries instantiate 1-4 rows");
+
+// AVX2+FMA attention helpers. The K/V pages are feature-major (unit
+// stride over positions), so the position loop vectorizes directly; the
+// head_dim loop stays outer with one broadcast per feature.
 
 __attribute__((target("avx2,fma"))) inline float hsum_avx2(__m256 acc) {
   __m128 lo = _mm_add_ps(_mm256_castps256_ps128(acc),
@@ -403,77 +392,112 @@ __attribute__((target("avx2,fma"))) inline float hsum_avx2(__m256 acc) {
   return _mm_cvtss_f32(lo);
 }
 
-// A row's scores tail: positions [s, len) of one page past the row's
-// last whole 8-chunk, one chain over the features each. Like the values
-// tail below, it keeps the one-row kernel's loop shape in one
-// out-of-line copy.
-__attribute__((target("avx2,fma"), noinline)) void scores_tail_avx2(
+__attribute__((target("avx2,fma"))) void attn_scores_avx2(
     const float* q, float scale, const float* k, std::size_t hd,
-    std::size_t s, std::size_t len, float* probs) {
+    std::size_t stride, std::size_t len, float* probs) {
+  // Pre-broadcast the scaled query once per call.
+  __m256 qv[kMaxHd];
+  const std::size_t hb = hd < kMaxHd ? hd : kMaxHd;
+  for (std::size_t i = 0; i < hb; ++i) qv[i] = _mm256_set1_ps(q[i] * scale);
+  std::size_t s = 0;
+  for (; s + 8 <= len; s += 8) {
+    // Four independent accumulators hide the FMA latency chain.
+    __m256 a0 = _mm256_setzero_ps();
+    __m256 a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps();
+    __m256 a3 = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 4 <= hb; i += 4) {
+      const float* kt = k + i * stride + s;
+      a0 = _mm256_fmadd_ps(qv[i], _mm256_loadu_ps(kt), a0);
+      a1 = _mm256_fmadd_ps(qv[i + 1], _mm256_loadu_ps(kt + stride), a1);
+      a2 = _mm256_fmadd_ps(qv[i + 2], _mm256_loadu_ps(kt + 2 * stride), a2);
+      a3 = _mm256_fmadd_ps(qv[i + 3], _mm256_loadu_ps(kt + 3 * stride), a3);
+    }
+    for (; i < hd; ++i) {
+      a0 = _mm256_fmadd_ps(i < kMaxHd ? qv[i] : _mm256_set1_ps(q[i] * scale),
+                           _mm256_loadu_ps(k + i * stride + s), a0);
+    }
+    _mm256_storeu_ps(
+        probs + s,
+        _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)));
+  }
   for (; s < len; ++s) {
     float acc = 0.0f;
     for (std::size_t i = 0; i < hd; ++i) {
-      acc += (q[i] * scale) * k[i * kKvPageSize + s];
+      acc += (q[i] * scale) * k[i * stride + s];
     }
     probs[s] = acc;
   }
 }
 
-template <std::size_t R>
-__attribute__((target("avx2,fma"))) void scores_rows_avx2(
-    const float* q, std::size_t q_stride, float scale,
-    const float* const* pages, std::size_t page_off, std::size_t hd,
-    std::size_t len0, float* probs, std::size_t probs_stride) {
-  const std::size_t hb = hd < kMaxHd ? hd : kMaxHd;
-  float qs[R][kMaxHd];
-  for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t i = 0; i < hb; ++i) qs[r][i] = q[r * q_stride + i] * scale;
+// Paged AVX2 attention. Pages are kKvPageSize (16) positions, so an
+// 8-wide chunk grid (s = 0, 8, 16, …) lines up with page starts: every
+// full page is exactly two 8-chunks and only the final partial page has
+// a scalar tail. The scores pass runs the block kernel per page; the
+// values pass carries its vector accumulators across pages and does the
+// hsum + scalar tail once at the end. A tile runs its rows one at a time
+// through the one-row code, as the scalar tier does. The rank-1
+// update is the scalar tier's loop: one multiply-add per element, so
+// vectorizing it leaves its rounding alone.
+
+__attribute__((target("avx2,fma"))) void attn_values_row_avx2(
+    const float* probs, float inv, const float* const* pages,
+    std::size_t page_off, std::size_t hd, std::size_t len, float* out) {
+  const std::size_t full = len / kKvPageSize;  // fully-populated pages
+  const std::size_t rem = len - full * kKvPageSize;
+  std::size_t i = 0;
+  for (; i + 2 <= hd; i += 2) {
+    const std::size_t off = page_off + i * kKvPageSize;
+    __m256 a0 = _mm256_setzero_ps();
+    __m256 a1 = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < full; ++p) {
+      const float* vt = pages[p] + off;
+      const float* pr = probs + p * kKvPageSize;
+      const __m256 p0 = _mm256_loadu_ps(pr);
+      a0 = _mm256_fmadd_ps(p0, _mm256_loadu_ps(vt), a0);
+      a1 = _mm256_fmadd_ps(p0, _mm256_loadu_ps(vt + kKvPageSize), a1);
+      const __m256 p1 = _mm256_loadu_ps(pr + 8);
+      a0 = _mm256_fmadd_ps(p1, _mm256_loadu_ps(vt + 8), a0);
+      a1 = _mm256_fmadd_ps(p1, _mm256_loadu_ps(vt + kKvPageSize + 8), a1);
+    }
+    const float* vt = rem ? pages[full] + off : nullptr;
+    const float* pr = probs + full * kKvPageSize;
+    std::size_t s = 0;
+    for (; s + 8 <= rem; s += 8) {
+      const __m256 pv = _mm256_loadu_ps(pr + s);
+      a0 = _mm256_fmadd_ps(pv, _mm256_loadu_ps(vt + s), a0);
+      a1 = _mm256_fmadd_ps(pv, _mm256_loadu_ps(vt + kKvPageSize + s), a1);
+    }
+    float sum0 = hsum_avx2(a0);
+    float sum1 = hsum_avx2(a1);
+    for (; s < rem; ++s) {
+      sum0 += pr[s] * vt[s];
+      sum1 += pr[s] * vt[kKvPageSize + s];
+    }
+    out[i] = sum0 * inv;
+    out[i + 1] = sum1 * inv;
   }
-  const std::size_t chunks_end = (len0 + R - 1) / 8 * 8;
-  for (std::size_t s = 0; s < chunks_end; s += 8) {
-    const float* k = page_slot(pages, page_off, s);
-    // Four independent accumulators per row hide the FMA latency chain.
-    __m256 a[R][4];
-    for (std::size_t r = 0; r < R; ++r) {
-      for (__m256& acc : a[r]) acc = _mm256_setzero_ps();
+  for (; i < hd; ++i) {
+    const std::size_t off = page_off + i * kKvPageSize;
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < full; ++p) {
+      const float* vt = pages[p] + off;
+      const float* pr = probs + p * kKvPageSize;
+      acc = _mm256_fmadd_ps(_mm256_loadu_ps(pr), _mm256_loadu_ps(vt), acc);
+      acc = _mm256_fmadd_ps(_mm256_loadu_ps(pr + 8), _mm256_loadu_ps(vt + 8),
+                            acc);
     }
-    std::size_t i = 0;
-    for (; i + 4 <= hb; i += 4) {
-      const float* kt = k + i * kKvPageSize;
-      const __m256 k0 = _mm256_loadu_ps(kt);
-      const __m256 k1 = _mm256_loadu_ps(kt + kKvPageSize);
-      const __m256 k2 = _mm256_loadu_ps(kt + 2 * kKvPageSize);
-      const __m256 k3 = _mm256_loadu_ps(kt + 3 * kKvPageSize);
-      for (std::size_t r = 0; r < R; ++r) {
-        a[r][0] = _mm256_fmadd_ps(_mm256_set1_ps(qs[r][i]), k0, a[r][0]);
-        a[r][1] = _mm256_fmadd_ps(_mm256_set1_ps(qs[r][i + 1]), k1, a[r][1]);
-        a[r][2] = _mm256_fmadd_ps(_mm256_set1_ps(qs[r][i + 2]), k2, a[r][2]);
-        a[r][3] = _mm256_fmadd_ps(_mm256_set1_ps(qs[r][i + 3]), k3, a[r][3]);
-      }
+    const float* vt = rem ? pages[full] + off : nullptr;
+    const float* pr = probs + full * kKvPageSize;
+    std::size_t s = 0;
+    for (; s + 8 <= rem; s += 8) {
+      acc = _mm256_fmadd_ps(_mm256_loadu_ps(pr + s), _mm256_loadu_ps(vt + s),
+                            acc);
     }
-    for (; i < hd; ++i) {
-      const __m256 ki = _mm256_loadu_ps(k + i * kKvPageSize);
-      for (std::size_t r = 0; r < R; ++r) {
-        const float qi = i < kMaxHd ? qs[r][i] : q[r * q_stride + i] * scale;
-        a[r][0] = _mm256_fmadd_ps(_mm256_set1_ps(qi), ki, a[r][0]);
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      if (s + 8 > len0 + r) continue;  // the row's scalar tail covers it
-      _mm256_storeu_ps(probs + r * probs_stride + s,
-                       _mm256_add_ps(_mm256_add_ps(a[r][0], a[r][1]),
-                                     _mm256_add_ps(a[r][2], a[r][3])));
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    const std::size_t len = len0 + r;
-    const std::size_t base = len / kKvPageSize * kKvPageSize;
-    if (len % 8 != 0) {
-      scores_tail_avx2(q + r * q_stride, scale,
-                       pages[base / kKvPageSize] + page_off, hd,
-                       len / 8 * 8 - base, len - base,
-                       probs + r * probs_stride + base);
-    }
+    float sum = hsum_avx2(acc);
+    for (; s < rem; ++s) sum += pr[s] * vt[s];
+    out[i] = sum * inv;
   }
 }
 
@@ -482,114 +506,13 @@ __attribute__((target("avx2,fma"))) void attn_scores_paged_avx2(
     const float* const* pages, std::size_t page_off, std::size_t hd,
     std::size_t len0, std::size_t rows, float* probs,
     std::size_t probs_stride) {
-  // Two rows at a time: their eight accumulators and four K chunks fit
-  // the sixteen ymm registers.
-  for (std::size_t r = 0; r < rows; r += 2) {
-    (rows - r >= 2 ? scores_rows_avx2<2> : scores_rows_avx2<1>)(
-        q + r * q_stride, q_stride, scale, pages, page_off, hd, len0 + r,
-        probs + r * probs_stride, probs_stride);
-  }
-}
-
-// A row's values tail: the positions past its last whole 8-chunk, which
-// all lie in its last page, starting at page-local slot s. These loops
-// keep the one-row kernel's shape because the compiler vectorizes them
-// (a 4-wide multiply, then in-order adds) and so sets their rounding;
-// one out-of-line copy serves every tile height.
-
-__attribute__((target("avx2,fma"), noinline)) void values_tail2_avx2(
-    const float* pr, const float* vt, std::size_t s, std::size_t rem,
-    float* sum0, float* sum1) {
-  float a = *sum0;
-  float b = *sum1;
-  for (; s < rem; ++s) {
-    a += pr[s] * vt[s];
-    b += pr[s] * vt[kKvPageSize + s];
-  }
-  *sum0 = a;
-  *sum1 = b;
-}
-
-__attribute__((target("avx2,fma"), noinline)) float values_tail1_avx2(
-    const float* pr, const float* vt, std::size_t s, std::size_t rem,
-    float sum) {
-  for (; s < rem; ++s) sum += pr[s] * vt[s];
-  return sum;
-}
-
-template <std::size_t R>
-__attribute__((target("avx2,fma"))) void values_rows_avx2(
-    const float* probs, std::size_t probs_stride, const float* inv,
-    const float* const* pages, std::size_t page_off, std::size_t hd,
-    std::size_t len0, float* out, std::size_t out_stride) {
-  const std::size_t shared = len0 / 8 * 8;  // whole chunks of every row
-  std::size_t i = 0;
-  for (; i + 2 <= hd; i += 2) {
-    const std::size_t off = page_off + i * kKvPageSize;
-    __m256 a[R][2];
-    for (std::size_t r = 0; r < R; ++r) {
-      a[r][0] = _mm256_setzero_ps();
-      a[r][1] = _mm256_setzero_ps();
-    }
-    for (std::size_t s = 0; s < shared; s += 8) {
-      const float* vt = page_slot(pages, off, s);
-      const __m256 v0 = _mm256_loadu_ps(vt);
-      const __m256 v1 = _mm256_loadu_ps(vt + kKvPageSize);
-      for (std::size_t r = 0; r < R; ++r) {
-        const __m256 pv = _mm256_loadu_ps(probs + r * probs_stride + s);
-        a[r][0] = _mm256_fmadd_ps(pv, v0, a[r][0]);
-        a[r][1] = _mm256_fmadd_ps(pv, v1, a[r][1]);
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      const std::size_t len = len0 + r;
-      const float* pr = probs + r * probs_stride;
-      std::size_t s = shared;
-      for (; s + 8 <= len; s += 8) {
-        const float* vt = page_slot(pages, off, s);
-        const __m256 pv = _mm256_loadu_ps(pr + s);
-        a[r][0] = _mm256_fmadd_ps(pv, _mm256_loadu_ps(vt), a[r][0]);
-        a[r][1] =
-            _mm256_fmadd_ps(pv, _mm256_loadu_ps(vt + kKvPageSize), a[r][1]);
-      }
-      float sum0 = hsum_avx2(a[r][0]);
-      float sum1 = hsum_avx2(a[r][1]);
-      const std::size_t base = len / kKvPageSize * kKvPageSize;
-      if (s < len) {
-        values_tail2_avx2(pr + base, pages[base / kKvPageSize] + off,
-                          s - base, len - base, &sum0, &sum1);
-      }
-      out[r * out_stride + i] = sum0 * inv[r];
-      out[r * out_stride + i + 1] = sum1 * inv[r];
-    }
-  }
-  for (; i < hd; ++i) {
-    const std::size_t off = page_off + i * kKvPageSize;
-    __m256 a[R];
-    for (std::size_t r = 0; r < R; ++r) a[r] = _mm256_setzero_ps();
-    for (std::size_t s = 0; s < shared; s += 8) {
-      const __m256 v = _mm256_loadu_ps(page_slot(pages, off, s));
-      for (std::size_t r = 0; r < R; ++r) {
-        a[r] = _mm256_fmadd_ps(
-            _mm256_loadu_ps(probs + r * probs_stride + s), v, a[r]);
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      const std::size_t len = len0 + r;
-      const float* pr = probs + r * probs_stride;
-      std::size_t s = shared;
-      for (; s + 8 <= len; s += 8) {
-        a[r] = _mm256_fmadd_ps(_mm256_loadu_ps(pr + s),
-                               _mm256_loadu_ps(page_slot(pages, off, s)),
-                               a[r]);
-      }
-      float sum = hsum_avx2(a[r]);
-      const std::size_t base = len / kKvPageSize * kKvPageSize;
-      if (s < len) {
-        sum = values_tail1_avx2(pr + base, pages[base / kKvPageSize] + off,
-                                s - base, len - base, sum);
-      }
-      out[r * out_stride + i] = sum * inv[r];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t len = len0 + r;
+    for (std::size_t p = 0; p * kKvPageSize < len; ++p) {
+      const std::size_t base = p * kKvPageSize;
+      const std::size_t n = std::min(kKvPageSize, len - base);
+      attn_scores_avx2(q + r * q_stride, scale, pages[p] + page_off, hd,
+                       kKvPageSize, n, probs + r * probs_stride + base);
     }
   }
 }
@@ -598,84 +521,10 @@ __attribute__((target("avx2,fma"))) void attn_values_paged_avx2(
     const float* probs, std::size_t probs_stride, const float* inv,
     const float* const* pages, std::size_t page_off, std::size_t hd,
     std::size_t len0, std::size_t rows, float* out, std::size_t out_stride) {
-  static constexpr decltype(&values_rows_avx2<1>) kByRows[] = {
-      values_rows_avx2<1>, values_rows_avx2<2>, values_rows_avx2<3>,
-      values_rows_avx2<4>};
-  kByRows[rows - 1](probs, probs_stride, inv, pages, page_off, hd, len0, out,
-                    out_stride);
-}
-
-template <std::size_t R>
-__attribute__((target("avx2,fma"))) void rank1_rows_avx2(
-    const float* ds, const float* e, std::size_t p_stride, const float* q,
-    const float* d_out, std::size_t q_stride, const float* inv,
-    float* const* pages, std::size_t k_off, std::size_t v_off,
-    std::size_t hd, std::size_t len0) {
-  const std::size_t len_max = len0 + R - 1;
-  float oi[R][kMaxHd];
-  for (std::size_t i0 = 0; i0 < hd; i0 += kMaxHd) {
-    const std::size_t nb = std::min(kMaxHd, hd - i0);
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t i = 0; i < nb; ++i) {
-        oi[r][i] = d_out[r * q_stride + i0 + i] * inv[r];
-      }
-    }
-    for (std::size_t s = 0; s < len_max; s += 8) {
-      float* page = pages[s / kKvPageSize] + s % kKvPageSize;
-      if (s + 8 <= len0) {
-        // Every row covers the chunk: load each dK/dV slice once.
-        __m256 dsv[R];
-        __m256 ev[R];
-        for (std::size_t r = 0; r < R; ++r) {
-          dsv[r] = _mm256_loadu_ps(ds + r * p_stride + s);
-          ev[r] = _mm256_loadu_ps(e + r * p_stride + s);
-        }
-        for (std::size_t i = 0; i < nb; ++i) {
-          float* dk = page + k_off + (i0 + i) * kKvPageSize;
-          float* dv = page + v_off + (i0 + i) * kKvPageSize;
-          __m256 kv = _mm256_loadu_ps(dk);
-          __m256 vv = _mm256_loadu_ps(dv);
-          for (std::size_t r = 0; r < R; ++r) {
-            kv = _mm256_fmadd_ps(
-                dsv[r], _mm256_set1_ps(q[r * q_stride + i0 + i]), kv);
-            vv = _mm256_fmadd_ps(ev[r], _mm256_set1_ps(oi[r][i]), vv);
-          }
-          _mm256_storeu_ps(dk, kv);
-          _mm256_storeu_ps(dv, vv);
-        }
-        continue;
-      }
-      // A chunk some rows end inside: element by element, rows in order.
-      for (std::size_t r = 0; r < R; ++r) {
-        const std::size_t len = len0 + r;
-        if (len <= s) continue;
-        const std::size_t n = std::min<std::size_t>(8, len - s);
-        const float* dsr = ds + r * p_stride + s;
-        const float* er = e + r * p_stride + s;
-        for (std::size_t i = 0; i < nb; ++i) {
-          const float qi = q[r * q_stride + i0 + i];
-          float* dk = page + k_off + (i0 + i) * kKvPageSize;
-          float* dv = page + v_off + (i0 + i) * kKvPageSize;
-          for (std::size_t j = 0; j < n; ++j) {
-            dk[j] = std::fma(dsr[j], qi, dk[j]);
-            dv[j] = std::fma(er[j], oi[r][i], dv[j]);
-          }
-        }
-      }
-    }
+  for (std::size_t r = 0; r < rows; ++r) {
+    attn_values_row_avx2(probs + r * probs_stride, inv[r], pages, page_off,
+                         hd, len0 + r, out + r * out_stride);
   }
-}
-
-__attribute__((target("avx2,fma"))) void attn_rank1_paged_avx2(
-    const float* ds, const float* e, std::size_t p_stride, const float* q,
-    const float* d_out, std::size_t q_stride, const float* inv,
-    float* const* pages, std::size_t k_off, std::size_t v_off,
-    std::size_t hd, std::size_t len0, std::size_t rows) {
-  static constexpr decltype(&rank1_rows_avx2<1>) kByRows[] = {
-      rank1_rows_avx2<1>, rank1_rows_avx2<2>, rank1_rows_avx2<3>,
-      rank1_rows_avx2<4>};
-  kByRows[rows - 1](ds, e, p_stride, q, d_out, q_stride, inv, pages, k_off,
-                    v_off, hd, len0);
 }
 
 /// Vector fast_expf: the same clamp / truncate / degree-7 polynomial /
@@ -1523,7 +1372,7 @@ const KernelTable& avx2_table() {
       cpu_has_f16c_fma() ? gemv_f16_f16c : gemv_f16_scalar,
       fma ? attn_scores_paged_avx2 : attn_scores_paged_scalar,
       fma ? attn_values_paged_avx2 : attn_values_paged_scalar,
-      fma ? attn_rank1_paged_avx2 : attn_rank1_paged_scalar,
+      attn_rank1_paged_scalar,
       fma ? softmax_row_avx2 : softmax_row_scalar,
       cpu_has_f16c_fma() ? add_half_rows_f16c : add_half_rows_scalar,
       fma ? rmsnorm_row_avx2 : rmsnorm_row_scalar,
