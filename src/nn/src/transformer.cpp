@@ -165,7 +165,7 @@ void gather_kv(const float* const* pages, std::size_t n, Matrix& k,
 /// stride kPage; V slab at d·kPage): row r attends over positions
 /// [0, pos0 + r + 1). q and out are row-major with d_model columns. Heads
 /// run outer; each head's rows run in tiles of up to kTile, so the kernels
-/// load each K/V page once per tile. Each row's softmax numerators take
+/// can load each K/V page once per tile. Each row's softmax numerators take
 /// pos0 + rows floats: with `keep_probs`, row r of head h stays at
 /// probs + (h·rows + r)·(pos0 + rows) for training's backward; otherwise
 /// every tile reuses the first kTile rows (inference).
