@@ -26,7 +26,7 @@ std::string base_model_name(BaseModel base);
 struct TrainOptions {
   /// Data-parallel workers (model replicas). 0 = usable_cores(), the
   /// CPUs in the affinity mask.
-  /// Any value reproduces workers=1 up to float summation order.
+  /// Any value trains bitwise the same weights as workers=1.
   std::size_t workers = 1;
   /// Sequences accumulated (and gradient-averaged) per optimizer step.
   std::size_t micro_batch = 1;

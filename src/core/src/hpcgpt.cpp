@@ -23,7 +23,7 @@ namespace {
 
 /// Training-loop metrics (process-wide): step counts and mean per-step
 /// wall time of the two Figure-1 training stages (one observation per
-/// epoch since the engine owns the inner loop — the per-shard timing
+/// epoch since the engine owns the inner loop — the per-worker timing
 /// detail lives in the nn.train.* metrics), so regressions in the
 /// backprop path show up in `hpcgpt obs dump` without a dedicated bench.
 struct TrainingMetrics {

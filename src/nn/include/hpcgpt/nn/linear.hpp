@@ -37,6 +37,11 @@ class Linear {
   /// Must be called after forward() with the matching shapes.
   void backward(const tensor::Matrix& dy, tensor::Matrix& dx);
 
+  /// Sizes the forward cache and the LoRA scratch for `rows` input rows,
+  /// and the calling thread's transpose buffer for backward's matmul_nt,
+  /// so forward/backward at up to `rows` rows allocate nothing.
+  void reserve_training(std::size_t rows);
+
   /// Folds the LoRA product into W (for cheap inference after training).
   void merge_lora();
 
@@ -97,6 +102,10 @@ class Linear {
   // strictly forward-then-backward per sequence).
   tensor::Matrix cached_x_;
   tensor::Matrix cached_xa_;
+  // LoRA scratch, reshaped within capacity every step like the caches.
+  tensor::Matrix lora_out_;  // forward: (x·A)·B     (rows × out)
+  tensor::Matrix dy_bt_;     // backward: dy·Bᵀ      (rows × rank)
+  tensor::Matrix db_;        // backward: (x·A)ᵀ·dy  (rank × out)
 };
 
 }  // namespace hpcgpt::nn

@@ -36,13 +36,16 @@ std::vector<TrainSequence> pack_sequences(
 /// Data-parallel engine knobs.
 struct TrainerOptions {
   AdamConfig adam{};
-  /// Data-parallel workers (model replicas). 0 = usable_cores().
-  /// Results are independent of this up to float reduction order.
+  /// Data-parallel workers (model replicas). 0 = usable_cores(). The
+  /// trained weights do not depend on it (see Trainer). A step never has
+  /// more than micro_batch sequences, so at most that many workers run.
   std::size_t workers = 1;
   /// Sequences accumulated per optimizer step. This is a *global* batch:
   /// the schedule (which sequences share a step, and the 1/batch gradient
-  /// averaging) does not depend on the worker count, which is what makes
-  /// workers=N reproduce workers=1 to within summation-order noise.
+  /// averaging) does not depend on the worker count. Each sequence of a
+  /// step gets its own flat gradient slot of every trainable float, so
+  /// the trainer holds micro_batch × trainable × 4 bytes of slots: 3.5 MB
+  /// at 8 × 109,296 (the default architecture).
   std::size_t micro_batch = 1;
 };
 
@@ -58,22 +61,31 @@ struct TrainStats {
 
 /// The data-parallel training engine.
 ///
-/// Each optimizer step shards a micro-batch contiguously across workers;
-/// worker 0 runs on the calling thread against the master model, workers
-/// 1..W-1 run on a dedicated pool against per-worker replicas, copies of
-/// the master (Transformer::replica; a Transformer holds per-instance
-/// activation caches, so concurrent train_step on one model would race).
-/// Every worker accumulates into its own gradient buffer over a
-/// FlatParamView, the buffers reduce with a fixed-order binary tree
-/// (deterministic: the sum never depends on thread timing), and a single
-/// fused Adam pass updates the flat master values, which are then
-/// broadcast back to the replicas. Inside a shard the tensor kernels
-/// run inline (ParallelInlineGuard): one replica per core beats
-/// re-fanning each GEMM across the global pool.
+/// Each optimizer step orders its sequences longest first (ties by epoch
+/// position), and its workers claim them one at a time from a shared
+/// atomic index, so a worker that drew short sequences claims more of
+/// them instead of idling while the longest pair finishes. Worker 0 runs
+/// on the calling thread against the master model, workers 1..W-1 on a
+/// dedicated pool against per-worker replicas, copies of the master
+/// (Transformer::replica; a Transformer holds per-instance activation
+/// caches, so concurrent train_step on one model would race). A claim
+/// computes its sequence's gradient from zero and gathers it over a
+/// FlatParamView into that sequence's own slot. The slots reduce with a
+/// fixed binary tree whose pairing depends only on the step's sequence
+/// count, run in contiguous chunks of the element range on the step's
+/// workers; a single fused Adam pass then updates the flat master
+/// values. A replica copies them in before its next claim. Inside a step
+/// the tensor kernels run inline (ParallelInlineGuard): one replica per
+/// core beats re-fanning each GEMM across the global pool. Before its
+/// first claim of an epoch, each worker sizes its model's training
+/// caches for the epoch's longest sequence on its own thread
+/// (Transformer::reserve_training), so no step allocates.
 ///
-/// Determinism: two runs with identical inputs, options and initial model
-/// state produce bitwise-identical weights. workers=N matches workers=1
-/// up to float summation order (losses typically agree to ~1e-5).
+/// Determinism: neither the worker that ran a sequence nor the timing
+/// can change a slot or the sum, so the weights and losses are bitwise
+/// identical for every worker count and run to run. A step of one
+/// sequence hands its gradient to Adam unscaled, exactly the classic
+/// one-sequence-per-step loop.
 class Trainer {
  public:
   /// The model is borrowed; it must outlive the trainer.
@@ -91,8 +103,15 @@ class Trainer {
   TrainStats run_epoch(std::span<const TrainSequence> sequences);
 
  private:
+  /// A worker's model other than the master, and whether its trainable
+  /// values lag the master's.
+  struct Replica {
+    std::unique_ptr<Transformer> model;
+    FlatParamView view;
+    bool stale = false;
+  };
+
   void ensure_workers();
-  void broadcast_values();
 
   Transformer& model_;
   TrainerOptions options_;
@@ -100,11 +119,10 @@ class Trainer {
   Adam optimizer_;
 
   FlatParamView master_view_;
-  std::vector<std::unique_ptr<Transformer>> replicas_;  // workers_ - 1
-  std::vector<FlatParamView> replica_views_;
-  std::vector<std::vector<float>> worker_grads_;  // one buffer per worker
-  std::vector<float> flat_values_;                // step + broadcast buffer
-  std::unique_ptr<ThreadPool> pool_;              // workers_ - 1 threads
+  std::vector<Replica> replicas_;          // min(workers_, micro_batch) - 1
+  std::vector<std::vector<float>> slots_;  // one gradient per step sequence
+  std::vector<float> flat_values_;         // the master's trainable values
+  std::unique_ptr<ThreadPool> pool_;       // one thread per replica
 };
 
 }  // namespace hpcgpt::nn

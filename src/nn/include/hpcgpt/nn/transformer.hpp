@@ -141,6 +141,10 @@ class TransformerBlock {
   /// dx is dL/d(output), replaced by dL/d(input).
   void backward(tensor::Matrix& dx);
 
+  /// Sizes every forward cache and training scratch for `tokens` rows
+  /// (see Transformer::reserve_training).
+  void reserve_training(std::size_t tokens);
+
   /// The inference forward: transforms the residual-stream rows of `x`
   /// in place. The rows are one segment per session — rows
   /// [b·n, (b+1)·n), n = x.rows() / states.size(), are positions
@@ -182,8 +186,8 @@ class TransformerBlock {
   // ---- training scratch (BatchScratch-style reuse) ----
   // forward/backward temporaries that keep their storage across train
   // steps. Packed lengths change from step to step, so every cache is
-  // reshaped within its capacity (Matrix::resize): once a step at the
-  // longest length has run, the train path makes no allocation.
+  // reshaped within its capacity (Matrix::resize): after
+  // reserve_training(T), a step of up to T tokens makes no allocation.
   tensor::Matrix attn_out_, mlp_out_;                 // forward
   tensor::Matrix d_swiglu_, d_gate_pre_, d_up_;       // MLP backward
   tensor::Matrix d_normed_sum_, d_normed_tmp_;        // Linear backward dx
@@ -299,6 +303,16 @@ class Transformer {
   /// shifted; -1 = ignore), backward accumulating into parameter grads.
   LossResult train_step(const std::vector<text::TokenId>& ids,
                         const std::vector<std::int32_t>& targets);
+
+  /// Sizes every training cache and scratch buffer — the blocks' (K/V
+  /// and dK/dV pages, the n_heads·tokens² softmax numerators), every
+  /// Linear's (LoRA scratch included) and the head's and logits' — for
+  /// sequences of up to `tokens`, and the calling thread's GEMM transpose
+  /// buffer, so no train_step of up to `tokens` tokens on this thread
+  /// allocates. Without it the buffers grow with the longest step seen
+  /// so far. The trainer calls it on each worker's thread before that
+  /// worker's first step of an epoch. Requires fp32 weights.
+  void reserve_training(std::size_t tokens);
 
   /// Evaluation loss (no gradients).
   double eval_loss(const std::vector<text::TokenId>& ids,

@@ -40,18 +40,18 @@ void Linear::forward(const Matrix& x, Matrix& y) {
     return;
   }
   // The training loop calls this with persistent scratch every step and
-  // matmul overwrites, so a step within the largest length seen so far
-  // allocates nothing here (cf. apply_rows).
+  // matmul overwrites, so a step within the rows reserve_training sized
+  // (or the largest seen so far) allocates nothing here (cf. apply_rows).
   y.resize(x.rows(), out_features());
   matmul(x, weight_.value, y);
   cached_x_ = x;
   if (lora_rank_ > 0) {
     cached_xa_.resize(x.rows(), lora_rank_);
     matmul(x, lora_a_.value, cached_xa_);
-    Matrix lora_out(x.rows(), out_features());
-    matmul(cached_xa_, lora_b_.value, lora_out);
-    tensor::scale_inplace(lora_out, lora_scale_);
-    tensor::add_inplace(y, lora_out);
+    lora_out_.resize(x.rows(), out_features());
+    matmul(cached_xa_, lora_b_.value, lora_out_);
+    tensor::scale_inplace(lora_out_, lora_scale_);
+    tensor::add_inplace(y, lora_out_);
   }
 }
 
@@ -69,18 +69,37 @@ void Linear::backward(const Matrix& dy, Matrix& dx) {
   if (lora_rank_ > 0) {
     // y_lora = s·(x A) B  =>  dB += s·(xA)^T dy ; dA += s·x^T (dy B^T) ;
     //                         dx += s·(dy B^T) A^T
-    Matrix dy_bt(dy.rows(), lora_rank_);
-    matmul_nt(dy, lora_b_.value, dy_bt);
-    tensor::scale_inplace(dy_bt, lora_scale_);
+    dy_bt_.resize(dy.rows(), lora_rank_);
+    matmul_nt(dy, lora_b_.value, dy_bt_);
+    tensor::scale_inplace(dy_bt_, lora_scale_);
 
-    Matrix db(lora_rank_, out_features());
-    matmul_tn(cached_xa_, dy, db);
-    tensor::scale_inplace(db, lora_scale_);
-    tensor::add_inplace(lora_b_.grad, db);
+    db_.resize(lora_rank_, out_features());
+    matmul_tn(cached_xa_, dy, db_);
+    tensor::scale_inplace(db_, lora_scale_);
+    tensor::add_inplace(lora_b_.grad, db_);
 
-    matmul_tn_acc(cached_x_, dy_bt, lora_a_.grad);
-    matmul_nt_acc(dy_bt, lora_a_.value, dx);
+    matmul_tn_acc(cached_x_, dy_bt_, lora_a_.grad);
+    matmul_nt_acc(dy_bt_, lora_a_.value, dx);
   }
+}
+
+void Linear::reserve_training(std::size_t rows) {
+  require(!quantized(), "Linear::reserve_training: layer is quantized"
+          " (inference only)");
+  cached_x_.resize(rows, in_features());
+  if (lora_rank_ > 0) {
+    cached_xa_.resize(rows, lora_rank_);
+    lora_out_.resize(rows, out_features());
+    dy_bt_.resize(rows, lora_rank_);
+    db_.resize(lora_rank_, out_features());
+  }
+  // matmul_nt copies its right operand, transposed, into a per-thread
+  // buffer that keeps its capacity. W is the largest operand backward
+  // hands it, so a product of zero rows against W sizes this thread's
+  // copy without computing anything.
+  Matrix no_rows(0, out_features());
+  Matrix no_dx(0, in_features());
+  matmul_nt(no_rows, weight_.value, no_dx);
 }
 
 void Linear::apply_rows(const Matrix& x, Matrix& y) const {

@@ -330,14 +330,6 @@ void TransformerBlock::forward(Matrix& x) {
   // each row's softmax numerators stay in probs_ for backward.
   layout_pages(kv_buf_, kv_pages_, d, seq);
   scatter_kv(k_, v_, 0, seq, 0, kv_pages_.data());
-  // Reserved for twice the length (at most max_seq) and grown within
-  // that, so varying packed lengths reallocate rarely: reallocating at
-  // every new length fragments the heap, and finetune_epoch's peak RSS
-  // read 3-7 MiB higher.
-  if (probs_.capacity() < config_.n_heads * seq * seq) {
-    const std::size_t cap = std::min(2 * seq, config_.max_seq);
-    probs_.reserve(config_.n_heads * cap * cap);
-  }
   if (probs_.size() < config_.n_heads * seq * seq) {
     probs_.resize(config_.n_heads * seq * seq);
   }
@@ -472,6 +464,32 @@ void TransformerBlock::backward(Matrix& dx) {
   tensor::add_inplace(d_normed_sum_, d_normed_tmp_);
   rmsnorm_backward(norm1_gain_, in1_, inv_rms1_, d_normed_sum_, d_resid_);
   tensor::add_inplace(dx, d_resid_);
+}
+
+void TransformerBlock::reserve_training(std::size_t tokens) {
+  const std::size_t d = config_.d_model;
+  const std::size_t d_ff = config_.d_ff;
+  for (Matrix* m : {&in1_, &normed1_, &q_, &k_, &v_, &attn_concat_, &in2_,
+                    &normed2_, &attn_out_, &mlp_out_, &d_normed_sum_,
+                    &d_normed_tmp_, &d_resid_, &d_attn_concat_, &dq_, &dk_,
+                    &dv_}) {
+    m->resize(tokens, d);
+  }
+  for (Matrix* m : {&gate_pre_, &up_, &swiglu_, &d_swiglu_, &d_gate_pre_,
+                    &d_up_}) {
+    m->resize(tokens, d_ff);
+  }
+  inv_rms1_.resize(tokens);
+  inv_rms2_.resize(tokens);
+  layout_pages(kv_buf_, kv_pages_, d, tokens);
+  layout_pages(dkv_buf_, dkv_pages_, d, tokens);
+  if (probs_.size() < config_.n_heads * tokens * tokens) {
+    probs_.resize(config_.n_heads * tokens * tokens);
+  }
+  if (dprobs_.size() < kTile * tokens) dprobs_.resize(kTile * tokens);
+  for (Linear* w : {&wq_, &wk_, &wv_, &wo_, &w_gate_, &w_up_, &w_down_}) {
+    w->reserve_training(tokens);
+  }
 }
 
 namespace {
@@ -1082,6 +1100,23 @@ LossResult Transformer::train_step(
   result.loss = loss / static_cast<double>(counted);
   result.positions = counted;
   return result;
+}
+
+void Transformer::reserve_training(std::size_t tokens) {
+  require(quant_mode_ == tensor::QuantMode::Fp32,
+          "reserve_training: model is quantized (inference only) — "
+          "training requires fp32 weights");
+  require(tokens <= config_.max_seq,
+          "reserve_training: sequence exceeds max_seq (token limit)");
+  const std::size_t d = config_.d_model;
+  for (Matrix* m : {&hidden_in_, &hidden_out_, &d_hidden_out_, &dx_}) {
+    m->resize(tokens, d);
+  }
+  logit_mat_.resize(tokens, config_.vocab_size);
+  dlogits_.resize(tokens, config_.vocab_size);
+  final_inv_rms_.resize(tokens);
+  head_.reserve_training(tokens);
+  for (auto& block : blocks_) block->reserve_training(tokens);
 }
 
 double Transformer::eval_loss(const std::vector<text::TokenId>& ids,

@@ -4,8 +4,9 @@
 // window of decode steps: decode_step lane by lane and decode_step_batch
 // over all lanes, at 1 and 4 lanes (and 16 for decode_step_batch), for
 // fp32 and int8 weights. It also counts one warmed train_step at 37
-// tokens (three KV pages) and at 288, the full packing length, and steps
-// at new, shorter lengths after a 288-token one.
+// tokens (three KV pages) and at 288, the full packing length, steps at
+// new, shorter lengths after a 288-token one, and the first steps of a
+// fresh model (dense and LoRA) after Transformer::reserve_training.
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,43 @@ TEST(TrainStepAlloc, WarmedStepIsAllocationFree) {
   EXPECT_EQ(train_step_allocations(model.model(), 288, {271, 150, 37, 288}),
             0u)
       << "new lengths after a 288-token step";
+}
+
+/// operator new calls of one train_step at each of `lens`, in order, on
+/// a model that has run no step: Transformer::reserve_training(max_seq)
+/// alone sizes its caches, as the trainer does for each worker.
+std::size_t reserved_step_allocations(
+    nn::Transformer& m, std::initializer_list<std::size_t> lens) {
+  ParallelInlineGuard inline_guard;
+  std::vector<TrainSample> measured;
+  for (const std::size_t len : lens) {
+    measured.push_back(train_sample(m.config().vocab_size, len));
+  }
+  m.reserve_training(m.config().max_seq);
+  // softmax_rows reaches the process-wide pool, which starts once per
+  // process on first use, whatever the model.
+  (void)ThreadPool::global();
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (const TrainSample& sample : measured) {
+    m.train_step(sample.ids, sample.targets);
+  }
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+TEST(TrainStepAlloc, ReservedFreshModelStepsAreAllocationFree) {
+  // The LoRA half covers the adapters' forward and backward scratch,
+  // the path of Table 5's PEFT fine-tunes.
+  for (const bool lora : {false, true}) {
+    core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
+    spec.pretrain_steps = 0;
+    core::HpcGpt model(spec, shared_tokenizer());
+    if (lora) model.model().attach_lora(16, 32.0f, /*train_lora_only=*/true);
+    EXPECT_EQ(reserved_step_allocations(model.model(), {37, 150, 271, 288}),
+              0u)
+        << (lora ? "LoRA" : "dense");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
