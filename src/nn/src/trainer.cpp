@@ -184,7 +184,7 @@ TrainStats Trainer::run_epoch(std::span<const TrainSequence> sequences) {
 
   TrainStats stats;
   const std::size_t n = order.size();
-  // Per-sequence results land in pre-sized slots indexed by epoch
+  // Per-sequence results land in pre-sized entries indexed by epoch
   // position and are summed sequentially below — loss accounting is
   // byte-identical for every worker count.
   std::vector<double> losses(n, 0.0);
@@ -251,8 +251,7 @@ TrainStats Trainer::run_epoch(std::span<const TrainSequence> sequences) {
     Timer reduce_timer;
     if (batch > 1) {
       HPCGPT_TRACE("nn.train.reduce");
-      // Whole 64-byte lines per chunk, so no two workers write one line.
-      const std::size_t chunk = ((flat + active - 1) / active + 15) / 16 * 16;
+      const std::size_t chunk = (flat + active - 1) / active;
       auto reduce = [&](std::size_t w) {
         const std::size_t lo = std::min(flat, w * chunk);
         reduce_slots(slots_, batch, lo, std::min(flat, lo + chunk));
