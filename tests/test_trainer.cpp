@@ -307,6 +307,21 @@ TEST(Trainer, TrainStepWritesNoFrozenGradient) {
   EXPECT_GT(frozen, 0u);
 }
 
+TEST(Trainer, FailingSequenceThrowsAfterEveryWorkerStops) {
+  // A claim that throws must not leave other workers running on the
+  // epoch's frame: the error surfaces once every worker has stopped, and
+  // the trainer stays usable.
+  auto data = copy_task_sequences();
+  data[5].ids[1] = 99;  // outside the 16-token vocabulary
+  Transformer model(tiny_config(), 7);
+  TrainerOptions topts;
+  topts.workers = 4;
+  topts.micro_batch = 4;
+  Trainer trainer(model, topts);
+  EXPECT_THROW(trainer.run_epoch(data), InvalidArgument);
+  EXPECT_TRUE(std::isfinite(trainer.run_epoch(copy_task_sequences()).mean_loss));
+}
+
 TEST(Trainer, ParallelRunIsDeterministic) {
   const auto data = copy_task_sequences();
   auto run = [&] {
