@@ -139,13 +139,12 @@ int main(int argc, char** argv) {
   engine.add_all(corpus);
   const double index_s = seconds_since(t0);
 
-  const retrieval::IndexStats stats = engine.stats();
+  const retrieval::InvertedIndex::Stats& stats = engine.stats();
   bench::section("index");
   std::printf("fit: %.2fs  index: %.2fs (%.0f docs/s)\n", fit_s, index_s,
               static_cast<double>(n_docs) / index_s);
-  std::printf("docs=%zu postings=%zu sealed_segments=%zu tail_docs=%zu\n",
-              stats.documents, stats.postings, stats.sealed_segments,
-              stats.tail_documents);
+  std::printf("docs=%zu postings=%zu distinct_terms=%zu\n", stats.docs,
+              stats.postings, stats.distinct_terms);
   std::printf("compressed=%.1f MiB (%.2f bytes/posting)\n",
               static_cast<double>(stats.compressed_bytes) / (1024.0 * 1024.0),
               static_cast<double>(stats.compressed_bytes) /

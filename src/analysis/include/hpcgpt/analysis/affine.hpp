@@ -8,9 +8,9 @@
 namespace hpcgpt::analysis {
 
 /// Affine subscript decomposition w.r.t. a loop variable:
-/// index == scale*loop_var + offset. This is the canonical implementation;
-/// hpcgpt::race::affine_in delegates here so the detectors and the
-/// verifier can never disagree about which subscripts are analyzable.
+/// index == scale*loop_var + offset. The race detectors' feature scan
+/// calls this too, so the detectors and the verifier can never disagree
+/// about which subscripts are analyzable.
 struct AffineIndex {
   bool affine = false;
   std::int64_t scale = 0;

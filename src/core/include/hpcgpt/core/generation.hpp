@@ -23,17 +23,6 @@ constexpr std::string_view finish_reason_name(FinishReason reason) {
   return "?";
 }
 
-/// Per-request prefix-cache behaviour (serve-side paged KV cache; both
-/// flags are no-ops for surfaces without a prefix cache).
-struct CacheOptions {
-  /// Map K/V pages of a previously-served matching prefix into this
-  /// request instead of re-prefilling it (read side of the trie).
-  bool reuse_prefix = true;
-  /// Publish this request's prompt pages into the prefix cache for later
-  /// requests (write side). Off for prompts that must not linger.
-  bool share_prefix = true;
-};
-
 /// One generation request — the single request surface shared by
 /// HpcGpt::generate / HpcGpt::classify_race, the evaluation harness and
 /// serve::InferenceServer::submit, replacing the previous three ad-hoc
@@ -52,8 +41,6 @@ struct GenerationRequest {
   /// Caller-chosen correlation id; the server assigns a fresh nonzero id
   /// when left at 0 and echoes it in the result.
   std::uint64_t id = 0;
-  /// Prefix-cache participation (paged serving only).
-  CacheOptions cache{};
 };
 
 /// The typed outcome every generation surface returns: text plus the

@@ -9,6 +9,14 @@
 
 namespace hpcgpt::nn {
 
+/// Caller-owned intermediates of Linear::apply_rows's LoRA term: x·A and
+/// (x·A)·B. Reshaped within their capacity, so once sized for the largest
+/// layer and row count they allocate nothing.
+struct LoraScratch {
+  tensor::Matrix xa;   // rows × rank
+  tensor::Matrix out;  // rows × out
+};
+
 /// Fully-connected layer y = x·W with optional LoRA adapter.
 ///
 /// With LoRA enabled the layer computes
@@ -52,9 +60,10 @@ class Linear {
   /// Stateless application y = x·W (+ LoRA term) over all rows of `x`
   /// via the GEMM — the projection of the inference forward. It neither
   /// reads nor writes the training caches, so it is safe to call
-  /// concurrently from many threads. Resizes `y` only when its shape
-  /// differs.
-  void apply_rows(const tensor::Matrix& x, tensor::Matrix& y) const;
+  /// concurrently from many threads; an attached adapter's intermediates
+  /// go to the caller's `lora`. Reshapes `y` within its capacity.
+  void apply_rows(const tensor::Matrix& x, tensor::Matrix& y,
+                  LoraScratch& lora) const;
 
   void collect_parameters(ParameterList& out);
 

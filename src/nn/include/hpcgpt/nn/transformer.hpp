@@ -39,6 +39,7 @@ struct BatchScratch {
   // projections that read it (wq/wk/wv, then gate/up).
   std::vector<std::int8_t> qx;   // rows × padded d_model
   std::vector<float> qx_scale;   // one dequantization scale per row
+  LoraScratch lora;  // unmerged adapters' intermediates, any projection
 
   void ensure(const TransformerConfig& config, std::size_t rows);
 };
@@ -250,8 +251,9 @@ class Transformer {
   /// footprint metric: fp32 vs fp16 vs int8).
   std::size_t weight_memory_bytes() const;
 
-  /// Logits for each position of `ids` (len × vocab). Pure inference —
-  /// does not populate training caches.
+  /// Logits for each position of `ids` (len × vocab) through the training
+  /// forward: it fills every block's training caches, as train_step's
+  /// forward does, so it is not const and not safe to call concurrently.
   tensor::Matrix logits(const std::vector<text::TokenId>& ids);
 
   /// Creates an empty incremental-decoding session on the model's own

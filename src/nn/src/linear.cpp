@@ -102,24 +102,25 @@ void Linear::reserve_training(std::size_t rows) {
   matmul_nt(no_rows, weight_.value, no_dx);
 }
 
-void Linear::apply_rows(const Matrix& x, Matrix& y) const {
+void Linear::apply_rows(const Matrix& x, Matrix& y,
+                        LoraScratch& lora) const {
   require(x.cols() == in_features(), "Linear::apply_rows: width mismatch");
   if (quantized()) {
     qweight_.matmul(x, y);
     return;
   }
-  // Reuse the caller's buffer: the decode loop calls this with
+  // Reuse the caller's buffers: the decode loop calls this with
   // persistent scratch matrices every step, and matmul overwrites, so
   // steady-state decode allocates nothing here.
   y.resize(x.rows(), out_features());
   matmul(x, weight_.value, y);
   if (lora_rank_ > 0) {
-    Matrix xa(x.rows(), lora_rank_);
-    matmul(x, lora_a_.value, xa);
-    Matrix lora_out(x.rows(), out_features());
-    matmul(xa, lora_b_.value, lora_out);
-    tensor::scale_inplace(lora_out, lora_scale_);
-    tensor::add_inplace(y, lora_out);
+    lora.xa.resize(x.rows(), lora_rank_);
+    matmul(x, lora_a_.value, lora.xa);
+    lora.out.resize(x.rows(), out_features());
+    matmul(lora.xa, lora_b_.value, lora.out);
+    tensor::scale_inplace(lora.out, lora_scale_);
+    tensor::add_inplace(y, lora.out);
   }
 }
 

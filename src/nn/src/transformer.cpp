@@ -517,7 +517,7 @@ void project_rows(const Matrix& x, BatchScratch& s,
                   std::initializer_list<Projection> group) {
   const Linear& first = group.begin()->w;
   if (first.quant_mode() != tensor::QuantMode::Int8) {
-    for (const Projection& p : group) p.w.apply_rows(x, p.y);
+    for (const Projection& p : group) p.w.apply_rows(x, p.y, s.lora);
     return;
   }
   const std::size_t padded = first.quantized_weights().padded_rows();
@@ -562,7 +562,7 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
                     s.probs.data(), /*keep_probs=*/false,
                     s.attn.row(r0).data());
   }
-  wo_.apply_rows(s.attn, s.proj);
+  wo_.apply_rows(s.attn, s.proj, s.lora);
   tensor::add_inplace(x, s.proj);
 
   // --- MLP sub-layer (SwiGLU) ---
@@ -573,7 +573,7 @@ void TransformerBlock::infer(Matrix& x, std::span<DecodeState* const> states,
   for (std::size_t r = 0; r < rows; ++r) {
     kt.silu_mul(s.gate.row(r).data(), s.up.row(r).data(), config_.d_ff);
   }
-  w_down_.apply_rows(s.gate, s.proj);
+  w_down_.apply_rows(s.gate, s.proj, s.lora);
   tensor::add_inplace(x, s.proj);
 }
 
@@ -984,7 +984,7 @@ const Matrix& Transformer::decode_step_batch(
   for (std::size_t b = 0; b < batch; ++b) {
     rmsnorm_row(final_gain_, x.row(b), scratch.normed.row(b));
   }
-  head_.apply_rows(scratch.normed, scratch.logits);
+  head_.apply_rows(scratch.normed, scratch.logits, scratch.lora);
   std::size_t cached_positions = 0;
   for (std::size_t b = 0; b < batch; ++b) {
     cached_positions += ++states[b]->length_;
@@ -1035,7 +1035,7 @@ std::span<const float> Transformer::prefill(
   BatchScratch& out = state.scratch_;
   out.normed.resize(1, config_.d_model);
   rmsnorm_row(final_gain_, scratch.x.row(ids.size() - 1), out.normed.row(0));
-  head_.apply_rows(out.normed, out.logits);
+  head_.apply_rows(out.normed, out.logits, out.lora);
   return out.logits.row(0);
 }
 

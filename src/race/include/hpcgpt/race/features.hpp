@@ -25,17 +25,4 @@ struct ProgramFeatures {
 
 ProgramFeatures scan_features(const minilang::Program& program);
 
-/// Affine subscript decomposition w.r.t. a loop variable: index == a*i + b.
-struct AffineIndex {
-  bool affine = false;
-  std::int64_t scale = 0;
-  std::int64_t offset = 0;
-};
-
-/// Tries to express `index` as scale*loop_var + offset with constant
-/// coefficients. Any other shape (modulo, nested arrays, other variables,
-/// thread ids) yields affine == false.
-AffineIndex affine_in(const minilang::Expr& index,
-                      const std::string& loop_var);
-
 }  // namespace hpcgpt::race

@@ -13,7 +13,7 @@ namespace {
 void scan_expr(const Expr& e, const std::string& loop_var,
                ProgramFeatures& f) {
   if (e.kind == Expr::Kind::ArrayRef) {
-    if (!affine_in(*e.index, loop_var).affine) {
+    if (!analysis::affine_in(*e.index, loop_var).affine) {
       f.has_nonaffine_subscript = true;
     }
     scan_expr(*e.index, loop_var, f);
@@ -71,14 +71,6 @@ ProgramFeatures scan_features(const Program& program) {
   ProgramFeatures f;
   for (const Stmt& s : program.body) scan_stmt(s, "", f);
   return f;
-}
-
-AffineIndex affine_in(const Expr& index, const std::string& loop_var) {
-  // Delegates to the canonical implementation in hpcgpt::analysis so the
-  // detectors and the standalone verifier can never disagree about which
-  // subscripts are analyzable.
-  const analysis::AffineIndex a = analysis::affine_in(index, loop_var);
-  return AffineIndex{a.affine, a.scale, a.offset};
 }
 
 }  // namespace hpcgpt::race

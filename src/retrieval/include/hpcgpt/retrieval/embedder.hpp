@@ -13,8 +13,7 @@ using TermId = std::uint32_t;
 
 /// Document identifier: position in an engine's document list. Docs
 /// are appended with strictly increasing ids, which keeps every postings
-/// list naturally sorted and lets sealed index segments cover disjoint
-/// id ranges.
+/// list sorted as it is appended, so each can be compressed as it grows.
 using DocId = std::uint32_t;
 
 /// Sparse embedding: (term id, weight) pairs sorted by ascending term id.

@@ -27,7 +27,6 @@ struct RetrievalConfig {
   Weighting weighting = Weighting::Tfidf;
   double bm25_k1 = 1.2;
   double bm25_b = 0.75;
-  IndexOptions index;
 
   /// Throws InvalidArgument (std::invalid_argument) on nonsense.
   void validate() const;
@@ -35,23 +34,11 @@ struct RetrievalConfig {
 
 std::string_view engine_name(RetrievalConfig::Engine engine);
 RetrievalConfig::Engine engine_by_name(std::string_view name);
-std::string_view weighting_name(RetrievalConfig::Weighting weighting);
-RetrievalConfig::Weighting weighting_by_name(std::string_view name);
-
-struct IndexStats {
-  std::size_t documents = 0;
-  std::size_t postings = 0;
-  std::size_t sealed_segments = 0;
-  std::size_t tail_documents = 0;
-  std::size_t compressed_bytes = 0;
-  std::size_t distinct_terms = 0;
-};
 
 /// The retrieval engine: a compressed inverted index with WAND top-k, and
-/// the brute-force scan kept as the reference path. add() keeps documents
-/// immediately searchable (in-memory tail segment). top_k() is const and
-/// safe to call concurrently; add() needs external serialization against
-/// queries.
+/// the brute-force scan kept as the reference path. A document is
+/// searchable as soon as add() returns. top_k() is const and safe to call
+/// concurrently; add() needs external serialization against queries.
 class SearchEngine {
  public:
   explicit SearchEngine(TfidfEmbedder embedder, RetrievalConfig config = {});
@@ -70,7 +57,7 @@ class SearchEngine {
 
   const RetrievalConfig& config() const { return config_; }
   const TfidfEmbedder& embedder() const { return embedder_; }
-  IndexStats stats() const;
+  const InvertedIndex::Stats& stats() const { return index_.stats(); }
 
  private:
   /// Quantized document-side term weights (sorted by term id, zero
@@ -96,8 +83,6 @@ class SearchEngine {
   RetrievalConfig config_;
   double impact_scale_ = 1.0 / 255.0;
   InvertedIndex index_;
-  std::vector<bool> term_seen_;
-  std::size_t distinct_terms_ = 0;
   std::vector<std::string> texts_;
   std::vector<DocVec> vectors_;
 };

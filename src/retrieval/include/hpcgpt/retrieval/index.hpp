@@ -1,8 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "hpcgpt/retrieval/embedder.hpp"
@@ -18,19 +18,17 @@ struct Posting {
   std::uint8_t impact = 0;
 };
 
-struct IndexOptions {
-  std::size_t block_size = 64;        ///< postings per compressed block
-  std::size_t seal_threshold = 4096;  ///< tail docs before sealing a segment
-  std::size_t merge_fanin = 8;        ///< sealed segments before a full merge
-};
+/// Postings per compressed block (and per skip entry).
+inline constexpr std::size_t kPostingBlock = 64;
 
-/// Immutable delta-compressed postings list for one term of one sealed
-/// segment. Layout: fixed-size blocks of (varint doc-id gap, impact byte)
-/// pairs; each block has a skip entry carrying its last doc id, byte
-/// offset, posting count and block-max impact, so a top-k iterator can
-/// jump whole blocks without decoding them and WAND can bound the best
-/// score any block could contribute.
-class CompressedPostings {
+/// One term's postings, delta-compressed as they are appended. Layout:
+/// blocks of kPostingBlock (varint doc-id gap, impact byte) pairs; each
+/// block has a skip entry carrying its last doc id, byte offset, posting
+/// count and block-max impact, so a top-k iterator can jump whole blocks
+/// without decoding them and WAND can bound the best score any block
+/// could contribute. A block's first gap is relative to the previous
+/// block's last doc, so appending never rewrites earlier bytes.
+class PostingList {
  public:
   struct Skip {
     DocId last_doc = 0;        ///< last doc id in the block
@@ -39,9 +37,8 @@ class CompressedPostings {
     std::uint8_t max_impact = 0;
   };
 
-  /// Encodes `postings` (sorted by doc id) into blocks of `block_size`.
-  static CompressedPostings encode(std::span<const Posting> postings,
-                                   std::size_t block_size);
+  /// Appends `p`; `p.doc` must be greater than every doc appended before.
+  void append(Posting p);
 
   /// Decodes block `block` into `out` (capacity >= skips()[block].count).
   /// Returns the number of postings written.
@@ -61,47 +58,27 @@ class CompressedPostings {
   std::uint8_t max_impact_ = 0;
 };
 
-/// A sealed, immutable index segment: sorted term dictionary with one
-/// compressed postings list per term, covering a contiguous doc-id range.
-class Segment {
- public:
-  static Segment build(
-      const std::vector<std::pair<TermId, std::vector<Posting>>>& terms,
-      std::uint32_t docs, std::size_t block_size);
-
-  const CompressedPostings* find(TermId term) const;
-  const std::vector<TermId>& terms() const { return terms_; }
-  const std::vector<CompressedPostings>& lists() const { return lists_; }
-  std::uint32_t doc_count() const { return docs_; }
-  std::size_t byte_size() const;
-
- private:
-  std::vector<TermId> terms_;  // sorted, parallel to lists_
-  std::vector<CompressedPostings> lists_;
-  std::uint32_t docs_ = 0;
-};
-
-/// Document-ordered cursor over one term's postings across every sealed
-/// segment plus the in-memory tail, with skip-entry block jumps.
+/// Document-ordered cursor over one term's PostingList, decoding a block
+/// at a time and jumping whole blocks by skip entry.
 class PostingIterator {
  public:
   static constexpr DocId kEndDoc = 0xffffffffu;
 
-  PostingIterator() = default;
-  PostingIterator(std::vector<const CompressedPostings*> sealed,
-                  std::span<const Posting> tail, std::size_t block_size);
+  /// An exhausted cursor when `list` is null or empty.
+  explicit PostingIterator(const PostingList* list = nullptr);
 
   bool at_end() const { return current_.doc == kEndDoc; }
   DocId doc() const { return current_.doc; }
   std::uint8_t impact() const { return current_.impact; }
 
   /// Max impact across the whole list (WAND's per-term upper bound).
-  std::uint8_t max_impact() const { return max_impact_; }
-  /// Max impact of the current block (tail: whole-tail max) — the
-  /// block-max refinement bound.
-  std::uint8_t block_max_impact() const { return block_max_; }
-  /// Last doc id the current block's bound covers (tail: the last tail
-  /// doc) — the horizon block-max WAND may skip to when the bound loses.
+  std::uint8_t max_impact() const {
+    return list_ == nullptr ? 0 : list_->max_impact();
+  }
+  /// Max impact of the current block — the block-max refinement bound.
+  std::uint8_t block_max_impact() const;
+  /// Last doc id of the current block — the horizon block-max WAND may
+  /// skip to when the bound loses.
   DocId block_last_doc() const;
 
   void next();
@@ -111,78 +88,47 @@ class PostingIterator {
 
   /// Blocks jumped over without decoding (across next/advance calls).
   std::uint64_t blocks_skipped() const { return blocks_skipped_; }
-  /// Postings materialized from compressed blocks or the tail.
+  /// Postings materialized by decoding blocks.
   std::uint64_t postings_decoded() const { return postings_decoded_; }
 
  private:
   void load_block(std::size_t block);
-  void advance_source();
 
-  std::vector<const CompressedPostings*> sealed_;
-  std::span<const Posting> tail_;
-  std::size_t source_ = 0;  // index into sealed_, == sealed_.size() => tail
+  const PostingList* list_ = nullptr;
   std::size_t block_ = 0;
-  std::vector<Posting> buf_;
+  std::array<Posting, kPostingBlock> buf_{};
   std::size_t buf_pos_ = 0;
   std::size_t buf_len_ = 0;
-  std::size_t tail_pos_ = 0;
   Posting current_{kEndDoc, 0};
-  std::uint8_t max_impact_ = 0;
-  std::uint8_t block_max_ = 0;
-  std::uint8_t tail_max_ = 0;
   std::uint64_t blocks_skipped_ = 0;
   std::uint64_t postings_decoded_ = 0;
 };
 
-/// Incremental inverted index: an in-memory tail segment absorbs add()s
-/// (immediately searchable), seals into a compressed segment every
-/// `seal_threshold` docs, and sealed segments are merged once
-/// `merge_fanin` of them accumulate.
+/// Incremental inverted index: one append-only PostingList per term id.
+/// Doc ids only grow, so every list stays sorted and each added document
+/// is searchable as soon as add_document returns.
 class InvertedIndex {
  public:
-  explicit InvertedIndex(IndexOptions opts = {});
-
   /// Appends one document. `terms` must be sorted by term id with impacts
   /// > 0, and `doc` must be strictly greater than any previous id.
   void add_document(DocId doc,
                     std::span<const std::pair<TermId, std::uint8_t>> terms);
 
-  /// Cursor over `term`'s postings (empty iterator for unseen terms).
+  /// Cursor over `term`'s postings (exhausted for unseen terms).
   PostingIterator iterator(TermId term) const;
 
-  /// Seals the tail into a compressed segment now (automatic at
-  /// seal_threshold; public so tests can force segment boundaries).
-  void seal_tail();
-
-  std::uint32_t doc_count() const { return docs_; }
-
+  /// Running totals, updated by add_document.
   struct Stats {
     std::size_t docs = 0;
     std::size_t postings = 0;
-    std::size_t sealed_segments = 0;
-    std::size_t tail_docs = 0;
-    std::size_t compressed_bytes = 0;
-    std::uint64_t seals = 0;
-    std::uint64_t merges = 0;
+    std::size_t distinct_terms = 0;
+    std::size_t compressed_bytes = 0;  ///< PostingList::byte_size() sum
   };
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
-  void maybe_merge();
-
-  struct TailList {
-    std::vector<Posting> postings;
-    std::uint8_t max_impact = 0;
-  };
-
-  IndexOptions opts_;
-  std::vector<Segment> sealed_;
-  std::unordered_map<TermId, TailList> tail_;
-  std::uint32_t docs_ = 0;
-  std::uint32_t tail_docs_ = 0;
-  std::size_t postings_ = 0;
-  std::uint64_t seals_ = 0;
-  std::uint64_t merges_ = 0;
+  std::vector<PostingList> lists_;  // indexed by term id
+  Stats stats_;
 };
 
 /// A (score, doc) result; ties broken by ascending doc id.

@@ -21,9 +21,6 @@ namespace {
 void RetrievalConfig::validate() const {
   if (bm25_k1 <= 0.0) invalid("bm25_k1 must be > 0");
   if (bm25_b < 0.0 || bm25_b > 1.0) invalid("bm25_b must be in [0, 1]");
-  if (index.block_size == 0) invalid("index.block_size must be >= 1");
-  if (index.seal_threshold == 0) invalid("index.seal_threshold must be >= 1");
-  if (index.merge_fanin < 2) invalid("index.merge_fanin must be >= 2");
 }
 
 std::string_view engine_name(RetrievalConfig::Engine engine) {
@@ -41,22 +38,8 @@ RetrievalConfig::Engine engine_by_name(std::string_view name) {
                               " (expected scan|indexed)");
 }
 
-std::string_view weighting_name(RetrievalConfig::Weighting weighting) {
-  return weighting == RetrievalConfig::Weighting::Tfidf ? "tfidf" : "bm25";
-}
-
-RetrievalConfig::Weighting weighting_by_name(std::string_view name) {
-  if (name == "tfidf") return RetrievalConfig::Weighting::Tfidf;
-  if (name == "bm25") return RetrievalConfig::Weighting::Bm25;
-  throw std::invalid_argument("unknown weighting: " + std::string(name) +
-                              " (expected tfidf|bm25)");
-}
-
 SearchEngine::SearchEngine(TfidfEmbedder embedder, RetrievalConfig config)
-    : embedder_(std::move(embedder)),
-      config_(config),
-      index_(config.index),
-      term_seen_(embedder_.vocabulary_size(), false) {
+    : embedder_(std::move(embedder)), config_(config) {
   config_.validate();
   if (config_.weighting == RetrievalConfig::Weighting::Bm25) {
     // BM25's per-term doc weight is bounded by k1 + 1; quantize against it.
@@ -116,14 +99,6 @@ void SearchEngine::add(std::string chunk) {
   const auto doc = static_cast<DocId>(texts_.size());
   DocVec weights = doc_weights(chunk);
   index_.add_document(doc, weights);
-  if (term_seen_.size() < embedder_.vocabulary_size())
-    term_seen_.resize(embedder_.vocabulary_size(), false);
-  for (const auto& [term, impact] : weights) {
-    if (!term_seen_[term]) {
-      term_seen_[term] = true;
-      ++distinct_terms_;
-    }
-  }
   vectors_.push_back(std::move(weights));
   texts_.push_back(std::move(chunk));
 }
@@ -254,18 +229,6 @@ std::vector<Hit> SearchEngine::indexed_top_k(
   }
   fill_unmatched(hits, k);
   return hits;
-}
-
-IndexStats SearchEngine::stats() const {
-  const InvertedIndex::Stats s = index_.stats();
-  IndexStats out;
-  out.documents = s.docs;
-  out.postings = s.postings;
-  out.sealed_segments = s.sealed_segments;
-  out.tail_documents = s.tail_docs;
-  out.compressed_bytes = s.compressed_bytes;
-  out.distinct_terms = distinct_terms_;
-  return out;
 }
 
 }  // namespace hpcgpt::retrieval

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-
-#include "hpcgpt/obs/metrics.hpp"
-#include "hpcgpt/obs/trace.hpp"
 
 namespace hpcgpt::retrieval {
 
@@ -33,32 +29,24 @@ std::uint32_t get_varint(const std::uint8_t* bytes, std::size_t& pos) {
 
 }  // namespace
 
-CompressedPostings CompressedPostings::encode(std::span<const Posting> postings,
-                                              std::size_t block_size) {
-  CompressedPostings out;
-  out.count_ = static_cast<std::uint32_t>(postings.size());
-  DocId prev = 0;
-  for (std::size_t i = 0; i < postings.size(); i += block_size) {
-    const std::size_t n = std::min(block_size, postings.size() - i);
+void PostingList::append(Posting p) {
+  const DocId prev = skips_.empty() ? 0 : skips_.back().last_doc;
+  if (skips_.empty() || skips_.back().count == kPostingBlock) {
     Skip skip;
-    skip.offset = static_cast<std::uint32_t>(out.bytes_.size());
-    skip.count = static_cast<std::uint16_t>(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const Posting& p = postings[i + j];
-      put_varint(out.bytes_, p.doc - prev);
-      out.bytes_.push_back(p.impact);
-      prev = p.doc;
-      skip.max_impact = std::max(skip.max_impact, p.impact);
-    }
-    skip.last_doc = prev;
-    out.max_impact_ = std::max(out.max_impact_, skip.max_impact);
-    out.skips_.push_back(skip);
+    skip.offset = static_cast<std::uint32_t>(bytes_.size());
+    skips_.push_back(skip);
   }
-  return out;
+  put_varint(bytes_, p.doc - prev);
+  bytes_.push_back(p.impact);
+  Skip& skip = skips_.back();
+  skip.last_doc = p.doc;
+  ++skip.count;
+  skip.max_impact = std::max(skip.max_impact, p.impact);
+  ++count_;
+  max_impact_ = std::max(max_impact_, p.impact);
 }
 
-std::size_t CompressedPostings::decode_block(std::size_t block,
-                                             Posting* out) const {
+std::size_t PostingList::decode_block(std::size_t block, Posting* out) const {
   const Skip& skip = skips_[block];
   DocId prev = block == 0 ? 0 : skips_[block - 1].last_doc;
   std::size_t pos = skip.offset;
@@ -70,97 +58,32 @@ std::size_t CompressedPostings::decode_block(std::size_t block,
   return skip.count;
 }
 
-Segment Segment::build(
-    const std::vector<std::pair<TermId, std::vector<Posting>>>& terms,
-    std::uint32_t docs, std::size_t block_size) {
-  Segment s;
-  s.docs_ = docs;
-  s.terms_.reserve(terms.size());
-  s.lists_.reserve(terms.size());
-  for (const auto& [term, postings] : terms) {
-    s.terms_.push_back(term);
-    s.lists_.push_back(CompressedPostings::encode(postings, block_size));
-  }
-  return s;
-}
-
-const CompressedPostings* Segment::find(TermId term) const {
-  const auto it = std::lower_bound(terms_.begin(), terms_.end(), term);
-  if (it == terms_.end() || *it != term) return nullptr;
-  return &lists_[static_cast<std::size_t>(it - terms_.begin())];
-}
-
-std::size_t Segment::byte_size() const {
-  std::size_t total = terms_.size() * sizeof(TermId);
-  for (const CompressedPostings& l : lists_) total += l.byte_size();
-  return total;
-}
-
-PostingIterator::PostingIterator(
-    std::vector<const CompressedPostings*> sealed, std::span<const Posting> tail,
-    std::size_t block_size)
-    : sealed_(std::move(sealed)), tail_(tail) {
-  buf_.resize(block_size);
-  std::uint8_t tail_max = 0;
-  for (const CompressedPostings* cp : sealed_)
-    max_impact_ = std::max(max_impact_, cp->max_impact());
-  for (const Posting& p : tail_) tail_max = std::max(tail_max, p.impact);
-  max_impact_ = std::max(max_impact_, tail_max);
-  tail_max_ = tail_max;
-  advance_source();
+PostingIterator::PostingIterator(const PostingList* list) : list_(list) {
+  if (list_ != nullptr && list_->count() > 0) load_block(0);
 }
 
 void PostingIterator::load_block(std::size_t block) {
   block_ = block;
-  buf_len_ = sealed_[source_]->decode_block(block, buf_.data());
+  buf_len_ = list_->decode_block(block, buf_.data());
   buf_pos_ = 0;
   current_ = buf_[0];
-  block_max_ = sealed_[source_]->skips()[block].max_impact;
   postings_decoded_ += buf_len_;
 }
 
-// Positions the cursor at the first posting of source_ (or a later
-// non-empty source / the tail / end).
-void PostingIterator::advance_source() {
-  while (source_ < sealed_.size() && sealed_[source_]->count() == 0) ++source_;
-  if (source_ < sealed_.size()) {
-    load_block(0);
-    return;
-  }
-  if (!tail_.empty()) {
-    tail_pos_ = 0;
-    current_ = tail_[0];
-    block_max_ = tail_max_;
-    ++postings_decoded_;
-    return;
-  }
-  current_ = Posting{kEndDoc, 0};
+std::uint8_t PostingIterator::block_max_impact() const {
+  return at_end() ? 0 : list_->skips()[block_].max_impact;
 }
 
 DocId PostingIterator::block_last_doc() const {
-  if (at_end()) return kEndDoc;
-  if (source_ < sealed_.size()) return sealed_[source_]->skips()[block_].last_doc;
-  return tail_.back().doc;
+  return at_end() ? kEndDoc : list_->skips()[block_].last_doc;
 }
 
 void PostingIterator::next() {
   if (at_end()) return;
-  if (source_ < sealed_.size()) {
-    if (++buf_pos_ < buf_len_) {
-      current_ = buf_[buf_pos_];
-      return;
-    }
-    if (block_ + 1 < sealed_[source_]->skips().size()) {
-      load_block(block_ + 1);
-      return;
-    }
-    ++source_;
-    advance_source();
-    return;
-  }
-  if (++tail_pos_ < tail_.size()) {
-    current_ = tail_[tail_pos_];
-    ++postings_decoded_;
+  if (++buf_pos_ < buf_len_) {
+    current_ = buf_[buf_pos_];
+  } else if (block_ + 1 < list_->skips().size()) {
+    load_block(block_ + 1);
   } else {
     current_ = Posting{kEndDoc, 0};
   }
@@ -168,148 +91,40 @@ void PostingIterator::next() {
 
 void PostingIterator::advance(DocId target) {
   if (at_end() || current_.doc >= target) return;
-  const bool was_tail = source_ >= sealed_.size();
-  if (!was_tail) {
-    const auto& skips = sealed_[source_]->skips();
-    if (skips[block_].last_doc >= target) {
-      // Target lives in the already-decoded block.
-      while (buf_[buf_pos_].doc < target) ++buf_pos_;
-      current_ = buf_[buf_pos_];
-      return;
-    }
+  const std::vector<PostingList::Skip>& skips = list_->skips();
+  if (skips[block_].last_doc < target) {
+    // Jump every block that ends before the target without decoding it.
     std::size_t b = block_ + 1;
-    if (!skips.empty() && skips.back().last_doc >= target) {
-      while (skips[b].last_doc < target) {
-        ++blocks_skipped_;
-        ++b;
-      }
-      load_block(b);
-      while (buf_[buf_pos_].doc < target) ++buf_pos_;
-      current_ = buf_[buf_pos_];
+    while (b < skips.size() && skips[b].last_doc < target) {
+      ++blocks_skipped_;
+      ++b;
+    }
+    if (b == skips.size()) {
+      current_ = Posting{kEndDoc, 0};
       return;
     }
-    blocks_skipped_ += skips.size() - b;
-    ++source_;
-    while (source_ < sealed_.size()) {
-      const auto& s = sealed_[source_]->skips();
-      if (!s.empty() && s.back().last_doc >= target) {
-        std::size_t nb = 0;
-        while (s[nb].last_doc < target) {
-          ++blocks_skipped_;
-          ++nb;
-        }
-        load_block(nb);
-        while (buf_[buf_pos_].doc < target) ++buf_pos_;
-        current_ = buf_[buf_pos_];
-        return;
-      }
-      blocks_skipped_ += s.size();
-      ++source_;
-    }
+    load_block(b);
   }
-  // Tail: binary search from the current position (or the start if we just
-  // fell off the sealed segments).
-  const std::size_t start = was_tail ? tail_pos_ : 0;
-  const auto it = std::lower_bound(
-      tail_.begin() + static_cast<std::ptrdiff_t>(start), tail_.end(), target,
-      [](const Posting& p, DocId t) { return p.doc < t; });
-  if (it == tail_.end()) {
-    current_ = Posting{kEndDoc, 0};
-    return;
-  }
-  tail_pos_ = static_cast<std::size_t>(it - tail_.begin());
-  current_ = *it;
-  block_max_ = tail_max_;
-  ++postings_decoded_;
+  while (buf_[buf_pos_].doc < target) ++buf_pos_;
+  current_ = buf_[buf_pos_];
 }
-
-InvertedIndex::InvertedIndex(IndexOptions opts) : opts_(opts) {}
 
 void InvertedIndex::add_document(
     DocId doc, std::span<const std::pair<TermId, std::uint8_t>> terms) {
   for (const auto& [term, impact] : terms) {
-    TailList& list = tail_[term];
-    list.postings.push_back(Posting{doc, impact});
-    list.max_impact = std::max(list.max_impact, impact);
-    ++postings_;
+    if (term >= lists_.size()) lists_.resize(std::size_t{term} + 1);
+    PostingList& list = lists_[term];
+    if (list.count() == 0) ++stats_.distinct_terms;
+    const std::size_t bytes_before = list.byte_size();
+    list.append(Posting{doc, impact});
+    stats_.compressed_bytes += list.byte_size() - bytes_before;
   }
-  ++docs_;
-  if (++tail_docs_ >= opts_.seal_threshold) seal_tail();
+  stats_.postings += terms.size();
+  ++stats_.docs;
 }
 
 PostingIterator InvertedIndex::iterator(TermId term) const {
-  std::vector<const CompressedPostings*> lists;
-  for (const Segment& s : sealed_) {
-    const CompressedPostings* cp = s.find(term);
-    if (cp != nullptr) lists.push_back(cp);
-  }
-  std::span<const Posting> tail;
-  const auto it = tail_.find(term);
-  if (it != tail_.end()) tail = it->second.postings;
-  return PostingIterator(std::move(lists), tail, opts_.block_size);
-}
-
-void InvertedIndex::seal_tail() {
-  if (tail_.empty()) return;
-  HPCGPT_TRACE("retrieval.segment");
-  static obs::Counter& seals =
-      obs::MetricsRegistry::global().counter("retrieval.index.seals");
-  seals.add();
-  std::vector<std::pair<TermId, std::vector<Posting>>> terms;
-  terms.reserve(tail_.size());
-  for (auto& [term, list] : tail_)
-    terms.emplace_back(term, std::move(list.postings));
-  std::sort(terms.begin(), terms.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  sealed_.push_back(Segment::build(terms, tail_docs_, opts_.block_size));
-  tail_.clear();
-  tail_docs_ = 0;
-  ++seals_;
-  maybe_merge();
-}
-
-void InvertedIndex::maybe_merge() {
-  if (sealed_.size() < opts_.merge_fanin) return;
-  HPCGPT_TRACE("retrieval.segment");
-  static obs::Counter& merge_counter =
-      obs::MetricsRegistry::global().counter("retrieval.index.merges");
-  merge_counter.add();
-  // Doc-id ranges are disjoint and increasing by segment order, so a merge
-  // is per-term concatenation of the decoded lists.
-  std::map<TermId, std::vector<Posting>> acc;
-  std::uint32_t docs = 0;
-  std::vector<Posting> buf(opts_.block_size);
-  for (const Segment& s : sealed_) {
-    docs += s.doc_count();
-    for (std::size_t t = 0; t < s.terms().size(); ++t) {
-      std::vector<Posting>& dst = acc[s.terms()[t]];
-      const CompressedPostings& cp = s.lists()[t];
-      for (std::size_t b = 0; b < cp.skips().size(); ++b) {
-        const std::size_t n = cp.decode_block(b, buf.data());
-        dst.insert(dst.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(n));
-      }
-    }
-  }
-  std::vector<std::pair<TermId, std::vector<Posting>>> terms;
-  terms.reserve(acc.size());
-  for (auto& [term, postings] : acc) terms.emplace_back(term, std::move(postings));
-  std::vector<Segment> merged;
-  merged.push_back(Segment::build(terms, docs, opts_.block_size));
-  sealed_ = std::move(merged);
-  ++merges_;
-}
-
-InvertedIndex::Stats InvertedIndex::stats() const {
-  Stats s;
-  s.docs = docs_;
-  s.postings = postings_;
-  s.sealed_segments = sealed_.size();
-  s.tail_docs = tail_docs_;
-  for (const Segment& seg : sealed_) s.compressed_bytes += seg.byte_size();
-  s.seals = seals_;
-  s.merges = merges_;
-  return s;
+  return PostingIterator(term < lists_.size() ? &lists_[term] : nullptr);
 }
 
 std::vector<ScoredDoc> wand_top_k(
@@ -338,7 +153,7 @@ std::vector<ScoredDoc> wand_top_k(
   std::vector<ScoredDoc> heap;  // min-heap under `better`: worst kept on top
   // k comes from the caller (--rag-top-k, RagConfig::top_k): never reserve
   // more slots than there are documents to fill them.
-  heap.reserve(std::min<std::size_t>(k, index.doc_count()));
+  heap.reserve(std::min(k, index.stats().docs));
 
   std::vector<Cursor*> order;
   order.reserve(cursors.size());

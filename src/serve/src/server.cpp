@@ -416,7 +416,7 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
   stream->state.set_reserved_pages(need);
   stream->budget = budget;
   const std::vector<text::TokenId>& prompt = stream->request.prompt;
-  if (prefix_ && stream->request.request.cache.reuse_prefix) {
+  if (prefix_) {
     HPCGPT_TRACE_ADOPT(stream->request.trace);
     HPCGPT_TRACE("serve.prefix_lookup");
     // Cap at size-1 so a fully-cached prompt still prefills its final
@@ -625,7 +625,7 @@ void InferenceServer::scheduler_loop() {
       for (auto& stream : active) {
         if (stream->prefilled && !stream->published) {
           stream->published = true;
-          if (stream->request.request.cache.share_prefix && !stream->error) {
+          if (!stream->error) {
             prefix_->insert(stream->request.prompt, stream->state);
           }
         }

@@ -162,6 +162,20 @@ TEST(Affine, DecomposesLinearSubscripts) {
   EXPECT_EQ(a.offset, 7);
 }
 
+TEST(Affine, DecomposesPlainAndShiftedLoopVariable) {
+  const ExprPtr plain = scalar_ref("i");
+  const AffineIndex p = affine_in(*plain, "i");
+  EXPECT_TRUE(p.affine);
+  EXPECT_EQ(p.scale, 1);
+  EXPECT_EQ(p.offset, 0);
+
+  const ExprPtr shifted = bin_op('-', scalar_ref("i"), int_lit(3));
+  const AffineIndex s = affine_in(*shifted, "i");
+  EXPECT_TRUE(s.affine);
+  EXPECT_EQ(s.scale, 1);
+  EXPECT_EQ(s.offset, -3);
+}
+
 TEST(Affine, ConstantIsScaleZero) {
   const ExprPtr e = int_lit(5);
   const AffineIndex a = affine_in(*e, "i");
@@ -175,6 +189,8 @@ TEST(Affine, RejectsModuloAndForeignVariables) {
   EXPECT_FALSE(affine_in(*m, "i").affine);
   const ExprPtr f = scalar_ref("j");
   EXPECT_FALSE(affine_in(*f, "i").affine);
+  // A thread-id subscript is not a function of the loop variable.
+  EXPECT_FALSE(affine_in(*thread_id(), "i").affine);
 }
 
 TEST(StmtIndexTest, PreOrderNumberingCoversNestedBodies) {

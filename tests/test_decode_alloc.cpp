@@ -3,10 +3,11 @@
 // page pool and the decode scratch, then counts allocations over a
 // window of decode steps: decode_step lane by lane and decode_step_batch
 // over all lanes, at 1 and 4 lanes (and 16 for decode_step_batch), for
-// fp32 and int8 weights. It also counts one warmed train_step at 37
-// tokens (three KV pages) and at 288, the full packing length, steps at
-// new, shorter lengths after a 288-token one, and the first steps of a
-// fresh model (dense and LoRA) after Transformer::reserve_training.
+// fp32 and int8 weights and through an unmerged LoRA adapter. It also
+// counts one warmed train_step at 37 tokens (three KV pages) and at 288,
+// the full packing length, steps at new, shorter lengths after a
+// 288-token one, and the first steps of a fresh model (dense and LoRA)
+// after Transformer::reserve_training.
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,26 @@ TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
   for (const std::size_t lanes : {1u, 4u, 16u}) {
     EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
         << lanes << " lane(s)";
+  }
+}
+
+TEST(DecodeAllocLora, WarmedDecodeThroughUnmergedAdapterIsAllocationFree) {
+  // Checkpoints keep their LoRA adapters unmerged (`hpcgpt train --lora`
+  // then `ask` or `serve`), and so do Table 5's HPC-GPT (L1)/(L2) models:
+  // every projection of their decode adds the adapter's two GEMMs, whose
+  // intermediates live in the caller's BatchScratch.
+  core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
+  spec.pretrain_steps = 0;
+  core::HpcGpt model(spec, shared_tokenizer());
+  model.model().attach_lora(16, 32.0f, /*train_lora_only=*/true);
+  (void)decode_allocations(model.model(), 16, /*batched=*/true);
+  for (const std::size_t lanes : {1u, 4u}) {
+    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/false), 0u)
+        << "decode_step, " << lanes << " lane(s)";
+  }
+  for (const std::size_t lanes : {1u, 4u, 16u}) {
+    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
+        << "decode_step_batch, " << lanes << " lane(s)";
   }
 }
 

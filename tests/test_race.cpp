@@ -586,32 +586,5 @@ TEST(Features, ScansConstructs) {
   EXPECT_TRUE(f3.has_conditional);
 }
 
-TEST(Features, AffineDecomposition) {
-  const auto i = scalar_ref("i");
-  const AffineIndex plain = affine_in(*i, "i");
-  EXPECT_TRUE(plain.affine);
-  EXPECT_EQ(plain.scale, 1);
-  EXPECT_EQ(plain.offset, 0);
-
-  const auto shifted = bin_op('-', scalar_ref("i"), int_lit(3));
-  const AffineIndex s = affine_in(*shifted, "i");
-  EXPECT_TRUE(s.affine);
-  EXPECT_EQ(s.scale, 1);
-  EXPECT_EQ(s.offset, -3);
-
-  const auto scaled =
-      bin_op('+', bin_op('*', int_lit(2), scalar_ref("i")), int_lit(1));
-  const AffineIndex sc = affine_in(*scaled, "i");
-  EXPECT_TRUE(sc.affine);
-  EXPECT_EQ(sc.scale, 2);
-  EXPECT_EQ(sc.offset, 1);
-
-  const auto modular = bin_op('%', scalar_ref("i"), int_lit(2));
-  EXPECT_FALSE(affine_in(*modular, "i").affine);
-  EXPECT_FALSE(affine_in(*thread_id(), "i").affine);
-  const auto other = scalar_ref("j");
-  EXPECT_FALSE(affine_in(*other, "i").affine);
-}
-
 }  // namespace
 }  // namespace hpcgpt::race
