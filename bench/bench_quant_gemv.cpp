@@ -3,7 +3,9 @@
 // timed per storage format on the active ISA tier. The fp32 column is
 // the production decode path: nn::Linear::apply_rows runs
 // tensor::matmul on one row (KernelTable::gemm_f32), so it is timed on a
-// preallocated 1×in matrix. Prints the int8 and fp16 speedups over it.
+// preallocated 1×in matrix. int8 runs KernelTable::gemv_i8 and fp16 the
+// GEMM's fp16 entry (gemm_f16) on one row. Prints their speedups over
+// fp32.
 // Used interactively after kernel changes and as a perf-smoke ctest
 // entry (see tests/CMakeLists.txt) so the quantized path is exercised —
 // with a correctness cross-check — in sanitizer lanes too.

@@ -74,12 +74,11 @@ struct TrainStats {
 /// fixed binary tree whose pairing depends only on the step's sequence
 /// count, run in contiguous chunks of the element range on the step's
 /// workers; a single fused Adam pass then updates the flat master
-/// values. A replica copies them in before its next claim. Inside a step
-/// the tensor kernels run inline (ParallelInlineGuard): one replica per
-/// core beats re-fanning each GEMM across the global pool. Before its
-/// first claim of an epoch, each worker sizes its model's training
-/// caches for the epoch's longest sequence on its own thread
-/// (Transformer::reserve_training), so no step allocates.
+/// values. A replica copies them in before its next claim. The tensor
+/// kernels run on their worker's thread, so each replica keeps its own
+/// core. Before its first claim of an epoch, each worker sizes its
+/// model's training caches for the epoch's longest sequence on its own
+/// thread (Transformer::reserve_training), so no step allocates.
 ///
 /// Determinism: neither the worker that ran a sequence nor the timing
 /// can change a slot or the sum, so the weights and losses are bitwise

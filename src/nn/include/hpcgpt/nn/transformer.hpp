@@ -17,10 +17,10 @@ namespace hpcgpt::nn {
 /// only inference scratch type. Row r of every matrix belongs to row r
 /// of the call: a lane of a decode round, or a position of a prompt.
 /// ensure() sizes the buffers the forward reads row by row; the GEMM
-/// outputs size themselves on first use. Nothing reallocates while the
-/// row count stays the same, so steady-state decode makes no heap
-/// allocation (test_decode_alloc, up to 16 lanes; int8 rows fan out to
-/// the pool, which allocates, from 32 rows up). Three owners: the
+/// outputs size themselves on first use. Every buffer reshapes within its
+/// capacity, so once a call of the most rows has sized them, steady-state
+/// decode makes no heap allocation whatever the lane count, in every
+/// weight format (test_decode_alloc, up to 32 lanes). Three owners: the
 /// server keeps one for its decode rounds, each DecodeState one for its
 /// batch-of-one decode_step calls, and prefill one per call.
 struct BatchScratch {

@@ -78,8 +78,11 @@ std::uint32_t KvPagePool::ref_count(std::uint32_t page) const {
 }
 
 float* KvPagePool::mutable_data(std::uint32_t page) const {
-  // No lock: slab pointers are stable (growth appends slabs) and callers
-  // only dereference pages they hold a reference on.
+  // Under the lock: another thread's allocation may append a slab, which
+  // can move slabs_'s table while this reads it. The slabs themselves
+  // never move, so the pointer stays valid while the caller holds the
+  // page.
+  std::lock_guard<std::mutex> lock(mutex_);
   return slabs_[page / kPagesPerSlab].get() +
          (page % kPagesPerSlab) * page_floats();
 }

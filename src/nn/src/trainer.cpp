@@ -51,8 +51,7 @@ TrainerMetrics& trainer_metrics() {
 /// Runs fn(w) for every worker w < count: w = 0 on the calling thread,
 /// the others on `pool`, adopting the step's trace context. Returns once
 /// every call has, rethrowing the first exception, so no task outlives
-/// the caller's frame. Several workers each run under a
-/// ParallelInlineGuard; a lone worker keeps the kernels' own fan-out.
+/// the caller's frame.
 template <typename Fn>
 void run_workers(ThreadPool* pool, std::size_t count,
                  const obs::TraceContext& context, Fn& fn) {
@@ -66,15 +65,10 @@ void run_workers(ThreadPool* pool, std::size_t count,
     pending.reserve(count - 1);
     for (std::size_t w = 1; w < count; ++w) {
       pending.push_back(pool->submit([&fn, context, w] {
-        ParallelInlineGuard inline_guard;
         HPCGPT_TRACE_ADOPT(context);
         fn(w);
       }));
     }
-    // Worker 0 keeps the calling thread busy — and inline, so its tensor
-    // kernels don't steal the global pool out from under a caller that
-    // is itself a pool worker.
-    ParallelInlineGuard inline_guard;
     fn(0);
   } catch (...) {
     error = std::current_exception();

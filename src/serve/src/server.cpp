@@ -441,11 +441,7 @@ void InferenceServer::prefill_stream(Stream& stream) {
   HPCGPT_TRACE_ADOPT(stream.request.trace);
   HPCGPT_TRACE("serve.prefill");
   // Prefill parallelism is across lanes (the scheduler's parallel_for),
-  // never inside one lane. The fp32 GEMM always runs on its calling
-  // thread; the guard keeps a quantized model's row loops there too,
-  // because a lone lane runs here on the scheduler thread, where they
-  // would otherwise fan out to the pool.
-  ParallelInlineGuard inline_guard;
+  // never inside one lane: the tensor kernels run on their calling thread.
   try {
     // Prompt ingestion: one batched GEMM pass writes the K/V rows of the
     // non-cached suffix (state.length() positions were adopted from the

@@ -21,13 +21,14 @@ std::size_t usable_cores();
 
 /// A fixed-size worker pool with a shared FIFO task queue.
 ///
-/// This is the shared-memory parallel substrate for the whole repository:
-/// the tensor library's row loops (int8 rows, softmax_rows), the
-/// data-generation pipeline and the race detector evaluation harness all
-/// schedule work through it. The pool is
-/// intentionally simple — a mutex-protected deque — because tasks in this
-/// codebase are coarse (row blocks, whole test programs), so queue
-/// contention is negligible.
+/// Parallelism lives above the tensor kernels, which run on their calling
+/// thread: the inference server prefills its fresh lanes through the
+/// global pool and runs verify requests on it, the analysis service fans
+/// a request's functions across it, and the data-parallel trainer owns a
+/// pool with one thread per model replica. The pool is intentionally
+/// simple — a mutex-protected deque — because those tasks are coarse
+/// (whole prompts, functions, training sequences), so queue contention is
+/// negligible.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means usable_cores().
@@ -67,9 +68,6 @@ class ThreadPool {
   /// used.
   static ThreadPool& global();
 
-  /// True while a ParallelInlineGuard is alive on the calling thread.
-  static bool inline_region_active() noexcept;
-
  private:
   void worker_loop();
 
@@ -80,27 +78,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// RAII scope that forces every parallel_for issued from the calling
-/// thread to run inline (single-threaded), regardless of which pool it
-/// targets. This is how an outer parallel engine — the data-parallel
-/// trainer runs one model replica per OS thread — keeps the inner tensor
-/// kernels from re-submitting row blocks to the global pool: without the
-/// guard, W trainer threads would funnel their row chunks through the
-/// global queue, serializing on its workers instead of using their own
-/// core. Nestable; the effect ends when the outermost guard dies.
-class ParallelInlineGuard {
- public:
-  ParallelInlineGuard();
-  ~ParallelInlineGuard();
-  ParallelInlineGuard(const ParallelInlineGuard&) = delete;
-  ParallelInlineGuard& operator=(const ParallelInlineGuard&) = delete;
-};
-
 namespace detail {
 
 /// True when parallel_for over `n` iterations would run them all on the
-/// calling thread: an inline region or a nested call from one of the
-/// pool's workers, or a range too small to split at `grain`.
+/// calling thread: a nested call from one of the pool's workers, or a
+/// range too small to split at `grain`.
 bool runs_inline(const ThreadPool& pool, std::size_t n,
                  std::size_t grain) noexcept;
 
@@ -116,15 +98,13 @@ void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
 /// across `pool`. Blocks until all chunks complete. Exceptions thrown by
 /// `body` propagate to the caller (the first one wins).
 ///
-/// The chunking is static — (end-begin) is divided evenly across workers —
-/// which matches the regular, equally-sized iterations this codebase
-/// produces (tensor rows, test cases). `grain` bounds the minimum chunk so
-/// tiny ranges run inline without synchronization cost.
+/// The chunking is static — (end-begin) is divided evenly across workers.
+/// `grain` bounds the minimum chunk so tiny ranges run inline without
+/// synchronization cost.
 ///
 /// The inline decision comes before `body` is type-erased, so a range
-/// that runs inline never wraps it in a std::function: the int8 rows of
-/// a decode round stay allocation-free. Only a pooled range wraps it, by
-/// reference.
+/// that runs inline never wraps it in a std::function and allocates
+/// nothing. Only a pooled range wraps it, by reference.
 ///
 /// Safe to call from inside a task running on `pool`: a nested call runs
 /// the whole range inline on the calling worker (never self-deadlocks).

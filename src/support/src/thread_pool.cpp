@@ -25,9 +25,6 @@ namespace {
 // The pool (if any) whose worker_loop owns the current thread.
 thread_local const ThreadPool* current_pool = nullptr;
 
-// Depth of ParallelInlineGuard scopes alive on the current thread.
-thread_local int inline_region_depth = 0;
-
 // Static chunk count of a pooled range: one per worker, each at least
 // `grain` iterations.
 std::size_t chunk_count(const ThreadPool& pool, std::size_t n,
@@ -41,14 +38,6 @@ std::size_t chunk_count(const ThreadPool& pool, std::size_t n,
 bool ThreadPool::on_worker_thread() const noexcept {
   return current_pool == this;
 }
-
-bool ThreadPool::inline_region_active() noexcept {
-  return inline_region_depth > 0;
-}
-
-ParallelInlineGuard::ParallelInlineGuard() { ++inline_region_depth; }
-
-ParallelInlineGuard::~ParallelInlineGuard() { --inline_region_depth; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = usable_cores();
@@ -91,15 +80,10 @@ namespace detail {
 
 bool runs_inline(const ThreadPool& pool, std::size_t n,
                  std::size_t grain) noexcept {
-  // An outer engine owns this thread's parallelism (see
-  // ParallelInlineGuard), or this is a nested region issued from one of
-  // the pool's own workers: submitting and waiting there could deadlock —
-  // every worker might be blocked inside the wait with the chunks queued
-  // behind them.
-  if (ThreadPool::inline_region_active() || pool.on_worker_thread()) {
-    return true;
-  }
-  return chunk_count(pool, n, grain) <= 1;
+  // A nested region issued from one of the pool's own workers runs
+  // inline: submitting and waiting there could deadlock — every worker
+  // might be blocked inside the wait with the chunks queued behind them.
+  return pool.on_worker_thread() || chunk_count(pool, n, grain) <= 1;
 }
 
 void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,

@@ -8,17 +8,18 @@
 
 namespace hpcgpt::tensor::kernels {
 
-/// Instruction-set tiers of the micro-kernels (fp32 GEMM, quantized
-/// GEMV, attention), best-first. The active tier is probed from cpuid at
-/// first use (see active()); every tier computes bitwise-identical fp32
-/// GEMM and int8 results (the GEMM rounds one FMA per step in a fixed k
-/// order, and the int8 dot products accumulate in exact int32 arithmetic,
-/// so vector width cannot change the answer — asserted tier-vs-tier in
+/// Instruction-set tiers of the micro-kernels (GEMM, int8 GEMV,
+/// attention), best-first. The active tier is probed from cpuid at first
+/// use (see active()); every tier computes bitwise-identical GEMM results
+/// over fp32 and fp16 weights and int8 GEMV results (the GEMM rounds one
+/// FMA per step in a fixed k order over exactly widened weights, and the
+/// int8 dot products accumulate in exact int32 arithmetic, so vector
+/// width cannot change the answer — asserted tier-vs-tier in
 /// test_kernels.cpp).
 enum class IsaTier {
   Scalar = 0,  ///< portable C++ fallback — always supported
   Neon,        ///< aarch64 NEON (int16-widening multiply-accumulate)
-  Avx2,        ///< x86 AVX2 (vpmaddubsw sign-trick) + F16C/FMA for fp16
+  Avx2,        ///< x86 AVX2 (vpmaddubsw sign-trick) + FMA, F16C for fp16
   Avx512,      ///< x86 AVX-512 F/BW/VL/VNNI (vpdpbusd offset-binary)
 };
 
@@ -64,6 +65,14 @@ struct KernelTable {
                    const float* b, float* c, std::size_t m, std::size_t k,
                    std::size_t n, bool accumulate);
 
+  /// gemm_f32 with B held as binary16 bits (row-major k×n, the layout of
+  /// QuantizedMatrix's fp16 weights): the same tiles and FMA chains, each
+  /// weight widened to fp32 (exactly) as it is loaded. It returns the
+  /// bits gemm_f32 returns over the widened B, on every tier.
+  void (*gemm_f16)(const float* a, std::size_t a_rs, std::size_t a_cs,
+                   const std::uint16_t* b, float* c, std::size_t m,
+                   std::size_t k, std::size_t n, bool accumulate);
+
   /// Quantized GEMV: y[j] = (float(dot_j) * xscale) * wscale[j] where
   /// dot_j = Σ_i qx[i]·w_ij in exact int32. `w` is quad-interleaved:
   /// input rows are grouped four at a time and each group stores all
@@ -77,16 +86,6 @@ struct KernelTable {
   void (*gemv_i8)(const std::int8_t* qx, const std::int8_t* w,
                   const std::int32_t* colsum, const float* wscale,
                   float xscale, std::size_t in, std::size_t out, float* y);
-
-  /// Half-precision GEMV: y[j] = Σ_i x[i] * fp16_to_fp32(w[i*out + j]).
-  /// `w` is row-major in×out binary16 bits (same layout as the fp32
-  /// Matrix it came from); the SIMD tiers broadcast one activation and
-  /// fma into resident column accumulators. fp16→fp32 conversion is
-  /// exact everywhere; only the float accumulation order is
-  /// tier-internal, so fp16 results are accuracy-bounded
-  /// (test_quant.cpp) rather than bitwise-pinned.
-  void (*gemv_f16)(const float* x, const std::uint16_t* w, std::size_t in,
-                   std::size_t out, float* y);
 
   // --- paged fp32 attention helpers -------------------------------------
   // Causal attention against the block-paged KV cache, for inference and

@@ -18,20 +18,24 @@ enum class QuantMode : std::uint8_t { Fp32 = 0, Fp16 = 1, Int8 = 2 };
 const char* quant_mode_name(QuantMode mode);
 std::optional<QuantMode> parse_quant_mode(std::string_view name);
 
-/// A weight matrix packed for the quantized GEMV/GEMM kernels.
+/// A weight matrix packed for the int8 GEMV and the fp16 GEMM kernels.
 ///
 /// The logical shape matches the fp32 weight it was quantized from: an
-/// in×out matrix applied as y = x·W. Storage is transposed to
-/// channel-major — one contiguous row per *output* channel, `in` padded
-/// with zeros to the kernels' chunk size — so the batch-1 decode GEMV
-/// streams each channel's weights sequentially.
+/// in×out matrix applied as y = x·W.
 ///
 /// Int8 uses symmetric per-output-channel scales: channel j stores
 /// round(w[:,j] / scale[j]) with scale[j] = max|w[:,j]| / 127, plus the
 /// channel's int8 column sum (needed by the AVX-512 VNNI offset-binary
-/// kernel). Activations are quantized dynamically per row at call time.
-/// Fp16 stores IEEE binary16 bits. Dispatch to the SIMD tier happens per
-/// call through tensor::kernels::active().
+/// kernel). The bytes are quad-interleaved for KernelTable::gemv_i8 (in
+/// padded with zeros to 16): input rows in groups of four, each group
+/// holding every channel's 4-byte quad contiguously. Activations are
+/// quantized dynamically per row at call time.
+///
+/// Fp16 stores IEEE binary16 bits row-major in×out, the fp32 Matrix's
+/// own layout, which KernelTable::gemm_f16 reads as its B operand: an
+/// fp16 product returns the bits the fp32 GEMM returns over dequantize().
+/// Dispatch to the SIMD tier happens per call through
+/// tensor::kernels::active().
 class QuantizedMatrix {
  public:
   QuantizedMatrix() = default;
@@ -68,8 +72,10 @@ class QuantizedMatrix {
   void gemv_prequant(const std::int8_t* qx, float xscale,
                      std::span<float> y) const;
 
-  /// out = x·W row-wise (x: m×in → out: m×out), parallel over rows.
-  /// Resizes `out` as needed.
+  /// out = x·W (x: m×in → out: m×out) on the calling thread: one
+  /// gemm_f16 call over all rows for fp16, a gemv per row for int8. Row r
+  /// of `out` equals gemv(x.row(r)) bit for bit. Reshapes `out` within
+  /// its capacity (Matrix::resize).
   void matmul(const Matrix& x, Matrix& out) const;
 
   /// Int8 only: matmul() over `m` activation rows already quantized —
@@ -87,10 +93,10 @@ class QuantizedMatrix {
   std::size_t cols_ = 0;       // logical out
   std::size_t in_padded_ = 0;  // packed row length
   QuantMode mode_ = QuantMode::Fp32;
-  std::vector<std::int8_t> q_;        // Int8: cols_ × in_padded_
+  std::vector<std::int8_t> q_;        // Int8: in_padded_ × cols_, quads
   std::vector<std::int32_t> colsum_;  // Int8: per channel Σ_i q
   std::vector<float> scale_;          // Int8: per channel
-  std::vector<std::uint16_t> h_;      // Fp16: cols_ × in_padded_ (bits)
+  std::vector<std::uint16_t> h_;      // Fp16: rows_ × cols_ (bits)
 };
 
 }  // namespace hpcgpt::tensor

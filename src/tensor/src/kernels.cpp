@@ -51,18 +51,6 @@ void gemv_i8_scalar(const std::int8_t* qx, const std::int8_t* w,
   }
 }
 
-void gemv_f16_scalar(const float* x, const std::uint16_t* w, std::size_t in,
-                     std::size_t out, float* y) {
-  for (std::size_t j = 0; j < out; ++j) {
-    float acc = 0.0f;
-    const std::uint16_t* wj = w + j;
-    for (std::size_t i = 0; i < in; ++i) {
-      acc += x[i] * Half::from_bits(wj[i * out]).to_float();
-    }
-    y[j] = acc;
-  }
-}
-
 // --- scalar fp32 attention helpers ----------------------------------------
 // The scores loop over one contiguous feature-major K block (stride
 // `stride` between features); the paged kernel below runs it once per
@@ -186,30 +174,40 @@ void silu_mul_scalar(float* gate, const float* up, std::size_t n) {
   }
 }
 
-// --- fp32 GEMM -------------------------------------------------------------
+// --- GEMM ------------------------------------------------------------------
 // std::fma rounds once per step, exactly like one lane of a vector FMA,
 // so this loop is the reference the SIMD tiers reproduce bit for bit:
-// they only tile the same per-element chains into registers.
+// they only tile the same per-element chains into registers. B holds
+// fp32 or binary16 elements; widen() turns either into the exact float
+// the chain multiplies.
 
-void gemm_f32_scalar(const float* a, std::size_t a_rs, std::size_t a_cs,
-                     const float* b, float* c, std::size_t m, std::size_t k,
-                     std::size_t n, bool accumulate) {
+inline float widen(float v) { return v; }
+inline float widen(std::uint16_t h) { return Half::from_bits(h).to_float(); }
+
+template <class B>
+void gemm_scalar(const float* a, std::size_t a_rs, std::size_t a_cs,
+                 const B* b, float* c, std::size_t m, std::size_t k,
+                 std::size_t n, bool accumulate) {
   for (std::size_t i = 0; i < m; ++i) {
     float* __restrict ci = c + i * n;
     if (!accumulate) std::fill(ci, ci + n, 0.0f);
     for (std::size_t p = 0; p < k; ++p) {
       const float aip = a[i * a_rs + p * a_cs];
-      const float* __restrict bp = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] = std::fma(aip, bp[j], ci[j]);
+      const B* __restrict bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        ci[j] = std::fma(aip, widen(bp[j]), ci[j]);
+      }
     }
   }
 }
 
-/// The operands of one gemm_f32 call, shared by the register-tiled tiers.
+/// The operands of one GEMM call, shared by the register-tiled tiers; B's
+/// elements are float or binary16 bits.
+template <class B>
 struct GemmArgs {
   const float* a;
   std::size_t a_rs, a_cs;
-  const float* b;
+  const B* b;
   float* c;
   std::size_t m, k, n;
   bool accumulate;
@@ -307,68 +305,6 @@ __attribute__((target("avx2"))) void gemv_i8_avx2(
   }
   for (; j < out; ++j) {
     y[j] = scale_dot(dot_col_i8(qx, w, j, blocks, out), xscale, wscale[j]);
-  }
-}
-
-// fp16 via F16C upconvert + FMA over row-major weights: broadcast one
-// activation, fma into resident column accumulators. Requires f16c+fma
-// in addition to avx2; probed separately so an AVX2-only CPU gets the
-// scalar fp16 kernel.
-__attribute__((target("avx2,fma,f16c"))) void gemv_f16_f16c(
-    const float* x, const std::uint16_t* w, std::size_t in, std::size_t out,
-    float* y) {
-  std::size_t j = 0;
-  for (; j + 32 <= out; j += 32) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    for (std::size_t i = 0; i < in; ++i) {
-      const __m256 xb = _mm256_set1_ps(x[i]);
-      const std::uint16_t* wr = w + i * out + j;
-      acc0 = _mm256_fmadd_ps(
-          xb,
-          _mm256_cvtph_ps(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr))),
-          acc0);
-      acc1 = _mm256_fmadd_ps(
-          xb,
-          _mm256_cvtph_ps(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + 8))),
-          acc1);
-      acc2 = _mm256_fmadd_ps(
-          xb,
-          _mm256_cvtph_ps(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + 16))),
-          acc2);
-      acc3 = _mm256_fmadd_ps(
-          xb,
-          _mm256_cvtph_ps(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + 24))),
-          acc3);
-    }
-    _mm256_storeu_ps(y + j, acc0);
-    _mm256_storeu_ps(y + j + 8, acc1);
-    _mm256_storeu_ps(y + j + 16, acc2);
-    _mm256_storeu_ps(y + j + 24, acc3);
-  }
-  for (; j + 8 <= out; j += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t i = 0; i < in; ++i) {
-      acc = _mm256_fmadd_ps(
-          _mm256_set1_ps(x[i]),
-          _mm256_cvtph_ps(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w + i * out + j))),
-          acc);
-    }
-    _mm256_storeu_ps(y + j, acc);
-  }
-  for (; j < out; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < in; ++i) {
-      acc += x[i] * Half::from_bits(w[i * out + j]).to_float();
-    }
-    y[j] = acc;
   }
 }
 
@@ -657,18 +593,45 @@ alignas(32) constexpr std::int32_t kLaneMask8[16] = {-1, -1, -1, -1, -1, -1,
                                                      -1, -1, 0,  0,  0,  0,
                                                      0,  0,  0,  0};
 
+#define HPCGPT_AVX2_GEMM_TARGET "avx2,fma,f16c"
+
 struct Avx2Gemm {
   static constexpr std::size_t kWidth = 8;
   static constexpr int kRows = 6;
   static constexpr int kVecs = 2;
 
+  /// Eight B elements at p, widened to float.
+  __attribute__((target(HPCGPT_AVX2_GEMM_TARGET))) static __m256 load(
+      const float* p) {
+    return _mm256_loadu_ps(p);
+  }
+  __attribute__((target(HPCGPT_AVX2_GEMM_TARGET))) static __m256 load(
+      const std::uint16_t* p) {
+    return _mm256_cvtph_ps(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+
+  /// The first `last` (1..8) B elements at p, widened to float; the lanes
+  /// past them read as zero. AVX2 cannot mask a 16-bit load, so a partial
+  /// binary16 vector is copied into a zeroed chunk first: nothing reads
+  /// past B.
+  __attribute__((target(HPCGPT_AVX2_GEMM_TARGET))) static __m256 load_tail(
+      const float* p, __m256i tail, std::size_t /*last*/) {
+    return _mm256_maskload_ps(p, tail);
+  }
+  __attribute__((target(HPCGPT_AVX2_GEMM_TARGET))) static __m256 load_tail(
+      const std::uint16_t* p, __m256i /*tail*/, std::size_t last) {
+    if (last == kWidth) return load(p);
+    alignas(16) std::uint16_t chunk[kWidth] = {};
+    std::memcpy(chunk, p, last * sizeof(std::uint16_t));
+    return load(chunk);
+  }
+
   /// C rows [i, i+MR) × columns [j, j + 8·NV): the last vector holds
   /// `last` (1..8) columns and is read and written masked.
-  template <int MR, int NV>
-  __attribute__((target("avx2,fma"))) static void tile(const GemmArgs& g,
-                                                       std::size_t i,
-                                                       std::size_t j,
-                                                       std::size_t last) {
+  template <int MR, int NV, class B>
+  __attribute__((target(HPCGPT_AVX2_GEMM_TARGET))) static void tile(
+      const GemmArgs<B>& g, std::size_t i, std::size_t j, std::size_t last) {
     const std::size_t n = g.n, k = g.k, a_rs = g.a_rs, a_cs = g.a_cs;
     const __m256i tail = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(kLaneMask8 + 8 - last));
@@ -685,12 +648,12 @@ struct Avx2Gemm {
       }
     }
     const float* a = g.a + i * a_rs;
-    const float* b = g.b + j;
+    const B* b = g.b + j;
     for (std::size_t p = 0; p < k; ++p, a += a_cs, b += n) {
       __m256 bv[NV];
 #pragma GCC unroll 8
-      for (int v = 0; v + 1 < NV; ++v) bv[v] = _mm256_loadu_ps(b + 8 * v);
-      bv[NV - 1] = _mm256_maskload_ps(b + 8 * (NV - 1), tail);
+      for (int v = 0; v + 1 < NV; ++v) bv[v] = load(b + 8 * v);
+      bv[NV - 1] = load_tail(b + 8 * (NV - 1), tail, last);
 #pragma GCC unroll 8
       for (int r = 0; r < MR; ++r) {
         const __m256 ar = _mm256_broadcast_ss(a + r * a_rs);
@@ -841,45 +804,6 @@ __attribute__((target(HPCGPT_AVX512_TARGET))) inline __m512 load_half16_avx512(
     const std::uint16_t* p) {
   return _mm512_maskz_cvtph_ps(
       kAll16, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-}
-
-__attribute__((target(HPCGPT_AVX512_TARGET ",f16c,fma"))) void
-gemv_f16_avx512(const float* x, const std::uint16_t* w, std::size_t in,
-                std::size_t out, float* y) {
-  std::size_t j = 0;
-  for (; j + 64 <= out; j += 64) {
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    __m512 acc2 = _mm512_setzero_ps();
-    __m512 acc3 = _mm512_setzero_ps();
-    for (std::size_t i = 0; i < in; ++i) {
-      const __m512 xb = _mm512_set1_ps(x[i]);
-      const std::uint16_t* wr = w + i * out + j;
-      acc0 = _mm512_fmadd_ps(xb, load_half16_avx512(wr), acc0);
-      acc1 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 16), acc1);
-      acc2 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 32), acc2);
-      acc3 = _mm512_fmadd_ps(xb, load_half16_avx512(wr + 48), acc3);
-    }
-    _mm512_storeu_ps(y + j, acc0);
-    _mm512_storeu_ps(y + j + 16, acc1);
-    _mm512_storeu_ps(y + j + 32, acc2);
-    _mm512_storeu_ps(y + j + 48, acc3);
-  }
-  for (; j + 16 <= out; j += 16) {
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t i = 0; i < in; ++i) {
-      acc = _mm512_fmadd_ps(_mm512_set1_ps(x[i]),
-                            load_half16_avx512(w + i * out + j), acc);
-    }
-    _mm512_storeu_ps(y + j, acc);
-  }
-  for (; j < out; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < in; ++i) {
-      acc += x[i] * Half::from_bits(w[i * out + j]).to_float();
-    }
-    y[j] = acc;
-  }
 }
 
 // AVX-512 attention helpers: 16-wide with masked tails, so every length
@@ -1218,11 +1142,22 @@ struct Avx512Gemm {
   static constexpr int kRows = 7;
   static constexpr int kVecs = 3;
 
+  /// The B elements at p in mask m's lanes, widened to float; the other
+  /// lanes read as zero.
+  __attribute__((target(HPCGPT_AVX512_TARGET))) static __m512 load(
+      const float* p, __mmask16 m) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  __attribute__((target(HPCGPT_AVX512_TARGET))) static __m512 load(
+      const std::uint16_t* p, __mmask16 m) {
+    return _mm512_maskz_cvtph_ps(kAll16, _mm256_maskz_loadu_epi16(m, p));
+  }
+
   /// C rows [i, i+MR) × columns [j, j + 16·NV): the last vector holds
   /// `last` (1..16) columns and is read and written masked.
-  template <int MR, int NV>
+  template <int MR, int NV, class B>
   __attribute__((target(HPCGPT_AVX512_TARGET))) static void tile(
-      const GemmArgs& g, std::size_t i, std::size_t j, std::size_t last) {
+      const GemmArgs<B>& g, std::size_t i, std::size_t j, std::size_t last) {
     const std::size_t n = g.n, k = g.k, a_rs = g.a_rs, a_cs = g.a_cs;
     const auto tail = static_cast<__mmask16>((1u << last) - 1u);
     float* c = g.c + i * n + j;
@@ -1238,12 +1173,12 @@ struct Avx512Gemm {
       }
     }
     const float* a = g.a + i * a_rs;
-    const float* b = g.b + j;
+    const B* b = g.b + j;
     for (std::size_t p = 0; p < k; ++p, a += a_cs, b += n) {
       __m512 bv[NV];
 #pragma GCC unroll 8
       for (int v = 0; v < NV; ++v) {
-        bv[v] = _mm512_maskz_loadu_ps(v + 1 < NV ? kAll16 : tail, b + 16 * v);
+        bv[v] = load(b + 16 * v, v + 1 < NV ? kAll16 : tail);
       }
 #pragma GCC unroll 8
       for (int r = 0; r < MR; ++r) {
@@ -1271,8 +1206,8 @@ struct Avx512Gemm {
 
 /// Row block [i, i+MR) across columns [j, n) in tiles of NV vectors; a
 /// partial last tile narrows to the fewest vectors that cover it.
-template <class Isa, int MR, int NV>
-void gemm_panel(const GemmArgs& g, std::size_t i, std::size_t j) {
+template <class Isa, int MR, int NV, class B>
+void gemm_panel(const GemmArgs<B>& g, std::size_t i, std::size_t j) {
   constexpr std::size_t w = Isa::kWidth;
   for (; j + w * NV <= g.n; j += w * NV) {
     Isa::template tile<MR, NV>(g, i, j, w);
@@ -1286,19 +1221,19 @@ void gemm_panel(const GemmArgs& g, std::size_t i, std::size_t j) {
 }
 
 /// Rows [i, m) in blocks of MR; the leftover rows take one shorter block.
-template <class Isa, int MR, int NV>
-void gemm_rows(const GemmArgs& g, std::size_t i) {
+template <class Isa, int MR, int NV, class B>
+void gemm_rows(const GemmArgs<B>& g, std::size_t i) {
   for (; i + MR <= g.m; i += MR) gemm_panel<Isa, MR, NV>(g, i, 0);
   if constexpr (MR > 1) {
     if (i < g.m) gemm_rows<Isa, MR - 1, NV>(g, i);
   }
 }
 
-template <class Isa>
+template <class Isa, class B>
 void gemm_tiled(const float* a, std::size_t a_rs, std::size_t a_cs,
-                const float* b, float* c, std::size_t m, std::size_t k,
+                const B* b, float* c, std::size_t m, std::size_t k,
                 std::size_t n, bool accumulate) {
-  const GemmArgs g{a, a_rs, a_cs, b, c, m, k, n, accumulate};
+  const GemmArgs<B> g{a, a_rs, a_cs, b, c, m, k, n, accumulate};
   if (m < 4) {
     // GEMV-shaped calls (decode rounds of up to 3 lanes): one row up to 8
     // vectors wide, so more independent FMA chains hide the latency.
@@ -1347,8 +1282,8 @@ void gemv_i8_neon(const std::int8_t* qx, const std::int8_t* w,
 
 const KernelTable kScalarTable = {
     IsaTier::Scalar,          "scalar",
-    gemm_f32_scalar,
-    gemv_i8_scalar,           gemv_f16_scalar,
+    gemm_scalar<float>,       gemm_scalar<std::uint16_t>,
+    gemv_i8_scalar,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     attn_rank1_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,
@@ -1360,16 +1295,17 @@ bool cpu_has_f16c_fma() {
 }
 
 const KernelTable& avx2_table() {
-  // The fp32 GEMM and attention helpers want FMA on top of avx2; an
-  // AVX2-only CPU (no such silicon in practice, but the probe is honest)
-  // keeps the scalar versions.
+  // The GEMM and attention helpers want FMA on top of avx2, and the fp16
+  // GEMM F16C too; an AVX2-only CPU (no such silicon in practice, but the
+  // probe is honest) keeps the scalar versions.
   const bool fma = __builtin_cpu_supports("fma");
   static const KernelTable t = {
       IsaTier::Avx2,
       "avx2",
-      fma ? gemm_tiled<Avx2Gemm> : gemm_f32_scalar,
+      fma ? gemm_tiled<Avx2Gemm, float> : gemm_scalar<float>,
+      cpu_has_f16c_fma() ? gemm_tiled<Avx2Gemm, std::uint16_t>
+                         : gemm_scalar<std::uint16_t>,
       gemv_i8_avx2,
-      cpu_has_f16c_fma() ? gemv_f16_f16c : gemv_f16_scalar,
       fma ? attn_scores_paged_avx2 : attn_scores_paged_scalar,
       fma ? attn_values_paged_avx2 : attn_values_paged_scalar,
       attn_rank1_paged_scalar,
@@ -1384,9 +1320,10 @@ const KernelTable& avx512_table() {
   static const KernelTable t = {
       IsaTier::Avx512,
       "avx512",
-      gemm_tiled<Avx512Gemm>,
+      gemm_tiled<Avx512Gemm, float>,
+      cpu_has_f16c_fma() ? gemm_tiled<Avx512Gemm, std::uint16_t>
+                         : gemm_scalar<std::uint16_t>,
       gemv_i8_avx512,
-      cpu_has_f16c_fma() ? gemv_f16_avx512 : gemv_f16_scalar,
       attn_scores_paged_avx512,
       attn_values_paged_avx512,
       attn_rank1_paged_avx512,
@@ -1404,8 +1341,8 @@ const KernelTable& avx512_table() {
 // nothing the int8 kernel doesn't.
 const KernelTable kNeonTable = {
     IsaTier::Neon,            "neon",
-    gemm_f32_scalar,
-    gemv_i8_neon,             gemv_f16_scalar,
+    gemm_scalar<float>,       gemm_scalar<std::uint16_t>,
+    gemv_i8_neon,
     attn_scores_paged_scalar, attn_values_paged_scalar,
     attn_rank1_paged_scalar,
     softmax_row_scalar,       add_half_rows_scalar,

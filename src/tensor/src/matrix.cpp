@@ -6,7 +6,6 @@
 #include "hpcgpt/obs/metrics.hpp"
 #include "hpcgpt/obs/trace.hpp"
 #include "hpcgpt/support/error.hpp"
-#include "hpcgpt/support/thread_pool.hpp"
 #include "hpcgpt/tensor/kernels.hpp"
 
 namespace hpcgpt::tensor {
@@ -50,10 +49,6 @@ Matrix Matrix::from_half(std::size_t rows, std::size_t cols,
 
 namespace {
 
-// Rows per task of softmax_rows' parallel_for: short logit matrices
-// stay on the calling thread.
-constexpr std::size_t kRowGrain = 16;
-
 void check_inner(std::size_t a, std::size_t b, const char* what) {
   // The message is built only on failure: this runs on every GEMM,
   // including each per-token decode projection.
@@ -65,8 +60,8 @@ void check_inner(std::size_t a, std::size_t b, const char* what) {
 
 // Every entry point runs the one fp32 kernel (kernels::KernelTable::
 // gemm_f32) on the calling thread. Parallelism belongs to the layers
-// above — serve lanes, trainer workers, evaluation fan-out — and a pool
-// round trip costs more than a whole prefill-sized product here.
+// above — serve lanes, trainer workers — and a pool round trip costs
+// more than a whole prefill-sized product here.
 
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& out, bool accumulate) {
   check_inner(a.cols(), b.rows(), "A*B");
@@ -170,14 +165,15 @@ void hadamard_inplace(Matrix& target, const Matrix& factor) {
 }
 
 void softmax_rows(Matrix& m) {
-  // Row-parallel: each row is independent. The exponentials are the
-  // attention softmax's kernel (fast_expf, vectorized per ISA tier).
+  // The exponentials are the attention softmax's kernel (fast_expf,
+  // vectorized per ISA tier); rows run on the calling thread, as the GEMM
+  // does.
   const kernels::KernelTable& kt = kernels::active();
-  parallel_for(0, m.rows(), [&](std::size_t r) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
     auto row = m.row(r);
     const float inv = kt.softmax_row(row.data(), row.size());
     for (float& x : row) x *= inv;
-  }, kRowGrain);
+  }
 }
 
 }  // namespace hpcgpt::tensor

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "hpcgpt/support/error.hpp"
-#include "hpcgpt/support/thread_pool.hpp"
 #include "hpcgpt/tensor/half.hpp"
 #include "hpcgpt/tensor/kernels.hpp"
 
@@ -13,15 +12,14 @@ namespace hpcgpt::tensor {
 namespace {
 
 constexpr std::size_t kInt8Pad = 16;  // int8 kernels consume 4-row quads
-constexpr std::size_t kRowGrain = 16;
 
 std::size_t pad_to(std::size_t n, std::size_t unit) {
   return (n + unit - 1) / unit * unit;
 }
 
-// Per-thread staging for the dynamically quantized activation row; serve
-// decodes from many lanes concurrently and matmul() fans rows across the
-// pool, so this must not be shared.
+// Per-thread staging for the dynamically quantized activation row: the
+// server prefills its lanes on several threads at once, so this must not
+// be shared.
 struct ActScratch {
   std::vector<std::int8_t> qx;
 };
@@ -131,18 +129,18 @@ Matrix QuantizedMatrix::dequantize() const {
 void QuantizedMatrix::gemv(std::span<const float> x, std::span<float> y) const {
   require(x.size() == rows_ && y.size() == cols_,
                  "QuantizedMatrix::gemv: shape mismatch");
-  const kernels::KernelTable& k = kernels::active();
-  if (mode_ == QuantMode::Int8) {
-    ActScratch& s = scratch();
-    if (s.qx.size() < in_padded_) {
-      s.qx.resize(in_padded_);
-    }
-    const float xscale =
-        kernels::quantize_row_i8(x.data(), rows_, in_padded_, s.qx.data());
-    gemv_prequant(s.qx.data(), xscale, y);
-  } else {
-    k.gemv_f16(x.data(), h_.data(), rows_, cols_, y.data());
+  if (mode_ == QuantMode::Fp16) {
+    kernels::active().gemm_f16(x.data(), rows_, 1, h_.data(), y.data(), 1,
+                               rows_, cols_, false);
+    return;
   }
+  ActScratch& s = scratch();
+  if (s.qx.size() < in_padded_) {
+    s.qx.resize(in_padded_);
+  }
+  const float xscale =
+      kernels::quantize_row_i8(x.data(), rows_, in_padded_, s.qx.data());
+  gemv_prequant(s.qx.data(), xscale, y);
 }
 
 void QuantizedMatrix::gemv_prequant(const std::int8_t* qx, float xscale,
@@ -159,24 +157,22 @@ void QuantizedMatrix::gemv_prequant(const std::int8_t* qx, float xscale,
 
 void QuantizedMatrix::matmul(const Matrix& x, Matrix& out) const {
   require(x.cols() == rows_, "QuantizedMatrix::matmul: shape mismatch");
-  if (out.rows() != x.rows() || out.cols() != cols_) {
-    out = Matrix(x.rows(), cols_);
+  out.resize(x.rows(), cols_);
+  if (mode_ == QuantMode::Fp16) {
+    kernels::active().gemm_f16(x.data(), rows_, 1, h_.data(), out.data(),
+                               x.rows(), rows_, cols_, false);
+    return;
   }
-  parallel_for(
-      0, x.rows(),
-      [&](std::size_t r) { gemv(x.row(r), out.row(r)); }, kRowGrain);
+  for (std::size_t r = 0; r < x.rows(); ++r) gemv(x.row(r), out.row(r));
 }
 
 void QuantizedMatrix::matmul_prequant(const std::int8_t* qx,
                                       const float* xscale, std::size_t m,
                                       Matrix& out) const {
-  if (out.rows() != m || out.cols() != cols_) out = Matrix(m, cols_);
-  parallel_for(
-      0, m,
-      [&](std::size_t r) {
-        gemv_prequant(qx + r * in_padded_, xscale[r], out.row(r));
-      },
-      kRowGrain);
+  out.resize(m, cols_);
+  for (std::size_t r = 0; r < m; ++r) {
+    gemv_prequant(qx + r * in_padded_, xscale[r], out.row(r));
+  }
 }
 
 }  // namespace hpcgpt::tensor

@@ -2,8 +2,9 @@
 // replaces the global operator new with a counting one, warms a model's
 // page pool and the decode scratch, then counts allocations over a
 // window of decode steps: decode_step lane by lane and decode_step_batch
-// over all lanes, at 1 and 4 lanes (and 16 for decode_step_batch), for
-// fp32 and int8 weights and through an unmerged LoRA adapter. It also
+// over all lanes, at 1 and 4 lanes (and 16 and 32 for decode_step_batch,
+// and rounds alternating between 16 and 4 lanes), for fp32, fp16 and
+// int8 weights and through an unmerged LoRA adapter. It also
 // counts one warmed train_step at 37 tokens (three KV pages) and at 288,
 // the full packing length, steps at new, shorter lengths after a
 // 288-token one, and the first steps of a fresh model (dense and LoRA)
@@ -21,7 +22,6 @@
 
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/support/rng.hpp"
-#include "hpcgpt/support/thread_pool.hpp"
 
 namespace {
 
@@ -58,14 +58,17 @@ text::TokenId argmax(std::span<const float> logits) {
       logits.begin(), std::max_element(logits.begin(), logits.end())));
 }
 
-/// Prefills `lanes` fresh sessions of `m` with 64-token prompts, then
-/// decodes greedily — lane by lane through decode_step, or all lanes per
-/// round through decode_step_batch. Returns the operator new calls of the
-/// kSteps steps that follow kWarmupSteps unmeasured ones (the warm-up
-/// sizes the scratch buffers).
-std::size_t decode_allocations(const nn::Transformer& m, std::size_t lanes,
+/// Prefills fresh sessions of `m` with 64-token prompts, as many as the
+/// most lanes `rounds` names, then decodes greedily: round i advances the
+/// first rounds[i % rounds.size()] lanes, lane by lane through
+/// decode_step, or all of them through one decode_step_batch call.
+/// Returns the operator new calls of the kSteps rounds that follow
+/// kWarmupSteps unmeasured ones (the warm-up sizes the scratch buffers).
+std::size_t decode_allocations(const nn::Transformer& m,
+                               std::initializer_list<std::size_t> rounds,
                                bool batched) {
   const std::size_t vocab = m.config().vocab_size;
+  const std::size_t lanes = std::max(rounds);
   Rng rng(lanes);
   std::vector<nn::DecodeState> states;
   std::vector<text::TokenId> next(lanes);
@@ -80,13 +83,15 @@ std::size_t decode_allocations(const nn::Transformer& m, std::size_t lanes,
   std::vector<nn::DecodeState*> lane_ptrs;
   for (auto& s : states) lane_ptrs.push_back(&s);
   nn::BatchScratch scratch;
+  std::size_t round = 0;
   const auto step = [&] {
+    const std::size_t n = rounds.begin()[round++ % rounds.size()];
     if (batched) {
-      const tensor::Matrix& logits =
-          m.decode_step_batch(lane_ptrs, next, scratch);
-      for (std::size_t b = 0; b < lanes; ++b) next[b] = argmax(logits.row(b));
+      const tensor::Matrix& logits = m.decode_step_batch(
+          std::span(lane_ptrs).first(n), std::span(next).first(n), scratch);
+      for (std::size_t b = 0; b < n; ++b) next[b] = argmax(logits.row(b));
     } else {
-      for (std::size_t b = 0; b < lanes; ++b) {
+      for (std::size_t b = 0; b < n; ++b) {
         next[b] = argmax(m.decode_step(states[b], next[b]));
       }
     }
@@ -107,35 +112,45 @@ const text::BpeTokenizer& shared_tokenizer() {
 class DecodeAlloc : public ::testing::TestWithParam<tensor::QuantMode> {
  protected:
   /// Untrained llama_sim in the parameter's weight format, its page pool
-  /// warmed by one full run of `lanes` lanes so the measured runs draw
-  /// every page from the free list instead of growing the pool.
-  core::HpcGpt warm_model(bool batched, std::size_t lanes) const {
+  /// warmed by one full run of `rounds` so the measured runs draw every
+  /// page from the free list instead of growing the pool.
+  core::HpcGpt warm_model(bool batched,
+                          std::initializer_list<std::size_t> rounds) const {
     core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
     spec.pretrain_steps = 0;
     spec.quant = GetParam();
     core::HpcGpt model(spec, shared_tokenizer());
-    (void)decode_allocations(model.model(), lanes, batched);
+    (void)decode_allocations(model.model(), rounds, batched);
     return model;
   }
 };
 
 TEST_P(DecodeAlloc, DecodeStepIsAllocationFree) {
-  core::HpcGpt model = warm_model(/*batched=*/false, 4);
+  core::HpcGpt model = warm_model(/*batched=*/false, {4});
   for (const std::size_t lanes : {1u, 4u}) {
-    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/false), 0u)
+    EXPECT_EQ(decode_allocations(model.model(), {lanes}, /*batched=*/false),
+              0u)
         << lanes << " lane(s)";
   }
 }
 
 TEST_P(DecodeAlloc, DecodeStepBatchIsAllocationFree) {
-  // Sixteen lanes: fp32 rounds run the same GEMM as rounds of one, and
-  // int8 rows still run inline (they fan out to the pool, which
-  // allocates, from 32 rows up).
-  core::HpcGpt model = warm_model(/*batched=*/true, 16);
-  for (const std::size_t lanes : {1u, 4u, 16u}) {
-    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
+  // Sixteen lanes take the GEMM's row tiles; at 32 the int8 rows and the
+  // fp16 GEMM still run on the calling thread.
+  core::HpcGpt model = warm_model(/*batched=*/true, {32});
+  for (const std::size_t lanes : {1u, 4u, 16u, 32u}) {
+    EXPECT_EQ(decode_allocations(model.model(), {lanes}, /*batched=*/true),
+              0u)
         << lanes << " lane(s)";
   }
+}
+
+TEST_P(DecodeAlloc, AlternatingLaneCountsAreAllocationFree) {
+  // A served round's lane count changes as requests join and finish: the
+  // projections' outputs reshape within the capacity the 16-lane rounds
+  // gave them.
+  core::HpcGpt model = warm_model(/*batched=*/true, {16, 4});
+  EXPECT_EQ(decode_allocations(model.model(), {16, 4}, /*batched=*/true), 0u);
 }
 
 TEST(DecodeAllocLora, WarmedDecodeThroughUnmergedAdapterIsAllocationFree) {
@@ -147,13 +162,15 @@ TEST(DecodeAllocLora, WarmedDecodeThroughUnmergedAdapterIsAllocationFree) {
   spec.pretrain_steps = 0;
   core::HpcGpt model(spec, shared_tokenizer());
   model.model().attach_lora(16, 32.0f, /*train_lora_only=*/true);
-  (void)decode_allocations(model.model(), 16, /*batched=*/true);
+  (void)decode_allocations(model.model(), {16}, /*batched=*/true);
   for (const std::size_t lanes : {1u, 4u}) {
-    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/false), 0u)
+    EXPECT_EQ(decode_allocations(model.model(), {lanes}, /*batched=*/false),
+              0u)
         << "decode_step, " << lanes << " lane(s)";
   }
   for (const std::size_t lanes : {1u, 4u, 16u}) {
-    EXPECT_EQ(decode_allocations(model.model(), lanes, /*batched=*/true), 0u)
+    EXPECT_EQ(decode_allocations(model.model(), {lanes}, /*batched=*/true),
+              0u)
         << "decode_step_batch, " << lanes << " lane(s)";
   }
 }
@@ -179,10 +196,9 @@ TrainSample train_sample(std::size_t vocab, std::size_t len) {
 
 /// operator new calls of one train_step at each of `lens`, in order,
 /// after kWarmupSteps unmeasured steps at `warm_len` size the training
-/// scratch. Runs under the ParallelInlineGuard a trainer shard holds.
+/// scratch.
 std::size_t train_step_allocations(nn::Transformer& m, std::size_t warm_len,
                                    std::initializer_list<std::size_t> lens) {
-  ParallelInlineGuard inline_guard;
   const std::size_t vocab = m.config().vocab_size;
   const TrainSample warm = train_sample(vocab, warm_len);
   std::vector<TrainSample> measured;
@@ -224,15 +240,11 @@ TEST(TrainStepAlloc, WarmedStepIsAllocationFree) {
 /// alone sizes its caches, as the trainer does for each worker.
 std::size_t reserved_step_allocations(
     nn::Transformer& m, std::initializer_list<std::size_t> lens) {
-  ParallelInlineGuard inline_guard;
   std::vector<TrainSample> measured;
   for (const std::size_t len : lens) {
     measured.push_back(train_sample(m.config().vocab_size, len));
   }
   m.reserve_training(m.config().max_seq);
-  // softmax_rows reaches the process-wide pool, which starts once per
-  // process on first use, whatever the model.
-  (void)ThreadPool::global();
   g_allocations.store(0);
   g_counting.store(true);
   for (const TrainSample& sample : measured) {
@@ -258,7 +270,8 @@ TEST(TrainStepAlloc, ReservedFreshModelStepsAreAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Quant, DecodeAlloc,
-    ::testing::Values(tensor::QuantMode::Fp32, tensor::QuantMode::Int8),
+    ::testing::Values(tensor::QuantMode::Fp32, tensor::QuantMode::Fp16,
+                      tensor::QuantMode::Int8),
     [](const ::testing::TestParamInfo<tensor::QuantMode>& info) {
       return std::string(tensor::quant_mode_name(info.param));
     });

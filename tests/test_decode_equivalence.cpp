@@ -103,17 +103,18 @@ TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
   // decode_step_batch; a twin set advanced one lane at a time through
   // decode_step, which is the batch-of-one case of the same forward.
   // Every logits row must match bit for bit: cross-request batching is a
-  // scheduling transform, not a numerics change. In fp32 that rests on
-  // the GEMM's contract that a row's bits do not depend on how many rows
-  // share the call, so 16 lanes take the kernel's 7-row tiles and their
-  // remainder against its one-row path; int8 also checks the shared
-  // activation quantization.
+  // scheduling transform, not a numerics change. In fp32 and fp16 that
+  // rests on the GEMM's contract that a row's bits do not depend on how
+  // many rows share the call, so 16 lanes take the kernel's 7-row tiles
+  // and their remainder against its one-row path; int8 also checks the
+  // shared activation quantization.
   struct Case {
     tensor::QuantMode quant;
     std::size_t lanes;
   };
   for (const Case c : {Case{tensor::QuantMode::Fp32, 4},
                        Case{tensor::QuantMode::Fp32, 16},
+                       Case{tensor::QuantMode::Fp16, 4},
                        Case{tensor::QuantMode::Int8, 4}}) {
     core::HpcGpt model = make_preset(GetParam(), c.quant);
     const nn::Transformer& m = model.model();

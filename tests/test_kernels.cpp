@@ -1,9 +1,10 @@
 // ISA-dispatch suite for the GEMM/quantized/attention micro-kernels
 // (tensor::kernels). The load-bearing contract: every supported tier
-// computes *bitwise-identical* fp32 GEMM results (one FMA chain per
-// element in a fixed k order) and int8 GEMV results (exact int32
-// accumulation + one shared activation quantizer + one canonical fp32
-// epilogue), so HPCGPT_ISA can force any tier without changing either.
+// computes *bitwise-identical* GEMM results over fp32 and fp16 weights
+// (one FMA chain per element in a fixed k order, each binary16 weight
+// widened exactly) and int8 GEMV results (exact int32 accumulation + one
+// shared activation quantizer + one canonical fp32 epilogue), so
+// HPCGPT_ISA can force any tier without changing any of them.
 // The other fp32 helpers (attention, softmax, rmsnorm, silu) are only
 // accuracy-bounded across tiers — FMA/re-association may round
 // differently — and that is asserted too, against the scalar table.
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -172,9 +174,11 @@ TEST(Fp32Gemm, BitwiseIdenticalAcrossTiers) {
   // differently, so each must reproduce the scalar tier's bits: for both
   // A layouts (row-major, and transposed in place as matmul_tn reads
   // it), with and without accumulation, at row counts on both sides of
-  // the GEMV/tile switch and widths that leave every vector tail. A
-  // guard region after C catches an edge tile storing past the last
-  // column (GCC's ASan does not instrument masked vector stores).
+  // the GEMV/tile switch and widths that leave every vector tail. The
+  // fp16 entry must return the scalar fp32 GEMM's bits over its weights
+  // widened to fp32. A guard region after C catches an edge tile storing
+  // past the last column (GCC's ASan does not instrument masked vector
+  // stores).
   constexpr std::size_t kGuard = 16;
   constexpr float kSentinel = -7.25f;
   Rng rng(14);
@@ -185,33 +189,49 @@ TEST(Fp32Gemm, BitwiseIdenticalAcrossTiers) {
                               {3, 17, 130},  {4, 48, 96},  {7, 48, 48},
                               {13, 33, 1},   {17, 1, 23},  {126, 48, 48},
                               {30, 257, 40}, {9, 64, 100}};
+  const kernels::KernelTable& scalar =
+      kernels::table_for(kernels::IsaTier::Scalar);
   for (const GemmShape& s : shapes) {
     const std::vector<float> a = random_row(rng, s.m * s.k);
     const std::vector<float> b = random_row(rng, s.k * s.n);
     const std::vector<float> c0 = random_row(rng, s.m * s.n);
+    std::vector<std::uint16_t> b_half(b.size());
+    std::vector<float> b_wide(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b_half[i] = tensor::Half::from_float(b[i]).bits();
+      b_wide[i] = tensor::Half::from_bits(b_half[i]).to_float();
+    }
     for (const bool a_transposed : {false, true}) {
       const std::size_t a_rs = a_transposed ? 1 : s.k;
       const std::size_t a_cs = a_transposed ? s.m : 1;
       for (const bool accumulate : {false, true}) {
-        std::vector<float> ref = c0;
-        kernels::table_for(kernels::IsaTier::Scalar)
-            .gemm_f32(a.data(), a_rs, a_cs, b.data(), ref.data(), s.m, s.k,
-                      s.n, accumulate);
-        for (const kernels::IsaTier tier : kernels::supported_tiers()) {
-          std::vector<float> c = c0;
-          c.resize(c0.size() + kGuard, kSentinel);
-          kernels::table_for(tier).gemm_f32(a.data(), a_rs, a_cs, b.data(),
-                                            c.data(), s.m, s.k, s.n,
-                                            accumulate);
-          EXPECT_EQ(0, std::memcmp(c.data(), ref.data(),
-                                   ref.size() * sizeof(float)))
-              << kernels::tier_name(tier) << " diverges at " << s.m << "x"
-              << s.k << "x" << s.n << (a_transposed ? " A^T" : "")
-              << (accumulate ? " +=" : "");
-          EXPECT_EQ(std::count(c.begin() + ref.size(), c.end(), kSentinel),
-                    static_cast<std::ptrdiff_t>(kGuard))
-              << kernels::tier_name(tier) << " wrote past C at " << s.m
-              << "x" << s.k << "x" << s.n;
+        for (const bool half : {false, true}) {
+          std::vector<float> ref = c0;
+          scalar.gemm_f32(a.data(), a_rs, a_cs,
+                          half ? b_wide.data() : b.data(), ref.data(), s.m,
+                          s.k, s.n, accumulate);
+          for (const kernels::IsaTier tier : kernels::supported_tiers()) {
+            const kernels::KernelTable& t = kernels::table_for(tier);
+            std::vector<float> c = c0;
+            c.resize(c0.size() + kGuard, kSentinel);
+            if (half) {
+              t.gemm_f16(a.data(), a_rs, a_cs, b_half.data(), c.data(), s.m,
+                         s.k, s.n, accumulate);
+            } else {
+              t.gemm_f32(a.data(), a_rs, a_cs, b.data(), c.data(), s.m, s.k,
+                         s.n, accumulate);
+            }
+            const char* entry = half ? " gemm_f16" : " gemm_f32";
+            EXPECT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                     ref.size() * sizeof(float)))
+                << kernels::tier_name(tier) << entry << " diverges at "
+                << s.m << "x" << s.k << "x" << s.n
+                << (a_transposed ? " A^T" : "") << (accumulate ? " +=" : "");
+            EXPECT_EQ(std::count(c.begin() + ref.size(), c.end(), kSentinel),
+                      static_cast<std::ptrdiff_t>(kGuard))
+                << kernels::tier_name(tier) << entry << " wrote past C at "
+                << s.m << "x" << s.k << "x" << s.n;
+          }
         }
       }
     }
@@ -239,35 +259,49 @@ TEST(Int8Gemv, PrequantMatchesGemvBitwise) {
   }
 }
 
-TEST(Fp16Gemv, MatchesFp32WithinHalfPrecision) {
+TEST(Fp16Gemm, MatchesFp32WithinHalfPrecision) {
+  // An fp16 product against the unrounded fp32 weights, through the
+  // one-row GEMM path (gemv) and the tiled one (matmul over 5 rows).
   TierGuard guard;
   Rng rng(13);
+  constexpr std::size_t kRows = 5;
   for (const Shape& s : kShapes) {
     const Matrix w = random_matrix(rng, s.in, s.out);
     const QuantizedMatrix q16 = QuantizedMatrix::quantize(w, QuantMode::Fp16);
-    const std::vector<float> x = random_row(rng, s.in);
+    Matrix x(kRows, s.in);
+    for (float& v : x.flat()) v = static_cast<float>(rng.next_gaussian());
 
-    // fp32 reference of x·W.
-    std::vector<float> y_ref(s.out, 0.0f);
-    for (std::size_t i = 0; i < s.in; ++i) {
-      for (std::size_t j = 0; j < s.out; ++j) {
-        y_ref[j] += x[i] * w.row(i)[j];
+    // fp32 reference of x·W, and per row a bound for the weight rounding
+    // to binary16 (2^-11 relative per product) plus fp32 accumulation
+    // re-ordering, scaled by the row's L1 mass.
+    Matrix y_ref(kRows, s.out);
+    std::vector<float> tol(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      float mass = 0.0f;
+      for (std::size_t i = 0; i < s.in; ++i) {
+        mass += std::fabs(x.at(r, i));
+        for (std::size_t j = 0; j < s.out; ++j) {
+          y_ref.at(r, j) += x.at(r, i) * w.at(i, j);
+        }
       }
+      tol[r] = 2e-3f * mass + 1e-4f;
     }
-    // Weight rounding to binary16 (2^-11 relative per product) plus fp32
-    // accumulation re-ordering; bound scaled by the row's L1 mass.
-    float mass = 0.0f;
-    for (std::size_t i = 0; i < s.in; ++i) mass += std::fabs(x[i]);
-    const float tol = 2e-3f * mass + 1e-4f;
 
     for (const kernels::IsaTier tier : kernels::supported_tiers()) {
       ASSERT_TRUE(kernels::set_active_tier(tier));
-      std::vector<float> y(s.out);
-      q16.gemv(x, y);
-      for (std::size_t j = 0; j < s.out; ++j) {
-        ASSERT_NEAR(y[j], y_ref[j], tol)
-            << kernels::tier_name(tier) << " " << s.in << "x" << s.out
-            << " col " << j;
+      Matrix y;
+      q16.matmul(x, y);
+      std::vector<float> y_row(s.out);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        q16.gemv(x.row(r), y_row);
+        for (std::size_t j = 0; j < s.out; ++j) {
+          ASSERT_NEAR(y_row[j], y_ref.at(r, j), tol[r])
+              << kernels::tier_name(tier) << " gemv " << s.in << "x" << s.out
+              << " col " << j;
+          ASSERT_NEAR(y.at(r, j), y_ref.at(r, j), tol[r])
+              << kernels::tier_name(tier) << " matmul " << s.in << "x"
+              << s.out << " row " << r << " col " << j;
+        }
       }
     }
   }

@@ -1,15 +1,18 @@
 // Paged KV-cache subsystem tests: pool budget behaviour (typed errors,
-// never aborts), copy-on-write prefix sharing, radix-trie LRU eviction,
-// and page-budget admission control (shed vs queue-wait, with pages and
-// reservations back at zero after the drain). Labeled "paged" so the
-// sanitize preset exercises the refcount and COW paths under ASan/UBSan.
+// never aborts), pool growth under concurrent allocation, copy-on-write
+// prefix sharing, radix-trie LRU eviction, and page-budget admission
+// control (shed vs queue-wait, with pages and reservations back at zero
+// after the drain). Labeled "paged" so the sanitize preset exercises the
+// refcount and COW paths under ASan/UBSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <future>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hpcgpt/core/hpcgpt.hpp"
@@ -81,6 +84,41 @@ TEST(PagedPool, ReservationHoldsCapacityAgainstPlainAllocation) {
   (void)pool.allocate_reserved();
   (void)pool.allocate_reserved();
   EXPECT_EQ(pool.pages_in_use(), 2u);
+}
+
+TEST(PagedPool, ConcurrentGrowthKeepsPageDataReachable) {
+  // Concurrent prefills acquire pages from one growable pool and write
+  // through data() while other threads' allocations append slabs; data()
+  // must not read the slab table while an allocation moves it (the TSan
+  // lane checks that).
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPages = 300;
+  nn::KvPagePool pool(8);
+  std::vector<std::vector<std::uint32_t>> held(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &held, t] {
+      for (std::size_t i = 0; i < kPages; ++i) {
+        const std::uint32_t page = pool.allocate();
+        float* data = pool.data(page);
+        data[0] = static_cast<float>(t);
+        data[pool.page_floats() - 1] = static_cast<float>(i);
+        held[t].push_back(page);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(pool.pages_in_use(), kThreads * kPages);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPages; ++i) {
+      const float* data = pool.data(held[t][i]);
+      ASSERT_EQ(data[0], static_cast<float>(t)) << "thread " << t;
+      ASSERT_EQ(data[pool.page_floats() - 1], static_cast<float>(i))
+          << "thread " << t << " page " << i;
+      pool.release(held[t][i]);
+    }
+  }
+  EXPECT_EQ(pool.pages_in_use(), 0u);
 }
 
 // ---- copy-on-write prefix sharing ------------------------------------

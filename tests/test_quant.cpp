@@ -112,21 +112,26 @@ TEST(QuantizedMatrix, Fp16RoundTripIsHalfPrecisionExact) {
 }
 
 TEST(QuantizedMatrix, MatmulMatchesRowwiseGemv) {
+  // Int8 rows run one GEMV each; fp16 runs one GEMM over all five rows,
+  // whose tiled rows must give the one-row call's bits.
   Rng rng(23);
   Matrix w(48, 96);
   w.randomize(rng, 0.5f);
   Matrix x(5, 48);
   x.randomize(rng, 1.0f);
-  const QuantizedMatrix q8 = QuantizedMatrix::quantize(w, QuantMode::Int8);
-  Matrix out;
-  q8.matmul(x, out);
-  ASSERT_EQ(out.rows(), 5u);
-  ASSERT_EQ(out.cols(), 96u);
-  std::vector<float> y(96);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    q8.gemv(x.row(r), y);
-    for (std::size_t j = 0; j < 96; ++j) {
-      EXPECT_EQ(out.row(r)[j], y[j]) << "row " << r << " col " << j;
+  for (const QuantMode mode : {QuantMode::Int8, QuantMode::Fp16}) {
+    const QuantizedMatrix q = QuantizedMatrix::quantize(w, mode);
+    Matrix out;
+    q.matmul(x, out);
+    ASSERT_EQ(out.rows(), 5u);
+    ASSERT_EQ(out.cols(), 96u);
+    std::vector<float> y(96);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      q.gemv(x.row(r), y);
+      for (std::size_t j = 0; j < 96; ++j) {
+        EXPECT_EQ(out.row(r)[j], y[j])
+            << tensor::quant_mode_name(mode) << " row " << r << " col " << j;
+      }
     }
   }
 }
