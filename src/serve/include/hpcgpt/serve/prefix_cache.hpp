@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hpcgpt/nn/kv_cache.hpp"
@@ -39,7 +41,10 @@ namespace hpcgpt::serve {
 /// Eviction: LRU over *leaf* nodes (interior nodes are reachable prefixes
 /// of live leaves), under either the node budget or external pool
 /// pressure (the scheduler calls evict_lru() until a reservation fits).
-/// Releasing a node's pages only frees them once no stream shares them.
+/// The leaves sit in an index ordered by recency, so finding the victim
+/// costs O(log n) rather than a walk over the trie; a node whose last
+/// child is evicted joins the index with its own recency. Releasing a
+/// node's pages only frees them once no stream shares them.
 ///
 /// Not thread-safe by design: owned and driven by the scheduler thread.
 class PrefixCache {
@@ -84,6 +89,9 @@ class PrefixCache {
   std::size_t node_count() const { return nodes_; }
   /// Page references currently held by the trie (n_layers per node).
   std::size_t pages_held() const { return pages_held_; }
+  /// Leaves evicted so far, under the node budget and by evict_lru()
+  /// alike (clear() is not counted).
+  std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Node {
@@ -98,7 +106,15 @@ class PrefixCache {
     std::uint64_t last_used = 0;
   };
 
-  void touch(Node& node) { node.last_used = ++clock_; }
+  /// Eviction-index entry of a leaf: (last_used, node). No two leaves
+  /// share a last_used (a split suffix copies its node's stamp, but that
+  /// node has just become interior), so the order is total and its first
+  /// entry is the least-recently-used leaf.
+  using LeafKey = std::pair<std::uint64_t, Node*>;
+
+  /// Stamps `node` as most recently used (a leaf moves to the back of
+  /// the eviction index).
+  void touch(Node& node);
   /// Splits `node` at token position `at` (0 < at < tokens.size()): the
   /// node keeps the prefix span, a new child takes the suffix span and the
   /// original children; both retain the same per-layer pages.
@@ -111,9 +127,11 @@ class PrefixCache {
   const std::size_t n_layers_;
   const std::size_t max_nodes_;
   Node root_;  // sentinel: no tokens, no pages
+  std::set<LeafKey> leaves_;  // every non-root node without children
   std::size_t nodes_ = 0;
   std::size_t pages_held_ = 0;
   std::uint64_t clock_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace hpcgpt::serve

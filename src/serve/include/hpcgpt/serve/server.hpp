@@ -126,10 +126,12 @@ obs::TelemetryConfig default_telemetry(double ttft_threshold_seconds = 0.25);
 /// prefix of the prompt from the radix-trie PrefixCache so only the
 /// unseen suffix is prefilled.
 /// Fresh prompts are ingested through the GEMM prefill path and their
-/// prompt pages published back into the trie; then every round advances
-/// all live lanes by one token through a single decode_step_batch call,
-/// so the weight matrices are streamed once per round instead of once
-/// per lane.
+/// prompt pages published back into the trie: the scheduler thread
+/// prefills one fresh lane itself and the global pool the others, and a
+/// round without fresh lanes leaves the pool alone. Then every round
+/// advances all live lanes by one token through a single
+/// decode_step_batch call, so the weight matrices are streamed once per
+/// round instead of once per lane.
 ///
 /// submit() takes a core::GenerationRequest and returns a future
 /// core::GenerationResult carrying text, token counts, finish reason and
@@ -226,7 +228,6 @@ class InferenceServer {
     core::FinishReason finish = core::FinishReason::Eos;
     std::chrono::steady_clock::time_point last_token;
     bool prefilled = false;
-    bool published = false;      ///< prompt pages inserted into the trie
     bool done = false;
     std::exception_ptr error;
 
@@ -249,6 +250,7 @@ class InferenceServer {
     obs::Counter& prefix_hits;      ///< serve.prefix.hits
     obs::Counter& prefix_misses;    ///< serve.prefix.misses
     obs::Counter& prefix_reused;    ///< serve.prefix.tokens_reused
+    obs::Counter& prefix_evictions; ///< serve.prefix.evictions
     obs::Counter& rag_augmented;    ///< serve.rag.augmented
     obs::Counter& rag_skipped;      ///< serve.rag.skipped
     obs::Gauge& queue_depth;        ///< serve.queue.depth (max = peak)
@@ -324,6 +326,7 @@ class InferenceServer {
   // Scheduler-thread state: the shared batched-decode scratch plus the
   // per-round lane gather buffers (reused so rounds stay allocation-free).
   nn::BatchScratch batch_scratch_;
+  std::vector<Stream*> round_fresh_;  ///< lanes this round prefills
   std::vector<Stream*> round_lanes_;
   std::vector<nn::DecodeState*> round_states_;
   std::vector<text::TokenId> round_tokens_;

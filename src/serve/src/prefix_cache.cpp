@@ -34,7 +34,21 @@ void PrefixCache::destroy_subtree(Node& node) {
   node.children.clear();
 }
 
-void PrefixCache::clear() { destroy_subtree(root_); }
+void PrefixCache::clear() {
+  destroy_subtree(root_);
+  leaves_.clear();
+}
+
+void PrefixCache::touch(Node& node) {
+  const std::uint64_t stamp = ++clock_;
+  if (node.children.empty()) {
+    // Re-keying reuses the index entry's node handle: no allocation.
+    auto entry = leaves_.extract({node.last_used, &node});
+    entry.value().first = stamp;
+    leaves_.insert(leaves_.end(), std::move(entry));
+  }
+  node.last_used = stamp;
+}
 
 PrefixCache::Match PrefixCache::lookup(std::span<const text::TokenId> prompt,
                                        std::size_t max_tokens) {
@@ -143,9 +157,14 @@ void PrefixCache::insert(std::span<const text::TokenId> prompt,
       node->pages.push_back(page);
     }
     pages_held_ += n_layers_;
-    touch(*node);
+    node->last_used = ++clock_;
     Node* created = node.get();
+    // `cur` stops being a leaf; the new node is the most recent one.
+    if (cur != &root_ && cur->children.empty()) {
+      leaves_.erase({cur->last_used, cur});
+    }
     cur->children.emplace(span[0], std::move(node));
+    leaves_.emplace_hint(leaves_.end(), created->last_used, created);
     ++nodes_;
     cur = created;
     consumed += span_len;
@@ -163,12 +182,18 @@ void PrefixCache::split_node(Node& node, std::size_t at) {
   suffix->pages = node.pages;
   for (const std::uint32_t page : suffix->pages) pool_->retain(page);
   pages_held_ += n_layers_;
+  suffix->last_used = node.last_used;
+  if (node.children.empty()) {
+    // The suffix inherits the node's leaf entry along with its recency.
+    auto entry = leaves_.extract({node.last_used, &node});
+    entry.value().second = suffix.get();
+    leaves_.insert(std::move(entry));
+  }
   suffix->children = std::move(node.children);
   for (auto& [key, grandchild] : suffix->children) {
     grandchild->parent = suffix.get();
   }
   suffix->parent = &node;
-  suffix->last_used = node.last_used;
   node.tokens.resize(at);
   node.children.clear();
   const text::TokenId key = suffix->tokens.front();
@@ -177,24 +202,20 @@ void PrefixCache::split_node(Node& node, std::size_t at) {
 }
 
 bool PrefixCache::evict_lru_except(const Node* keep) {
-  // Find the least-recently-used leaf (depth-first walk; the trie is
-  // bounded by max_nodes, so the scan is cheap relative to a prefill).
-  Node* victim = nullptr;
-  std::vector<Node*> stack{&root_};
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    for (auto& [key, child] : node->children) stack.push_back(child.get());
-    if (node == &root_ || node == keep || !node->children.empty()) continue;
-    if (victim == nullptr || node->last_used < victim->last_used) {
-      victim = node;
-    }
-  }
-  if (victim == nullptr) return false;
-  release_pages(*victim);
-  Node* parent = victim->parent;
-  parent->children.erase(victim->tokens.front());
+  auto victim = leaves_.begin();
+  if (victim != leaves_.end() && victim->second == keep) ++victim;
+  if (victim == leaves_.end()) return false;
+  Node& node = *victim->second;
+  leaves_.erase(victim);
+  release_pages(node);
+  Node* parent = node.parent;
+  parent->children.erase(node.tokens.front());
   --nodes_;
+  ++evictions_;
+  if (parent != &root_ && parent->children.empty()) {
+    // The parent becomes a leaf, ranked by its own recency.
+    leaves_.emplace(parent->last_used, parent);
+  }
   return true;
 }
 

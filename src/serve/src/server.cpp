@@ -128,6 +128,7 @@ InferenceServer::Metrics::Metrics(obs::MetricsRegistry& r)
       prefix_hits(r.counter("serve.prefix.hits")),
       prefix_misses(r.counter("serve.prefix.misses")),
       prefix_reused(r.counter("serve.prefix.tokens_reused")),
+      prefix_evictions(r.counter("serve.prefix.evictions")),
       rag_augmented(r.counter("serve.rag.augmented")),
       rag_skipped(r.counter("serve.rag.skipped")),
       queue_depth(r.gauge("serve.queue.depth")),
@@ -396,6 +397,7 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
   bool reserved = pool_->try_reserve(need);
   // Under pressure the prefix cache gives its pages back, oldest first.
   while (!reserved && prefix_ && prefix_->evict_lru()) {
+    metrics_.prefix_evictions.add(1);
     reserved = pool_->try_reserve(need);
   }
   if (!reserved) {
@@ -435,13 +437,14 @@ std::unique_ptr<InferenceServer::Stream> InferenceServer::admit(
 }
 
 void InferenceServer::prefill_stream(Stream& stream) {
-  // Prefill may run on a pool worker: adopt the request's trace context
-  // so the span below (and the GEMM spans under it) parent on the
-  // request root instead of whatever the worker was doing.
+  // Prefill runs on a pool worker or on the scheduler thread: adopt the
+  // request's trace context so the span below parents on the request
+  // root instead of whatever the thread was doing.
   HPCGPT_TRACE_ADOPT(stream.request.trace);
   HPCGPT_TRACE("serve.prefill");
-  // Prefill parallelism is across lanes (the scheduler's parallel_for),
-  // never inside one lane: the tensor kernels run on their calling thread.
+  // Prefill parallelism is across lanes (the scheduler's parallel_for
+  // over the round's fresh lanes), never inside one lane: the tensor
+  // kernels run on their calling thread.
   try {
     // Prompt ingestion: one batched GEMM pass writes the K/V rows of the
     // non-cached suffix (state.length() positions were adopted from the
@@ -603,29 +606,32 @@ void InferenceServer::scheduler_loop() {
     // cross-request batched decode step.
     HPCGPT_TRACE("serve.round");
     Timer round_timer;
+    // Only fresh lanes go through parallel_for: a decode-only round never
+    // touches the pool, one fresh lane prefills inline, and with several
+    // the scheduler thread prefills the first while pool workers take the
+    // rest.
+    round_fresh_.clear();
+    for (auto& stream : active) {
+      if (!stream->prefilled) round_fresh_.push_back(stream.get());
+    }
     parallel_for(
-        0, active.size(),
-        [&](std::size_t i) {
-          if (!active[i]->prefilled && !active[i]->done) {
-            prefill_stream(*active[i]);
-          }
-        },
-        1);
+        0, round_fresh_.size(),
+        [&](std::size_t i) { prefill_stream(*round_fresh_[i]); }, 1);
 
     // Publish freshly prefilled prompts into the prefix cache (scheduler
     // thread only — the trie is not thread-safe). At this point the
     // stream has ingested exactly its prompt, so the retained pages hold
     // prompt-only K/V; the stream's own decode appends fork the shared
-    // tail page (COW) rather than mutate it.
+    // tail page (COW) rather than mutate it. A failed prefill leaves its
+    // lane unprefilled and unpublished.
     if (prefix_) {
-      for (auto& stream : active) {
-        if (stream->prefilled && !stream->published) {
-          stream->published = true;
-          if (!stream->error) {
-            prefix_->insert(stream->request.prompt, stream->state);
-          }
+      const std::uint64_t evicted = prefix_->evictions();
+      for (Stream* stream : round_fresh_) {
+        if (stream->prefilled) {
+          prefix_->insert(stream->request.prompt, stream->state);
         }
       }
+      metrics_.prefix_evictions.add(prefix_->evictions() - evicted);
     }
 
     round_lanes_.clear();

@@ -22,13 +22,14 @@ std::size_t usable_cores();
 /// A fixed-size worker pool with a shared FIFO task queue.
 ///
 /// Parallelism lives above the tensor kernels, which run on their calling
-/// thread: the inference server prefills its fresh lanes through the
-/// global pool and runs verify requests on it, the analysis service fans
-/// a request's functions across it, and the data-parallel trainer owns a
-/// pool with one thread per model replica. The pool is intentionally
-/// simple — a mutex-protected deque — because those tasks are coarse
-/// (whole prompts, functions, training sequences), so queue contention is
-/// negligible.
+/// thread: the inference server runs verify requests on the global pool
+/// and prefills a round's fresh lanes with parallel_for over it (the
+/// scheduler thread prefills one lane itself, and a decode-only round
+/// never touches the pool), the analysis service fans a request's
+/// functions across it, and the data-parallel trainer owns a pool with
+/// one thread per model replica. The pool is intentionally simple — a
+/// mutex-protected deque — because those tasks are coarse (whole prompts,
+/// functions, training sequences), so queue contention is negligible.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means usable_cores().
@@ -86,17 +87,19 @@ namespace detail {
 bool runs_inline(const ThreadPool& pool, std::size_t n,
                  std::size_t grain) noexcept;
 
-/// The pooled half of parallel_for: chunks the range across `pool` and
-/// waits for every chunk.
+/// The pooled half of parallel_for: submits chunks 1..n-1 of the range to
+/// `pool`, runs chunk 0 on the calling thread, and waits for every chunk
+/// before rethrowing the first error.
 void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& body,
                  std::size_t grain);
 
 }  // namespace detail
 
-/// Runs `body(i)` for every i in [begin, end), split into contiguous chunks
-/// across `pool`. Blocks until all chunks complete. Exceptions thrown by
-/// `body` propagate to the caller (the first one wins).
+/// Runs `body(i)` for every i in [begin, end), split into contiguous chunks:
+/// the first chunk runs on the calling thread, the others on `pool`.
+/// Blocks until all chunks complete. Exceptions thrown by `body` propagate
+/// to the caller (the first one wins), once every chunk has returned.
 ///
 /// The chunking is static — (end-begin) is divided evenly across workers.
 /// `grain` bounds the minimum chunk so tiny ranges run inline without

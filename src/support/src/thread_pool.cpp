@@ -91,27 +91,40 @@ void run_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
                  std::size_t grain) {
   const std::size_t total = end - begin;
   const std::size_t chunks = chunk_count(pool, total, grain);
+  const std::size_t per_chunk = (total + chunks - 1) / chunks;
 
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
+  const auto record_error = [&] {
+    std::lock_guard lock(error_mutex);
+    if (!failed.exchange(true)) first_error = std::current_exception();
+  };
+  const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
+    try {
+      for (std::size_t i = lo; i < hi && !failed.load(); ++i) body(i);
+    } catch (...) {
+      record_error();
+    }
+  };
 
-  const std::size_t per_chunk = (total + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * per_chunk;
-    const std::size_t hi = std::min(end, lo + per_chunk);
-    if (lo >= hi) break;
-    pending.push_back(pool.submit([&, lo, hi] {
-      try {
-        for (std::size_t i = lo; i < hi && !failed.load(); ++i) body(i);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-    }));
+  // Chunks 1..n-1 go to the pool and chunk 0 runs here, so the caller
+  // works instead of idling. Every chunk that was submitted is waited for
+  // before this frame, which the tasks reference, unwinds.
+  std::vector<std::future<void>> pending;
+  try {
+    pending.reserve(chunks - 1);
+    for (std::size_t c = 1; c < chunks; ++c) {
+      const std::size_t lo = begin + c * per_chunk;
+      const std::size_t hi = std::min(end, lo + per_chunk);
+      if (lo >= hi) break;
+      pending.push_back(
+          pool.submit([&run_chunk, lo, hi] { run_chunk(lo, hi); }));
+    }
+  } catch (...) {
+    record_error();
   }
+  run_chunk(begin, std::min(end, begin + per_chunk));
   for (auto& f : pending) f.wait();
   if (first_error) std::rethrow_exception(first_error);
 }

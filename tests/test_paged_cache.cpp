@@ -1,15 +1,16 @@
 // Paged KV-cache subsystem tests: pool budget behaviour (typed errors,
 // never aborts), pool growth under concurrent allocation, copy-on-write
-// prefix sharing, radix-trie LRU eviction, and page-budget admission
-// control (shed vs queue-wait, with pages and reservations back at zero
-// after the drain). Labeled "paged" so the sanitize preset exercises the
-// refcount and COW paths under ASan/UBSan.
+// prefix sharing, radix-trie LRU eviction and its victim order, and
+// page-budget admission control (shed vs queue-wait, with pages and
+// reservations back at zero after the drain). Labeled "paged" so the
+// sanitize preset exercises the refcount and COW paths under ASan/UBSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -22,6 +23,8 @@
 #include "hpcgpt/serve/prefix_cache.hpp"
 #include "hpcgpt/serve/server.hpp"
 #include "hpcgpt/support/error.hpp"
+#include "hpcgpt/support/hash.hpp"
+#include "hpcgpt/support/rng.hpp"
 
 namespace {
 
@@ -250,6 +253,207 @@ TEST(PagedTrie, MidChunkDivergenceSplitsNodeAndBothPromptsHit) {
   EXPECT_EQ(cache.lookup(c, c.size() - 1).tokens, 7u);
 }
 
+// ---- eviction order ---------------------------------------------------
+
+/// A prefix trie over a small standalone page pool, without a model:
+/// sessions take fresh pages for their positions instead of running a
+/// prefill, so thousands of inserts cost next to nothing.
+struct TrieHarness {
+  static constexpr std::size_t kLayers = 2;
+  nn::TransformerConfig config;
+  std::shared_ptr<nn::KvPagePool> pool;
+
+  TrieHarness() {
+    config.d_model = 8;
+    config.n_heads = 1;
+    config.n_layers = kLayers;
+    config.max_seq = 64;
+    pool = std::make_shared<nn::KvPagePool>(config.d_model);
+  }
+
+  /// Inserts `prompt` from a session that holds exactly its positions;
+  /// the session's own page references die with it.
+  void publish(serve::PrefixCache& cache,
+               const std::vector<text::TokenId>& prompt) {
+    constexpr std::size_t kPage = nn::KvPagePool::kPageSize;
+    std::vector<std::vector<std::uint32_t>> pages(kLayers);
+    for (auto& layer : pages) {
+      for (std::size_t c = 0; c < (prompt.size() + kPage - 1) / kPage; ++c) {
+        layer.push_back(pool->allocate());
+      }
+    }
+    nn::DecodeState session(config, pool);
+    session.adopt_prefix(pages, prompt.size());
+    for (const auto& layer : pages) {
+      for (const std::uint32_t page : layer) pool->release(page);
+    }
+    cache.insert(prompt, session);
+  }
+};
+
+std::vector<text::TokenId> tokens(std::initializer_list<int> ids) {
+  return std::vector<text::TokenId>(ids.begin(), ids.end());
+}
+
+std::vector<text::TokenId> run_of(int first, std::size_t n) {
+  std::vector<text::TokenId> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<text::TokenId>(first + static_cast<int>(i)));
+  }
+  return out;
+}
+
+std::vector<text::TokenId> concat(std::vector<text::TokenId> head,
+                                  const std::vector<text::TokenId>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+/// Seeded churn over a trie of at most `max_nodes` nodes: lookups, inserts
+/// and evict_lru() calls (the scheduler's pool-pressure path). Prompts
+/// copy a prefix of random length from one of a few stems and continue
+/// with tokens from a small alphabet, so inserts share prefixes, diverge
+/// mid-chunk (splitting nodes) and overflow the node budget. Returns an
+/// FNV-1a digest of every operation's outcome: matched tokens or eviction
+/// result, node count, pages held by the trie and pages in use in the
+/// pool. A different eviction victim changes a later value.
+std::uint64_t churn_digest(std::size_t max_nodes, std::size_t ops,
+                           std::uint64_t seed) {
+  TrieHarness harness;
+  serve::PrefixCache cache(harness.pool, TrieHarness::kLayers, max_nodes);
+  Rng rng(seed);
+  std::vector<std::vector<text::TokenId>> stems(6);
+  for (auto& stem : stems) {
+    for (int i = 0; i < 48; ++i) {
+      stem.push_back(static_cast<text::TokenId>(rng.next_int(1, 40)));
+    }
+  }
+  Fnv1aHasher digest;
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::vector<text::TokenId>& stem = stems[rng.next_below(stems.size())];
+    const std::size_t length = 2 + rng.next_below(47);  // 2..48 tokens
+    const std::size_t shared = rng.next_below(length + 1);
+    std::vector<text::TokenId> prompt(stem.begin(), stem.begin() + shared);
+    while (prompt.size() < length) {
+      prompt.push_back(static_cast<text::TokenId>(rng.next_int(1, 4)));
+    }
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 4) {
+      digest.u64(cache.lookup(prompt, prompt.size() - 1).tokens);
+    } else if (kind < 9) {
+      harness.publish(cache, prompt);
+    } else {
+      digest.u8(cache.evict_lru() ? 1 : 0);
+    }
+    digest.u64(cache.node_count());
+    digest.u64(cache.pages_held());
+    digest.u64(harness.pool->pages_in_use());
+  }
+  return digest.value();
+}
+
+TEST(PagedTrieOrder, ChurnEvictsTheVictimsOfTheTrieWalk) {
+  // Pinned to the digests of the depth-first LRU walk that the eviction
+  // index replaced, computed once with that walk (commit e93abb0): the
+  // index must pick the same victim at every eviction, under the node
+  // budget and under pressure alike.
+  EXPECT_EQ(churn_digest(/*max_nodes=*/6, 20000, /*seed=*/71),
+            0x890f50c5ed49c8abull);
+  EXPECT_EQ(churn_digest(/*max_nodes=*/24, 20000, /*seed=*/72),
+            0x8e215b0eda01e8ddull);
+}
+
+TEST(PagedTrieOrder, NodeBeingExtendedIsNeverEvicted) {
+  TrieHarness harness;
+  serve::PrefixCache cache(harness.pool, TrieHarness::kLayers,
+                           /*max_nodes=*/1);
+  const std::vector<text::TokenId> a = run_of(1, 16);  // one full slot
+  harness.publish(cache, a);
+  ASSERT_EQ(cache.node_count(), 1u);
+
+  // Extending `a` into a second slot needs a node, but the only leaf is
+  // the node being extended: the insert stops and keeps it.
+  const std::vector<text::TokenId> longer = concat(a, run_of(50, 4));
+  harness.publish(cache, longer);
+  EXPECT_EQ(cache.node_count(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.lookup(longer, longer.size() - 1).tokens, 16u);
+
+  // Likewise a prompt that diverges inside that node cannot split it.
+  const std::vector<text::TokenId> b =
+      concat(run_of(1, 7), tokens({90, 91, 92}));
+  harness.publish(cache, b);
+  EXPECT_EQ(cache.node_count(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.lookup(a, a.size() - 1).tokens, 15u);
+}
+
+TEST(PagedTrieOrder, SplitPrefixBecomesLeafWithItsOwnRecency) {
+  // a and b share 7 tokens of one chunk: inserting b splits a's node
+  // into a prefix node P and two branches. c is unrelated and newer than
+  // both branches; `probe` shares only P's tokens.
+  const std::vector<text::TokenId> a = run_of(100, 12);
+  const std::vector<text::TokenId> b =
+      concat(run_of(100, 7), tokens({60, 61, 62, 63, 64}));
+  const std::vector<text::TokenId> c = run_of(200, 5);
+  const std::vector<text::TokenId> probe =
+      concat(run_of(100, 7), tokens({80, 81, 82, 83}));
+  for (const bool touch_prefix : {false, true}) {
+    SCOPED_TRACE(touch_prefix ? "P used after c" : "P last used with b");
+    TrieHarness harness;
+    serve::PrefixCache cache(harness.pool, TrieHarness::kLayers,
+                             /*max_nodes=*/64);
+    harness.publish(cache, a);
+    harness.publish(cache, b);
+    harness.publish(cache, c);
+    ASSERT_EQ(cache.node_count(), 4u);
+    if (touch_prefix) {
+      ASSERT_EQ(cache.lookup(probe, probe.size() - 1).tokens, 7u);
+    }
+
+    // Both branches are older than c, so they go first; P is then a leaf.
+    ASSERT_TRUE(cache.evict_lru());
+    ASSERT_TRUE(cache.evict_lru());
+    ASSERT_EQ(cache.node_count(), 2u);
+    // The next victim is whichever of P and c was used least recently.
+    ASSERT_TRUE(cache.evict_lru());
+    ASSERT_EQ(cache.node_count(), 1u);
+    if (touch_prefix) {
+      EXPECT_EQ(cache.lookup(c, c.size() - 1).tokens, 0u);
+      EXPECT_EQ(cache.lookup(a, a.size() - 1).tokens, 7u);
+      EXPECT_EQ(cache.lookup(b, b.size() - 1).tokens, 7u);
+    } else {
+      EXPECT_EQ(cache.lookup(a, a.size() - 1).tokens, 0u);
+      EXPECT_EQ(cache.lookup(c, c.size() - 1).tokens, c.size() - 1);
+    }
+    EXPECT_EQ(cache.evictions(), 3u);
+  }
+}
+
+TEST(PagedTrieOrder, ClearReturnsEveryPageToThePool) {
+  TrieHarness harness;
+  serve::PrefixCache cache(harness.pool, TrieHarness::kLayers,
+                           /*max_nodes=*/64);
+  const std::vector<text::TokenId> a = run_of(100, 12);
+  harness.publish(cache, a);
+  harness.publish(cache, concat(run_of(100, 7), tokens({60, 61, 62})));
+  harness.publish(cache, run_of(300, 40));  // three slots
+  ASSERT_EQ(cache.node_count(), 6u);
+  ASSERT_GT(harness.pool->pages_in_use(), 0u);
+
+  cache.clear();
+  EXPECT_EQ(cache.node_count(), 0u);
+  EXPECT_EQ(cache.pages_held(), 0u);
+  EXPECT_EQ(harness.pool->pages_in_use(), 0u);
+  EXPECT_FALSE(cache.evict_lru());
+  EXPECT_EQ(cache.evictions(), 0u);  // a clear is not an eviction
+
+  // The emptied trie takes inserts again.
+  harness.publish(cache, a);
+  EXPECT_EQ(cache.node_count(), 1u);
+  EXPECT_EQ(cache.lookup(a, a.size() - 1).tokens, 11u);
+}
+
 // ---- admission control ------------------------------------------------
 
 /// One counter of the server's registry, read from a snapshot.
@@ -315,6 +519,29 @@ TEST(PagedServe, QueueWaitsForPagesInsteadOfShedding) {
   EXPECT_EQ(counter(server, "serve.requests.shed"), 0u);
   EXPECT_EQ(server.page_pool().pages_in_use(), 0u);
   EXPECT_EQ(server.page_pool().pages_reserved(), 0u);
+}
+
+TEST(PagedServe, PrefixEvictionsCountedOnceThePromptsOutgrowTheNodeBudget) {
+  core::HpcGpt model = make_model();
+  const std::vector<std::string> questions = {
+      kQuestion, "What does the omp critical directive do?",
+      "Explain false sharing between threads of a parallel loop."};
+  const auto evictions_at = [&](std::size_t max_nodes) {
+    serve::ServeConfig config;
+    config.max_batch = 1;
+    config.max_new_tokens = 2;
+    config.kv.prefix_cache_max_nodes = max_nodes;
+    serve::InferenceServer server(model, config);
+    for (const std::string& question : questions) {
+      core::GenerationRequest request;
+      request.prompt = question;
+      EXPECT_TRUE(server.submit(std::move(request)).get().ok());
+    }
+    server.shutdown();
+    return counter(server, "serve.prefix.evictions");
+  };
+  EXPECT_EQ(evictions_at(1024), 0u);
+  EXPECT_GT(evictions_at(2), 0u);
 }
 
 }  // namespace

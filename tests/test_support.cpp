@@ -2,8 +2,10 @@
 #include <sched.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "hpcgpt/support/error.hpp"
@@ -245,9 +247,9 @@ TEST(ParallelFor, PropagatesException) {
 }
 
 TEST(ParallelFor, NestedCallFromPoolWorkerNeverSelfDeadlocks) {
-  // Pool-in-pool guard: the serving scheduler issues parallel_for (lane
-  // prefills) from threads that themselves sit inside GEMM parallel_for
-  // regions on the global pool. A nested call must run inline on the
+  // Pool-in-pool guard: a pool worker may issue parallel_for on its own
+  // pool (a verify task on the global pool runs the analysis service's
+  // per-function fan-out there). A nested call must run inline on the
   // calling worker (or on free workers) — if it ever re-queues behind
   // itself this test hangs and ctest's timeout flags the regression.
   ThreadPool pool(2);
@@ -262,8 +264,8 @@ TEST(ParallelFor, NestedCallFromPoolWorkerNeverSelfDeadlocks) {
 
 TEST(ParallelFor, NestedCallOnGlobalPoolFromWorkerTask) {
   // Same guard against the exact production shape: a task submitted to
-  // the global pool (like the scheduler's prefill lambda) issuing
-  // parallel_for on that same pool (like the GEMM row loop).
+  // the global pool (like the server's verify task) issuing parallel_for
+  // on that same pool (like the analysis service's per-function fan-out).
   std::atomic<int> total{0};
   auto f = ThreadPool::global().submit([&] {
     parallel_for(0, 64, [&](std::size_t) { total.fetch_add(1); });
@@ -271,6 +273,73 @@ TEST(ParallelFor, NestedCallOnGlobalPoolFromWorkerTask) {
   });
   EXPECT_EQ(f.get(), 0);
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ParallelFor, FirstChunkRunsOnCallingThread) {
+  // Caller-runs: the calling thread takes chunk 0 of a pooled range
+  // instead of idling (the serving scheduler prefills one fresh lane
+  // itself); pool workers take the rest.
+  ThreadPool pool(4);
+  std::vector<std::thread::id> ran(8);
+  parallel_for(pool, 0, ran.size(),
+               [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  const std::thread::id caller = std::this_thread::get_id();
+  // Four chunks of two indices: chunk 0 is [0, 2).
+  EXPECT_EQ(ran[0], caller);
+  EXPECT_EQ(ran[1], caller);
+  for (std::size_t i = 2; i < ran.size(); ++i) EXPECT_NE(ran[i], caller) << i;
+}
+
+/// Runs parallel_for over three indices on a three-worker pool (three
+/// one-index chunks, chunk 0 on the calling thread). Chunk `thrower`
+/// throws once the other two have started; they sleep before returning.
+/// Returns how many of them had returned when the exception reached the
+/// caller, or -1 when parallel_for did not throw.
+int chunks_returned_at_rethrow(std::size_t thrower) {
+  ThreadPool pool(3);
+  std::atomic<int> started{0};
+  std::atomic<int> returned{0};
+  try {
+    parallel_for(pool, 0, 3, [&](std::size_t i) {
+      if (i == thrower) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        throw ParseError("chunk");
+      }
+      started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      returned.fetch_add(1);
+    });
+  } catch (const ParseError&) {
+    return returned.load();
+  }
+  return -1;
+}
+
+TEST(ParallelFor, CallerChunkErrorSurfacesAfterPoolChunksReturn) {
+  EXPECT_EQ(chunks_returned_at_rethrow(0), 2);
+}
+
+TEST(ParallelFor, PoolChunkErrorSurfacesAfterCallerChunkReturns) {
+  EXPECT_EQ(chunks_returned_at_rethrow(2), 2);
+}
+
+TEST(ParallelFor, NestedCallInCallersChunkCompletes) {
+  // The caller's chunk does not run on a pool worker, so a parallel_for
+  // nested in it is chunked again rather than inlined. It must complete
+  // however few workers serve both levels.
+  for (const std::size_t workers : {1u, 2u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> total{0};
+    parallel_for(pool, 0, 4, [&](std::size_t) {
+      parallel_for(pool, 0, 8, [&](std::size_t) { total.fetch_add(1); });
+    });
+    EXPECT_EQ(total.load(), 4 * 8) << workers << " workers";
+  }
 }
 
 TEST(ParallelFor, GrainForcesInlineExecution) {
