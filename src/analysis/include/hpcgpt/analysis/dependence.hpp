@@ -8,29 +8,19 @@
 
 namespace hpcgpt::analysis {
 
-struct DependenceOptions {
-  /// GCD test for coupled subscripts with unequal strides: report a
-  /// dependence only when gcd(s1, s2) divides the offset difference
-  /// (instead of the unconditional conservative report). Off in
-  /// LLOV-compatibility mode — the original tool reports MIV pairs
-  /// unconditionally.
-  bool gcd_test = true;
-  /// Bounds/range test on constant-bound loops: a dependence whose
-  /// distance places the conflicting iteration outside the trip range is
-  /// refuted (fixes the disjoint-halves false positive). Off in
-  /// LLOV-compatibility mode — the original tool ignores loop bounds.
-  bool range_test = true;
-  /// Emit Note findings for refuted dependences and skipped non-affine
-  /// subscripts (so the lint output explains silence).
-  bool notes = true;
-};
-
-/// Cross-iteration dependence testing (ZIV / strong SIV / MIV with
-/// optional GCD and range refinement) over the 1-D affine array accesses
-/// of one parallel loop.
+/// Cross-iteration dependence testing (ZIV / strong SIV / MIV) over the
+/// 1-D affine array accesses of one parallel loop. Scope::Full adds three
+/// refinements the original tool lacks:
+///  * the GCD test on coupled subscripts with unequal strides (a
+///    dependence only when gcd(s1, s2) divides the offset difference;
+///    the original reports MIV pairs unconditionally);
+///  * the range test on constant-bound loops (a distance that places the
+///    conflicting iteration outside the trip range is refuted, which
+///    fixes the disjoint-halves false positive);
+///  * Note findings for refuted dependences and skipped non-affine
+///    subscripts, so the lint output explains silence.
 void run_dependence_pass(const minilang::Stmt& loop,
                          const LoopAccesses& accesses, const StmtIndex& index,
-                         const DependenceOptions& options,
-                         std::vector<Diagnostic>& out);
+                         Scope scope, std::vector<Diagnostic>& out);
 
 }  // namespace hpcgpt::analysis

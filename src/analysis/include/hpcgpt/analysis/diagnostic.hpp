@@ -22,6 +22,16 @@ enum class PassId {
 /// (skipped subscripts, refuted dependences, redundant clauses).
 enum class Severity { Error, Warning, Note };
 
+/// How much of the analyzer runs. `Full` is every pass with every
+/// refinement. `Llov` restricts it to exactly the scope and precision of
+/// the original single-pass LLOV-style detector, so `race::LlovDetector`
+/// delegates here without changing a single Table 5 verdict: parallel
+/// loops only, found at the top level or under sequential loops and
+/// conditionals; the three scalar race rules without the clause lints;
+/// no GCD or range refinement and no notes; at most one error per loop,
+/// and analysis stops after the first toplevel statement that yields one.
+enum class Scope { Full, Llov };
+
 std::string pass_name(PassId pass);
 std::string severity_name(Severity severity);
 
@@ -59,7 +69,7 @@ std::uint64_t fingerprint(const Report& report);
 /// variable + statement span) already appeared earlier in the list,
 /// keeping first occurrences in order. Because only later *identical-key*
 /// findings are dropped, first_error() and has_errors() are unaffected —
-/// verdicts (Table 5, llov_compat) cannot change. Returns the number of
+/// verdicts (Table 5, Scope::Llov) cannot change. Returns the number of
 /// diagnostics removed.
 std::size_t deduplicate(std::vector<Diagnostic>& diagnostics);
 

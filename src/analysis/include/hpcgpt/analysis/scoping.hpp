@@ -8,19 +8,13 @@
 
 namespace hpcgpt::analysis {
 
-struct ScopingOptions {
-  /// Emit the non-verdict lints (read-before-write privates, redundant
-  /// firstprivate, overwritten reductions, unused clauses) in addition to
-  /// the three race errors. Off in LLOV-compatibility mode.
-  bool extended_lints = true;
-};
-
 /// Data-sharing & scoping lint for one parallel loop. The three Error
 /// findings reproduce the original LLOV-style scalar analysis bit for bit
 /// (same conditions, same order, same messages); everything else is
-/// Warning/Note only.
+/// Warning/Note only: read-before-write privates, redundant firstprivate,
+/// overwritten reductions and unused clauses, emitted in Scope::Full only.
 void run_scoping_pass(const minilang::Stmt& loop, const LoopAccesses& accesses,
-                      const StmtIndex& index, const ScopingOptions& options,
+                      const StmtIndex& index, Scope scope,
                       std::vector<Diagnostic>& out);
 
 }  // namespace hpcgpt::analysis

@@ -25,10 +25,10 @@ const std::vector<std::string>& drb_category_kb();
 
 /// Knobs of one VerificationService instance.
 struct ServiceOptions {
-  /// Analysis configuration shared by every request this service answers
-  /// (part of the cache key — services with different options never
-  /// share results, even behind the same fingerprints).
-  VerifierOptions verifier;
+  /// Analyzer scope shared by every request this service answers (part
+  /// of the cache key — services with different scopes never share
+  /// results, even behind the same fingerprints).
+  Scope scope = Scope::Full;
   /// LRU bound on cached function reports. Oldest-used entries are
   /// evicted past this (analysis.cache.evictions counts them).
   std::size_t cache_capacity = 1024;
@@ -167,7 +167,6 @@ class VerificationService {
   void evict_locked();
 
   ServiceOptions options_;
-  std::uint64_t options_hash_ = 0;  ///< VerifierOptions folded into keys
   obs::MetricsRegistry registry_;
   obs::Counter& requests_;
   obs::Counter& functions_;

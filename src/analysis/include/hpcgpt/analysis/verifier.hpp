@@ -10,35 +10,12 @@
 
 namespace hpcgpt::analysis {
 
-/// Configuration of one verifier run. The default is the full-power
-/// analyzer (all passes, all refinements); `llov_compat()` restricts it to
-/// exactly the scope and precision of the original single-pass LLOV-style
-/// detector so `race::LlovDetector` can delegate here without changing a
-/// single Table 5 verdict.
-struct VerifierOptions {
-  /// Run the MHP pass over parallel regions. When off, regions are merely
-  /// recorded (the LLOV verdict mapping turns "regions but no loops" into
-  /// Unsupported, like the real tool's loop-verifier scope).
-  bool verify_regions = true;
-  /// Analyze parallel loops nested inside regions and other constructs.
-  /// The compat traversal only sees loops at the top level or under
-  /// sequential loops / conditionals.
-  bool deep_traversal = true;
-  /// Collect every finding of every construct. When off, the verifier
-  /// reproduces the original detector's early exit: at most one error per
-  /// loop, and analysis stops after the first toplevel statement that
-  /// produced one.
-  bool exhaustive = true;
-  ScopingOptions scoping;
-  DependenceOptions dependence;
-
-  static VerifierOptions llov_compat();
-};
-
-/// Runs the three passes over `program` and collects every finding, in
-/// program traversal order (per construct: scoping before dependence).
-Report verify(const minilang::Program& program,
-              const VerifierOptions& options = {});
+/// Runs the passes `scope` selects over `program` and collects their
+/// findings, in program traversal order (per construct: scoping before
+/// dependence). Scope::Llov skips the MHP pass (regions are merely
+/// recorded; the LLOV verdict mapping turns "regions but no loops" into
+/// Unsupported, like the real tool's loop-verifier scope).
+Report verify(const minilang::Program& program, Scope scope = Scope::Full);
 
 /// One-sentence rationale for a Task-2 instruction record: the leading
 /// error finding rendered as prose, or a "no conflicting accesses" line

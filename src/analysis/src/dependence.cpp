@@ -46,12 +46,12 @@ std::int64_t gcd64(std::int64_t a, std::int64_t b) {
 
 void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
                          const StmtIndex& /*index*/,
-                         const DependenceOptions& options,
-                         std::vector<Diagnostic>& out) {
+                         Scope scope, std::vector<Diagnostic>& out) {
+  const bool full = scope == Scope::Full;
   // Constant trip count, when the bounds fold (the range test needs it).
   std::optional<std::int64_t> trip;
   std::optional<std::int64_t> lo;
-  if (options.range_test) {
+  if (full) {
     lo = const_value(loop.lo.get());
     const auto hi = const_value(loop.hi.get());
     if (lo && hi) trip = *hi - *lo > 0 ? *hi - *lo : 0;
@@ -69,7 +69,7 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
     if (!all_analyzable) {
       // Silent on the verdict level: the original tool's main
       // false-negative source. The note keeps the gap visible.
-      if (options.notes) {
+      if (full) {
         emit(out, Severity::Note, name, non_affine_stmts,
              "subscript is not affine in the loop variable — dependence "
              "test skipped");
@@ -92,7 +92,7 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
           // element) — and only if the loop actually has two iterations.
           if (w.scale == 0) {
             if (trip && *trip <= 1) {
-              if (options.notes) {
+              if (full) {
                 emit(out, Severity::Note, name, pair,
                      "loop-invariant write refuted by the range test: the "
                      "loop runs at most one iteration");
@@ -112,7 +112,7 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
             // (every iteration touches that one element).
             if (diff == 0) {
               if (trip && *trip <= 1) {
-                if (options.notes) {
+                if (full) {
                   emit(out, Severity::Note, name, pair,
                        "loop-invariant conflict refuted by the range test: "
                        "the loop runs at most one iteration");
@@ -133,7 +133,7 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
           if (diff != 0 && diff % w.scale == 0) {
             const std::int64_t distance = diff / w.scale;
             if (trip && (distance >= *trip || distance <= -*trip)) {
-              if (options.notes) {
+              if (full) {
                 std::ostringstream msg;
                 msg << "dependence distance " << distance
                     << " exceeds the loop trip count " << *trip
@@ -154,10 +154,10 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
         // system has no integer solution, and when one subscript is
         // loop-invariant the solution can be checked against the bounds.
         const std::int64_t diff = o.offset - w.offset;
-        if (options.gcd_test) {
+        if (full) {
           const std::int64_t g = gcd64(w.scale, o.scale);
           if (g != 0 && diff % g != 0) {
-            if (options.notes) {
+            if (full) {
               emit(out, Severity::Note, name, pair,
                    "offset difference is not divisible by gcd(strides) — "
                    "refuted by the GCD test");
@@ -175,7 +175,7 @@ void run_dependence_pass(const Stmt& loop, const LoopAccesses& accesses,
               const std::int64_t at =
                   (fixed.offset - varying.offset) / varying.scale;
               if (at < *lo || at >= *lo + *trip) {
-                if (options.notes) {
+                if (full) {
                   emit(out, Severity::Note, name, pair,
                        "conflicting iteration lies outside the loop bounds "
                        "— refuted by the range test");

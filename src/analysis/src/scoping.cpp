@@ -22,8 +22,7 @@ void emit(std::vector<Diagnostic>& out, Severity severity,
 
 void run_scoping_pass(const Stmt& loop, const LoopAccesses& accesses,
                       const StmtIndex& /*index*/,
-                      const ScopingOptions& options,
-                      std::vector<Diagnostic>& out) {
+                      Scope scope, std::vector<Diagnostic>& out) {
   // ---- the three verdict rules, per scalar, first match wins ----
   // (conditions, order, and messages are the original detector's)
   for (const auto& [name, use] : accesses.shared) {
@@ -40,7 +39,7 @@ void run_scoping_pass(const Stmt& loop, const LoopAccesses& accesses,
     }
   }
 
-  if (!options.extended_lints) return;
+  if (scope == Scope::Llov) return;
 
   // ---- clause lints (never verdict-bearing) ----
   for (const std::string& name : loop.clauses.priv) {

@@ -127,22 +127,10 @@ std::string VerifyResponse::summary() const {
 
 namespace {
 
-std::uint64_t hash_options(const VerifierOptions& o) {
-  Fnv1aHasher h;
-  h.u8(o.verify_regions ? 1 : 0);
-  h.u8(o.deep_traversal ? 1 : 0);
-  h.u8(o.exhaustive ? 1 : 0);
-  h.u8(o.scoping.extended_lints ? 1 : 0);
-  h.u8(o.dependence.gcd_test ? 1 : 0);
-  h.u8(o.dependence.range_test ? 1 : 0);
-  h.u8(o.dependence.notes ? 1 : 0);
-  return h.value();
-}
-
-std::uint64_t cache_key(std::uint64_t fingerprint, std::uint64_t options) {
+std::uint64_t cache_key(std::uint64_t fingerprint, Scope scope) {
   Fnv1aHasher h;
   h.u64(fingerprint);
-  h.u64(options);
+  h.u8(static_cast<std::uint8_t>(scope));
   return h.value();
 }
 
@@ -150,7 +138,6 @@ std::uint64_t cache_key(std::uint64_t fingerprint, std::uint64_t options) {
 
 VerificationService::VerificationService(ServiceOptions options)
     : options_(std::move(options)),
-      options_hash_(hash_options(options_.verifier)),
       requests_(registry_.counter("analysis.requests")),
       functions_(registry_.counter("analysis.functions")),
       hits_(registry_.counter("analysis.cache.hits")),
@@ -204,9 +191,9 @@ void VerificationService::process_program(const minilang::Program& program,
   // on which surface arrived first. One representative per equivalence
   // class keeps cached and fresh reports bitwise-identical.
   const minilang::Program normal =
-      minilang::parse_any(minilang::render(program, minilang::Flavor::C));
+      minilang::parse_c(minilang::render(program, minilang::Flavor::C));
   out.fingerprint = minilang::fingerprint(normal);
-  const std::uint64_t key = cache_key(out.fingerprint, options_hash_);
+  const std::uint64_t key = cache_key(out.fingerprint, options_.scope);
   {
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(key);
@@ -227,7 +214,7 @@ void VerificationService::process_program(const minilang::Program& program,
       HPCGPT_TRACE("analysis.function");
       // Qualified: the member verify(VerifyRequest) shadows the pass
       // runner inside the class.
-      out.report = analysis::verify(normal, options_.verifier);
+      out.report = analysis::verify(normal, options_.scope);
     }
     std::lock_guard lock(mutex_);
     const auto [it, inserted] = cache_.try_emplace(key);
@@ -341,16 +328,17 @@ VerifyResponse VerificationService::verify(const VerifyRequest& request) {
       const std::size_t i = pending[j];
       const FunctionInput& input = request.functions[i];
       FunctionReport& out = response.functions[i];
-      minilang::Program program;
+      // Both parses (the source and its C normal form) are covered: a
+      // ParseError fails this function only, never the unit.
       try {
-        program = minilang::parse_any(input.source);
-      } catch (const Error& e) {
-        out.parsed = false;
+        process_program(minilang::parse_any(input.source),
+                        fnv1a(input.source), request.explain, out);
+      } catch (const ParseError& e) {
+        out = FunctionReport{};
+        out.name = input.name;
         out.parse_error = e.what();
         parse_failures_.add(1);
-        return;
       }
-      process_program(program, fnv1a(input.source), request.explain, out);
     });
   }
 

@@ -8,26 +8,14 @@ namespace hpcgpt::analysis {
 using minilang::Program;
 using minilang::Stmt;
 
-VerifierOptions VerifierOptions::llov_compat() {
-  VerifierOptions o;
-  o.verify_regions = false;
-  o.deep_traversal = false;
-  o.exhaustive = false;
-  o.scoping.extended_lints = false;
-  o.dependence.gcd_test = false;
-  o.dependence.range_test = false;
-  o.dependence.notes = false;
-  return o;
-}
-
 namespace {
 
-/// Appends `fresh` to `out`; in non-exhaustive mode only the first error
-/// survives (the original detector reported one race per loop and the
-/// scoping pass pre-empted the dependence pass).
+/// Appends `fresh` to `out`; in Scope::Llov only the first error survives
+/// (the original detector reported one race per loop and the scoping pass
+/// pre-empted the dependence pass).
 void merge(std::vector<Diagnostic>& out, std::vector<Diagnostic>&& fresh,
-           bool exhaustive) {
-  if (exhaustive) {
+           bool full) {
+  if (full) {
     for (Diagnostic& d : fresh) out.push_back(std::move(d));
     return;
   }
@@ -40,14 +28,14 @@ void merge(std::vector<Diagnostic>& out, std::vector<Diagnostic>&& fresh,
 
 class Verifier {
  public:
-  Verifier(const Program& program, const VerifierOptions& options)
-      : program_(program), options_(options) {}
+  Verifier(const Program& program, Scope scope)
+      : program_(program), scope_(scope), full_(scope == Scope::Full) {}
 
   Report run() {
     const StmtIndex index = StmtIndex::build(program_);
     report_.statements = index.size();
 
-    if (options_.verify_regions) {
+    if (full_) {
       const MhpInfo mhp = compute_mhp(program_, index);
       run_mhp_pass(program_, index, mhp, report_.diagnostics);
     }
@@ -56,7 +44,7 @@ class Verifier {
       visit(s, index);
       // The original detector stopped after the first toplevel statement
       // that yielded a race.
-      if (!options_.exhaustive && report_.has_errors()) break;
+      if (!full_ && report_.has_errors()) break;
     }
     // Identical findings (same pass + statement span + variable) reported
     // through more than one access pair collapse to their first
@@ -74,14 +62,14 @@ class Verifier {
         return;
       case Stmt::Kind::ParallelRegion:
         report_.saw_parallel_region = true;
-        if (options_.deep_traversal) descend(s, index);
+        if (full_) descend(s, index);
         return;
       case Stmt::Kind::SeqFor:
       case Stmt::Kind::If:
         descend(s, index);
         return;
       default:
-        if (options_.deep_traversal) descend(s, index);
+        if (full_) descend(s, index);
         return;
     }
   }
@@ -94,34 +82,34 @@ class Verifier {
     const LoopAccesses accesses = collect_loop_accesses(loop, index);
 
     std::vector<Diagnostic> scoping;
-    run_scoping_pass(loop, accesses, index, options_.scoping, scoping);
+    run_scoping_pass(loop, accesses, index, scope_, scoping);
     const bool scoping_error = [&] {
       for (const Diagnostic& d : scoping) {
         if (d.severity == Severity::Error) return true;
       }
       return false;
     }();
-    merge(report_.diagnostics, std::move(scoping), options_.exhaustive);
+    merge(report_.diagnostics, std::move(scoping), full_);
 
     // The original detector never reached the subscript tests once a
-    // scalar rule fired; keep that pre-emption in compat mode.
-    if (!options_.exhaustive && scoping_error) return;
+    // scalar rule fired; keep that pre-emption in Scope::Llov.
+    if (!full_ && scoping_error) return;
 
     std::vector<Diagnostic> dependence;
-    run_dependence_pass(loop, accesses, index, options_.dependence,
-                        dependence);
-    merge(report_.diagnostics, std::move(dependence), options_.exhaustive);
+    run_dependence_pass(loop, accesses, index, scope_, dependence);
+    merge(report_.diagnostics, std::move(dependence), full_);
   }
 
   const Program& program_;
-  const VerifierOptions& options_;
+  const Scope scope_;
+  const bool full_;
   Report report_;
 };
 
 }  // namespace
 
-Report verify(const Program& program, const VerifierOptions& options) {
-  return Verifier(program, options).run();
+Report verify(const Program& program, Scope scope) {
+  return Verifier(program, scope).run();
 }
 
 std::string rationale_text(const Report& report) {

@@ -4,8 +4,24 @@
 #include <string_view>
 
 #include "hpcgpt/minilang/ast.hpp"
+#include "hpcgpt/minilang/render.hpp"
 
 namespace hpcgpt::minilang {
+
+/// One front end reads both surfaces: a shared lexer (whitespace, `//`,
+/// `/* */` and `!` comments; `#pragma omp` and `!$omp` directives), one
+/// expression grammar, one OpenMP directive and clause parser and one
+/// keyword table, under a C and a Fortran statement layer. Every parse
+/// either returns a Program or throws ParseError.
+///
+/// Statement nesting plus expression depth is bounded by kMaxNesting —
+/// far above anything the generators emit — so the recursive
+/// walks over parsed ASTs (render, fingerprint, analysis, interpreter)
+/// stay shallow. Deeper input is a ParseError, as are integer literals
+/// outside int64_t and keywords of either surface used as names (so a
+/// program that parses in one surface renders to the other and parses
+/// back).
+inline constexpr int kMaxNesting = 256;
 
 /// Parses C-flavoured mini-language source (the subset produced by
 /// render(..., Flavor::C)) back into a Program.
@@ -24,8 +40,13 @@ Program parse_c(std::string_view source);
 /// convention (the renderer emits `do v = lo + 1, hi`).
 Program parse_f(std::string_view source);
 
-/// Dispatches on surface syntax: sources containing `!$omp`/`program`
-/// parse as Fortran, otherwise as C.
+/// The surface of `source`, read from its tokens (comments skipped):
+/// Fortran when they hold a `!$omp` directive, a Fortran-only keyword
+/// (`program`, `integer`, `use`, `implicit`, `do`, `end`, `then`, `mod`)
+/// outside a directive, or a `!` comment; C otherwise.
+Flavor surface_of(std::string_view source);
+
+/// Parses `source` in the surface surface_of() picks.
 Program parse_any(std::string_view source);
 
 }  // namespace hpcgpt::minilang

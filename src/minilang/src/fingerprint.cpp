@@ -115,7 +115,7 @@ std::uint64_t canonical_fingerprint(const Program& program) {
   // over that surface (see the round-trip sweep tests), so a hand-built
   // AST, its C rendering and its Fortran rendering — which keeps
   // initializers on the declarations — all land on one representative.
-  return fingerprint(parse_any(render(program, Flavor::C)));
+  return fingerprint(parse_c(render(program, Flavor::C)));
 }
 
 }  // namespace hpcgpt::minilang

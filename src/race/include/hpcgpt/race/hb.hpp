@@ -23,9 +23,6 @@ struct HbOptions {
   /// Shadow-memory cell width in elements; accesses to distinct addresses
   /// in the same cell are treated as conflicting (1 = exact).
   std::uint64_t shadow_granularity = 1;
-  /// Maximum tracked shadow cells; oldest are evicted first (0 =
-  /// unbounded). Bounded shadows lose history and miss races.
-  std::size_t shadow_capacity = 0;
 };
 
 /// Runs FastTrack-style vector-clock race detection over `trace`.

@@ -138,8 +138,7 @@ class InspectorDetector final : public DynamicDetector {
                      "dynamic"},
             HbOptions{.respect_barriers = false,
                       .respect_atomics = true,
-                      .shadow_granularity = 2,
-                      .shadow_capacity = 0},
+                      .shadow_granularity = 2},
             num_threads, seed, /*repetitions=*/1) {}
 
  protected:
@@ -163,8 +162,7 @@ class RompDetector final : public DynamicDetector {
             ToolInfo{"ROMP", "20ac93c", "GCC/gfortran 7.4.0", "dynamic"},
             HbOptions{.respect_barriers = true,
                       .respect_atomics = false,
-                      .shadow_granularity = 1,
-                      .shadow_capacity = 0},
+                      .shadow_granularity = 1},
             num_threads, seed, /*repetitions=*/1) {}
 
  protected:
@@ -210,7 +208,7 @@ class LlovDetector final : public Detector {
   DetectionResult analyze(const Program& program, Flavor flavor) override {
     (void)flavor;  // LLVM front-ends normalize both languages to IR
     const analysis::Report report =
-        analysis::verify(program, analysis::VerifierOptions::llov_compat());
+        analysis::verify(program, analysis::Scope::Llov);
     DetectionResult result;
     errors_to_races(report, result);
     if (result.verdict == Verdict::Race) return result;

@@ -1,7 +1,6 @@
 #include "hpcgpt/race/hb.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -77,22 +76,6 @@ class HbEngine {
                                         : addr / opt_.shadow_granularity;
   }
 
-  ShadowCell* touch_cell(std::uint64_t cell) {
-    const auto it = shadow_.find(cell);
-    if (it != shadow_.end()) return &it->second;
-    if (opt_.shadow_capacity > 0 && shadow_.size() >= opt_.shadow_capacity) {
-      // FIFO eviction: forget the oldest cell (history loss → missed
-      // races, the bounded-shadow failure mode of real dynamic tools).
-      while (!eviction_order_.empty()) {
-        const std::uint64_t victim = eviction_order_.front();
-        eviction_order_.pop_front();
-        if (shadow_.erase(victim) > 0) break;
-      }
-    }
-    eviction_order_.push_back(cell);
-    return &shadow_[cell];
-  }
-
   void report(const std::string& var, std::uint64_t addr, int a, int b,
               const std::string& detail) {
     if (!reported_vars_.insert(var).second) return;
@@ -149,7 +132,7 @@ class HbEngine {
         note_region_thread(e);
         const int id = identity(e.region, e.thread);
         const VectorClock& now = clocks_[id];
-        ShadowCell* cell = touch_cell(cell_of(e.addr));
+        ShadowCell* cell = &shadow_[cell_of(e.addr)];
         if (cell->var.empty()) cell->var = e.var;
 
         // A race exists when a prior conflicting access is not ordered
@@ -205,7 +188,6 @@ class HbEngine {
   std::unordered_map<int, VectorClock> fork_snapshot_;
   std::unordered_map<int, std::set<int>> region_threads_;
   std::unordered_map<std::uint64_t, ShadowCell> shadow_;
-  std::deque<std::uint64_t> eviction_order_;
   std::vector<int> pending_barrier_;
   std::set<std::string> reported_vars_;
   std::vector<RaceReport> reports_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <exception>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -303,9 +304,14 @@ std::future<analysis::VerifyResponse> InferenceServer::submit(
   ThreadPool::global().submit([this, promise, shared, trace] {
     HPCGPT_TRACE_ADOPT(trace);
     analysis::VerifyResponse response;
-    {
+    // A throwing verify still resolves the promise and releases
+    // shutdown(): the client sees the exception, not a broken promise.
+    std::exception_ptr failure;
+    try {
       HPCGPT_TRACE("serve.verify");
       response = verifier_.verify(*shared);
+    } catch (...) {
+      failure = std::current_exception();
     }
     // Counted while verify_inflight_ still holds shutdown() off, so the
     // server (and its registry) is alive.
@@ -318,7 +324,11 @@ std::future<analysis::VerifyResponse> InferenceServer::submit(
       // ends (the promise is shared_ptr-owned and outlives the server).
       if (verify_inflight_ == 0) verify_idle_.notify_all();
     }
-    promise->set_value(std::move(response));
+    if (failure) {
+      promise->set_exception(failure);
+    } else {
+      promise->set_value(std::move(response));
+    }
   });
   return future;
 }

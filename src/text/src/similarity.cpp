@@ -1,8 +1,6 @@
 #include "hpcgpt/text/similarity.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,48 +38,6 @@ double rouge_l(std::string_view a, std::string_view b) {
   const double precision = lcs / static_cast<double>(wb.size());
   const double recall = lcs / static_cast<double>(wa.size());
   return 2.0 * precision * recall / (precision + recall);
-}
-
-double jaccard_words(std::string_view a, std::string_view b) {
-  const auto wa = strings::normalized_words(a);
-  const auto wb = strings::normalized_words(b);
-  const std::set<std::string> sa(wa.begin(), wa.end());
-  const std::set<std::string> sb(wb.begin(), wb.end());
-  if (sa.empty() && sb.empty()) return 1.0;
-  std::size_t intersection = 0;
-  for (const auto& w : sa) intersection += sb.count(w);
-  const std::size_t unions = sa.size() + sb.size() - intersection;
-  return unions == 0 ? 0.0
-                     : static_cast<double>(intersection) /
-                           static_cast<double>(unions);
-}
-
-double bigram_dice(std::string_view a, std::string_view b) {
-  const auto wa = strings::normalized_words(a);
-  const auto wb = strings::normalized_words(b);
-  const auto bigrams = [](const std::vector<std::string>& words) {
-    std::map<std::pair<std::string, std::string>, std::size_t> out;
-    for (std::size_t i = 0; i + 1 < words.size(); ++i) {
-      ++out[{words[i], words[i + 1]}];
-    }
-    return out;
-  };
-  const auto ba = bigrams(wa);
-  const auto bb = bigrams(wb);
-  if (ba.empty() && bb.empty()) return 1.0;
-  std::size_t total_a = 0;
-  std::size_t total_b = 0;
-  for (const auto& [k, v] : ba) total_a += v;
-  for (const auto& [k, v] : bb) total_b += v;
-  std::size_t overlap = 0;
-  for (const auto& [k, v] : ba) {
-    const auto it = bb.find(k);
-    if (it != bb.end()) overlap += std::min(v, it->second);
-  }
-  const std::size_t denom = total_a + total_b;
-  return denom == 0 ? 0.0
-                    : 2.0 * static_cast<double>(overlap) /
-                          static_cast<double>(denom);
 }
 
 }  // namespace hpcgpt::text

@@ -300,7 +300,7 @@ TEST(Mhp, MasterRegionIsSingleThreaded) {
 
 TEST(Scoping, SharedScalarWriteIsTheCompatRaceVerdict) {
   const Report r =
-      verify(shared_tmp(false), VerifierOptions::llov_compat());
+      verify(shared_tmp(false), Scope::Llov);
   ASSERT_TRUE(r.has_errors());
   const Diagnostic* e = r.first_error();
   EXPECT_EQ(e->pass, PassId::Scoping);
@@ -310,7 +310,7 @@ TEST(Scoping, SharedScalarWriteIsTheCompatRaceVerdict) {
 
 TEST(Scoping, PrivateClauseSilencesTheRace) {
   const Report r =
-      verify(shared_tmp(true), VerifierOptions::llov_compat());
+      verify(shared_tmp(true), Scope::Llov);
   EXPECT_FALSE(r.has_errors());
 }
 
@@ -400,7 +400,7 @@ TEST(Dependence, RangeTestRefutesDisjointHalves) {
   // Compat mode reproduces the original false positive; the full verifier
   // refutes it via the range test and explains why in a note.
   const Report compat =
-      verify(halves_copy(), VerifierOptions::llov_compat());
+      verify(halves_copy(), Scope::Llov);
   ASSERT_TRUE(compat.has_errors());
   EXPECT_EQ(compat.first_error()->message,
             "loop-carried dependence (SIV test)");
@@ -418,7 +418,7 @@ TEST(Dependence, RangeTestRefutesDisjointHalves) {
 
 TEST(Dependence, GcdTestRefutesDisjointStrides) {
   const Report compat =
-      verify(gcd_disjoint(), VerifierOptions::llov_compat());
+      verify(gcd_disjoint(), Scope::Llov);
   ASSERT_TRUE(compat.has_errors());
   EXPECT_EQ(compat.first_error()->message,
             "coupled subscripts with unequal strides (MIV)");
@@ -550,16 +550,14 @@ TEST(Deduplicate, EmptyAndSingletonAreNoOps) {
 }
 
 TEST(Deduplicate, VerifierReportsCarryNoDuplicateFindings) {
-  // End to end: exhaustive-mode reports out of the verifier never contain
+  // End to end: Scope::Full reports out of the verifier never contain
   // two findings with the same identity fingerprint, and the compat
   // verdicts of Table 5 are untouched by the collapse.
-  VerifierOptions exhaustive;
-  exhaustive.exhaustive = true;
   for (const drb::Category cat : drb::all_categories()) {
     Rng rng(11);
     const drb::TestCase tc =
         drb::generate_case(cat, minilang::Flavor::C, rng);
-    const Report r = verify(tc.program, exhaustive);
+    const Report r = verify(tc.program);
     std::vector<std::uint64_t> keys;
     for (const Diagnostic& d : r.diagnostics) keys.push_back(fingerprint(d));
     std::sort(keys.begin(), keys.end());

@@ -51,8 +51,8 @@ TEST_P(VerdictRoundTrip, ParsedSourceReproducesVerdicts) {
     }
 
     // Compat mode too — the LLOV delegation must see the same programs.
-    const Report c_direct = verify(tc.program, VerifierOptions::llov_compat());
-    const Report c_reparsed = verify(parsed, VerifierOptions::llov_compat());
+    const Report c_direct = verify(tc.program, Scope::Llov);
+    const Report c_reparsed = verify(parsed, Scope::Llov);
     EXPECT_EQ(c_direct.has_errors(), c_reparsed.has_errors()) << tc.source;
     EXPECT_EQ(c_direct.summary(), c_reparsed.summary()) << tc.source;
   }

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <string>
 #include <thread>
@@ -147,7 +149,7 @@ TEST(VerificationService, CachedReportBitwiseIdenticalToFresh) {
   // And both match a direct verifier run outside the service on the same
   // canonical normal form the service analyzes.
   const Report direct = verify(parse_any(render(loop_carried(), Flavor::C)),
-                               service.options().verifier);
+                               service.options().scope);
   EXPECT_TRUE(reports_identical(direct, cached.functions[0].report));
 }
 
@@ -222,6 +224,32 @@ TEST(VerificationService, ParseFailureIsReportedNotCached) {
   EXPECT_FALSE(r.functions[1].has_errors());  // no verdict for unparsed code
   EXPECT_EQ(cache_entries(service), 1u);
   EXPECT_NE(r.summary().find("unparsable"), std::string::npos);
+}
+
+const char* kNonLiteralThreads =
+    "int x = 0;\nint main() {\n  #pragma omp parallel num_threads(x)\n"
+    "  {\n    x = 1;\n  }\n  return 0;\n}\n";
+const char* kForVariable =
+    "program p\n  integer :: for = 0\n  integer :: i\n"
+    "  do i = 0 + 1, 4\n    for = i\n  end do\nend program\n";
+
+TEST(VerificationService, HostileFunctionFailsAloneInItsUnit) {
+  // A Fortran variable named `for` once parsed but broke the C normal
+  // form outside the per-function handler, so verify() threw for the
+  // whole unit and the valid function's report was lost.
+  VerificationService service;
+  VerifyRequest unit;
+  unit.functions.push_back({"valid", source_of(loop_carried())});
+  unit.functions.push_back({"hostile", kForVariable});
+  const VerifyResponse r = service.verify(unit);
+  ASSERT_EQ(r.functions.size(), 2u);
+  EXPECT_TRUE(r.functions[0].parsed);
+  EXPECT_TRUE(r.functions[0].has_errors());
+  EXPECT_FALSE(r.functions[1].parsed);
+  EXPECT_FALSE(r.functions[1].parse_error.empty());
+  EXPECT_EQ(r.functions[1].name, "hostile");
+  EXPECT_EQ(r.parse_failures, 1u);
+  EXPECT_EQ(r.cache_misses, 1u);
 }
 
 TEST(VerificationService, LruEvictionKeepsRecentEntries) {
@@ -457,6 +485,30 @@ TEST(ServeVerify, TypedVerificationRequestsServeAlongsideGeneration) {
   EXPECT_NE(server.metrics_json().find("analysis.cache.hits"),
             std::string::npos);
   EXPECT_EQ(cache_entries(server.verifier()), 2u);
+}
+
+TEST(ServeVerify, HostileUnitsResolveAndShutdownReturns) {
+  // These two units once threw inside the pool task: the client's future
+  // broke and shutdown() waited forever on the in-flight count.
+  core::HpcGpt model = tiny_model();
+  serve::InferenceServer server(model, serve::ServeConfig{.max_batch = 1});
+  std::vector<std::future<VerifyResponse>> futures;
+  for (const char* source : {kNonLiteralThreads, kForVariable}) {
+    futures.push_back(server.submit(VerifyRequest::single(source, "hostile")));
+  }
+  for (std::future<VerifyResponse>& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    const VerifyResponse r = f.get();
+    EXPECT_TRUE(r.accepted);
+    EXPECT_EQ(r.parse_failures, 1u);
+  }
+  auto stopped = std::async(std::launch::async, [&] { server.shutdown(); });
+  if (stopped.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    // A hung shutdown would also hang the destructor: fail loudly instead.
+    ADD_FAILURE() << "shutdown() did not return";
+    std::_Exit(1);
+  }
+  EXPECT_EQ(counter(server.metrics(), "serve.verify.completed"), 2u);
 }
 
 TEST(ServeVerify, SubmitAfterShutdownResolvesRejected) {

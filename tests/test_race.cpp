@@ -366,17 +366,6 @@ TEST(HbEngine, CoarseShadowCausesFalseSharing) {
   EXPECT_FALSE(run_hb(p, coarse).empty());
 }
 
-TEST(HbEngine, BoundedShadowLosesHistory) {
-  HbOptions bounded;
-  bounded.shadow_capacity = 2;  // pathological: almost no memory
-  // The loop-carried race may escape when its cells were evicted.
-  const auto full = run_hb(loop_carried());
-  EXPECT_FALSE(full.empty());
-  // With a 2-cell shadow the race on interior cells can still be found,
-  // but a clean program must stay clean (eviction never invents races).
-  EXPECT_TRUE(run_hb(vector_add(), bounded).empty());
-}
-
 TEST(HbEngine, HiddenRaceInvisibleDynamically) {
   EXPECT_TRUE(run_hb(hidden_race()).empty())
       << "condition is false at runtime: no conflicting access observed";

@@ -66,6 +66,16 @@
 //       (analysis.cache.{hits,misses,evictions} and friends) at EOF,
 //       --metrics-port attaches a telemetry pipeline to the service
 //       registry and serves it over HTTP exactly like `serve`
+//   hpcgpt lint [--compat] [--quiet] file...
+//   hpcgpt lint --drb c|fortran [--count N] [--seed S] [--compat] [--quiet]
+//       static race verifier: lint each source file (C- or
+//       Fortran-flavoured mini-language), or freshly generated
+//       DataRaceBench-style cases, one per category, printing each
+//       verdict next to the ground truth. --compat restricts to the
+//       LLOV-compatible scope (loop constructs only, no GCD/range
+//       refinement, first error only), --quiet prints summaries and
+//       verdicts only. Exit status 1 when a program had errors or a
+//       file did not parse
 //   hpcgpt top <url|file> [--interval S] [--frames N] [--plain]
 //       live terminal dashboard over a telemetry endpoint: polls
 //       <url>/history every --interval seconds (default 1) and renders
@@ -100,6 +110,7 @@
 #include <filesystem>
 
 #include "hpcgpt/datagen/pipeline.hpp"
+#include "hpcgpt/drb/drb.hpp"
 #include "hpcgpt/eval/metrics.hpp"
 #include "hpcgpt/kb/kb.hpp"
 #include "hpcgpt/minilang/parse.hpp"
@@ -110,6 +121,7 @@
 #include "hpcgpt/obs/trace.hpp"
 #include "hpcgpt/race/detector.hpp"
 #include "hpcgpt/serve/server.hpp"
+#include "hpcgpt/support/rng.hpp"
 
 using namespace hpcgpt;
 
@@ -127,7 +139,7 @@ struct Args {
 bool is_boolean_flag(const std::string& name) {
   return name == "pack" || name == "metrics" || name == "compact" ||
          name == "compat" || name == "explain" || name == "rag" ||
-         name == "plain";
+         name == "plain" || name == "quiet";
 }
 
 Args parse_args(int argc, char** argv, int from) {
@@ -342,11 +354,8 @@ int cmd_detect(const Args& args) {
   for (const std::string& path : args.positional) {
     std::printf("== %s ==\n", path.c_str());
     const std::string source = read_file(path);
+    const minilang::Flavor flavor = minilang::surface_of(source);
     const minilang::Program program = minilang::parse_any(source);
-    const minilang::Flavor flavor =
-        source.find("!$omp") != std::string::npos
-            ? minilang::Flavor::Fortran
-            : minilang::Flavor::C;
     for (const auto& tool : race::make_all_tools()) {
       const race::DetectionResult r = tool->analyze(program, flavor);
       std::printf("  %-16s %s\n", tool->info().name.c_str(),
@@ -537,9 +546,7 @@ int cmd_obs(const Args& args) {
 
 int cmd_verify_serve(const Args& args) {
   analysis::ServiceOptions sopts;
-  if (args.options.count("compat") > 0) {
-    sopts.verifier = analysis::VerifierOptions::llov_compat();
-  }
+  if (args.options.count("compat") > 0) sopts.scope = analysis::Scope::Llov;
   sopts.cache_capacity = std::stoull(opt(args, "cache", "1024"));
   const bool explain = args.options.count("explain") > 0;
   sopts.ground_rationales = explain;
@@ -649,6 +656,64 @@ int cmd_verify_serve(const Args& args) {
 /// payload. A URL target polls the live endpoint once per --interval; a
 /// file target renders one frame from a saved payload (useful for
 /// post-mortems and tests).
+/// Lints one program; returns true when the report carries errors.
+bool lint_program(const minilang::Program& program, const std::string& label,
+                  analysis::Scope scope, bool quiet, const char* expected) {
+  const analysis::Report report = analysis::verify(program, scope);
+  std::printf("== %s ==\n", label.c_str());
+  if (!quiet) {
+    for (const analysis::Diagnostic& d : report.diagnostics) {
+      std::printf("%s\n", analysis::to_string(d).c_str());
+    }
+  }
+  std::printf("%s\n", report.summary().c_str());
+  if (expected != nullptr) {
+    std::printf("verdict: %s (expected: %s)\n",
+                report.has_errors() ? "race" : "clean", expected);
+  } else {
+    std::printf("verdict: %s\n", report.has_errors() ? "race" : "clean");
+  }
+  return report.has_errors();
+}
+
+int cmd_lint(const Args& args) {
+  const analysis::Scope scope = args.options.count("compat") > 0
+                                    ? analysis::Scope::Llov
+                                    : analysis::Scope::Full;
+  const bool quiet = args.options.count("quiet") > 0;
+  bool any_errors = false;
+  if (args.options.count("drb") > 0) {
+    const std::string language = opt(args, "drb", "c");
+    require(language == "c" || language == "fortran",
+            "--drb takes c or fortran");
+    const minilang::Flavor flavor = language == "fortran"
+                                        ? minilang::Flavor::Fortran
+                                        : minilang::Flavor::C;
+    const std::size_t count = std::stoull(opt(args, "count", "14"));
+    Rng rng(std::stoull(opt(args, "seed", "2023")));
+    const auto& categories = drb::all_categories();
+    for (std::size_t i = 0; i < count; ++i) {
+      const drb::Category category = categories[i % categories.size()];
+      const drb::TestCase tc = drb::generate_case(category, flavor, rng);
+      any_errors |= lint_program(
+          tc.program, tc.id + " [" + drb::category_name(category) + "]",
+          scope, quiet, tc.has_race ? "race" : "clean");
+    }
+    return any_errors ? 1 : 0;
+  }
+  if (args.positional.empty()) {
+    std::fprintf(stderr,
+                 "usage: hpcgpt lint [--compat] [--quiet] file...\n"
+                 "       hpcgpt lint --drb c|fortran [--count N] [--seed S]\n");
+    return 2;
+  }
+  for (const std::string& path : args.positional) {
+    any_errors |= lint_program(minilang::parse_any(read_file(path)), path,
+                               scope, quiet, nullptr);
+  }
+  return any_errors ? 1 : 0;
+}
+
 int cmd_top(const Args& args) {
   require(!args.positional.empty(),
           "usage: hpcgpt top <url|file> [--interval S] [--frames N] "
@@ -730,7 +795,7 @@ int cmd_export_drb(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: hpcgpt <collect|train|ask|detect|eval|serve|"
-               "verify-serve|top|obs|export-drb> [options]\n"
+               "verify-serve|lint|top|obs|export-drb> [options]\n"
                "(see the header of tools/hpcgpt_cli.cpp)\n");
   return 2;
 }
@@ -760,6 +825,7 @@ const Command kCommands[] = {
       "rag-min-score", "metrics", "metrics-port", "slo-ttft", "trace-out"}},
     {"verify-serve", cmd_verify_serve,
      {"compat", "explain", "cache", "metrics", "metrics-port"}},
+    {"lint", cmd_lint, {"compat", "quiet", "drb", "count", "seed"}},
     {"top", cmd_top, {"interval", "frames", "plain"}},
     {"obs", cmd_obs, {"model", "question", "compact", "format"}},
     {"export-drb", cmd_export_drb, {"dir", "language"}},
